@@ -8,7 +8,6 @@ slack. Ground legs are charged identically to both routes.
 from __future__ import annotations
 
 import csv
-import functools
 import heapq
 import json
 import math
@@ -18,21 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TWO_PI, ConstellationConfig, config_from_dict, config_to_dict
-from .constellation import (
-    SatAddress,
-    Topology,
-    address_to_elements,
-    build,
-    format_address,
-)
+from .constellation import SatAddress, Topology, build, format_address
 from .errors import ConfigError, ParseError, RangeError
-from .geom import (
-    LatLon,
-    great_circle_range,
-    link_length_delay,
-    slant_range_km,
-    subpoint,
-)
+from .geom import LatLon, slant_range_km
 from .georouting import _coverage_radius
 from .routing import shortest_path
 
@@ -146,36 +133,81 @@ def load_scenario(path: str) -> Scenario:
 
 
 class _Field:
-    """Vectorized orbital state for every node of a topology."""
+    """Vectorized orbital state for every node of a topology.
+
+    Built once per Topology instance (see :func:`_field`). The integer link
+    index the delay oracle searches is built on first use only, so callers
+    that just associate never pay for it.
+    """
 
     def __init__(self, topo: Topology) -> None:
         cfg = topo.config
-        self.topo = topo
         self.cfg = cfg
-        n = cfg.n
+        n, k = cfg.n, cfg.k
         addr = np.array(topo.nodes)  # (M, k+1)
-        self.raan = TWO_PI * addr[:, 0] / n
-        phase = cfg.m * TWO_PI * addr[:, 0] / n
-        for j in range(1, cfg.k + 1):
-            phase = phase + TWO_PI * addr[:, j] / n**j
-        self.phase0 = phase
+        raan = TWO_PI * addr[:, 0] / n
+        # Phase in units of 2*pi/N^(k+1), reduced exactly in integers.
+        steps = cfg.m * addr[:, 0] * n**k
+        for j in range(1, k + 1):
+            steps = steps + addr[:, j] * n ** (k + 1 - j)
+        phase0 = TWO_PI * (steps % n ** (k + 1)) / n ** (k + 1)
+        self.cp, self.sp = np.cos(phase0), np.sin(phase0)
+        self.ca, self.sa = np.cos(raan), np.sin(raan)
         self.index = {a: i for i, a in enumerate(topo.nodes)}
+        self._links: tuple[np.ndarray, np.ndarray, list] | None = None
 
-    def unit_positions(self, t: float) -> np.ndarray:
-        """(M, 3) inertial unit vectors at time t."""
+    def unit_positions(self, t, rows=slice(None)) -> np.ndarray:
+        """Inertial unit vectors of the given rows: (M, 3) at a scalar t,
+        (T, R, 3) for times of shape (T, 1) and R rows.
+
+        Each in-plane direction is its fixed phase rotated by the common
+        angle 2*pi*t/T. Adding the angles first would round every satellite
+        at the scale of its phase, which moves a 2*pi/N^3 arc by ~1e-12
+        relative from step to step; the rotation keeps it within ~4e-13.
+        """
         cfg = self.cfg
-        u = self.phase0 + TWO_PI * t / cfg.period_s
+        w = TWO_PI * t / cfg.period_s
+        cw, sw = np.cos(w), np.sin(w)
+        cp, sp = self.cp[rows], self.sp[rows]
+        cu, su = cp * cw - sp * sw, sp * cw + cp * sw
         cb, sb = math.cos(cfg.inclination_rad), math.sin(cfg.inclination_rad)
-        ca, sa = np.cos(self.raan), np.sin(self.raan)
-        cu, su = np.cos(u), np.sin(u)
+        ca, sa = self.ca[rows], self.sa[rows]
         return np.stack(
-            [ca * cu - sa * su * cb, sa * cu + ca * su * cb, su * sb], axis=1
+            [ca * cu - sa * su * cb, sa * cu + ca * su * cb, su * sb], axis=-1
         )
 
+    def links(self, topo: Topology) -> tuple[np.ndarray, np.ndarray, list]:
+        """(edge_a, edge_b, adjacency) over node indices.
 
-@functools.lru_cache(maxsize=8)
+        edge_a/edge_b index the endpoints of ``topo.edges`` in order; the
+        adjacency lists (neighbor index, edge id) per node in ``neighbors()``
+        order, so searches over it break ties as searches over addresses do.
+        """
+        if self._links is None:
+            index = self.index
+            ends = [(index[a], index[b]) for a, b, _layer in topo.edges]
+            edge_id = {pair: e for e, pair in enumerate(ends)}
+            adjacency = topo.adjacency()
+            adj = []
+            for i, addr in enumerate(topo.nodes):
+                row = []
+                for _layer, _direction, nb in adjacency[addr]:
+                    j = index[nb]
+                    e = edge_id.get((i, j))
+                    row.append((j, edge_id[(j, i)] if e is None else e))
+                adj.append(row)
+            edge_a, edge_b = np.array(ends, dtype=np.intp).reshape(-1, 2).T
+            self._links = (edge_a, edge_b, adj)
+        return self._links
+
+
 def _field(topo: Topology) -> _Field:
-    return _Field(topo)
+    """The topology's snapshot state, built on first use and kept on the instance."""
+    fld = topo.__dict__.get("_sim_field")
+    if fld is None:
+        fld = _Field(topo)
+        object.__setattr__(topo, "_sim_field", fld)  # Topology is frozen
+    return fld
 
 
 def _ground_unit(p: LatLon, t: float, cfg: ConstellationConfig) -> np.ndarray:
@@ -187,57 +219,71 @@ def _ground_unit(p: LatLon, t: float, cfg: ConstellationConfig) -> np.ndarray:
     )
 
 
-def associate(p: LatLon, t: float, topo: Topology) -> SatAddress:
-    """Physically nearest satellite; ties break to the smallest address."""
-    fld = _field(topo)
-    dots = fld.unit_positions(t) @ _ground_unit(p, t, topo.config)
-    return topo.nodes[int(np.argmax(dots))]
+def _central_angle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Central angle in [0, pi] between unit vectors along the last axis.
+
+    The arctangent form of ``geom.great_circle_range``: it keeps full
+    precision for nearly-identical and nearly-antipodal vectors, where acos
+    of the dot product loses digits.
+    """
+    ax, ay, az = a[..., 0], a[..., 1], a[..., 2]
+    bx, by, bz = b[..., 0], b[..., 1], b[..., 2]
+    cx, cy, cz = ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx
+    return np.arctan2(
+        np.sqrt(cx * cx + cy * cy + cz * cz), ax * bx + ay * by + az * bz
+    )
 
 
-def _edge_angles(fld: _Field, t: float) -> dict:
-    pos = fld.unit_positions(t)
-    angles = {}
-    for a, b, _layer in fld.topo.edges:
-        i, j = fld.index[a], fld.index[b]
-        d = float(np.dot(pos[i], pos[j]))
-        angles[(a, b)] = math.acos(max(-1.0, min(1.0, d)))
-    return angles
+def _link_delay_s(r: np.ndarray, cfg: ConstellationConfig) -> np.ndarray:
+    """One-way chord delay of links spanning central angles r (``link_length_delay``)."""
+    rs = cfg.consts.earth_radius_km + cfg.altitude_km
+    return 2.0 * rs * np.sin(r / 2.0) / cfg.consts.light_speed_km_s
 
 
-def delay_oracle(
-    topo: Topology, t: float, src: SatAddress, dst: SatAddress
-) -> tuple[list[SatAddress], float]:
-    """Exact minimum-propagation-delay satellite path at the time-t snapshot."""
-    cfg = topo.config
-    if src == dst:
-        return [src], 0.0
-    fld = _field(topo)
-    angles = _edge_angles(fld, t)
+def _edge_delays(fld: _Field, pos: np.ndarray, topo: Topology) -> list[float]:
+    """Per-edge one-way delay at one snapshot, in ``topo.edges`` order."""
+    edge_a, edge_b, _adj = fld.links(topo)
+    return _link_delay_s(_central_angle(pos[edge_a], pos[edge_b]), fld.cfg).tolist()
 
-    def edge_delay(a, b) -> float:
-        r = angles.get((a, b))
-        if r is None:
-            r = angles[(b, a)]
-        return link_length_delay(r, cfg.altitude_km, cfg.consts)[1]
 
-    adj = topo.adjacency()
-    dist = {src: 0.0}
-    prev: dict = {}
+def _ground_leg_delay(r: float, cfg: ConstellationConfig) -> float:
+    """Ground-to-satellite delay across central angle r."""
+    return slant_range_km(r, cfg.altitude_km, cfg.consts) / cfg.consts.light_speed_km_s
+
+
+def _path_delay(pos: np.ndarray, rows: list[int], cfg: ConstellationConfig) -> float:
+    if len(rows) < 2:
+        return 0.0
+    hops = _link_delay_s(_central_angle(pos[rows[:-1]], pos[rows[1:]]), cfg)
+    total = 0.0
+    for d in hops.tolist():  # in path order, as the oracle accumulates
+        total += d
+    return total
+
+
+def _min_delay_path(
+    adj: list, delays: list[float], src: int, dst: int
+) -> tuple[list[int], float]:
+    """Dijkstra over node indices; ties break to the smaller index."""
+    dist = [math.inf] * len(adj)
+    prev = [-1] * len(adj)
+    done = [False] * len(adj)
+    dist[src] = 0.0
     heap = [(0.0, src)]
-    done = set()
+    pop, push = heapq.heappop, heapq.heappush
     while heap:
-        d, node = heapq.heappop(heap)
-        if node in done:
+        d, node = pop(heap)
+        if done[node]:
             continue
         if node == dst:
             break
-        done.add(node)
-        for _layer, _direction, nb in adj[node]:
-            nd = d + edge_delay(node, nb)
-            if nd < dist.get(nb, math.inf):
+        done[node] = True
+        for nb, e in adj[node]:
+            nd = d + delays[e]
+            if nd < dist[nb]:
                 dist[nb] = nd
                 prev[nb] = node
-                heapq.heappush(heap, (nd, nb))
+                push(heap, (nd, nb))
     path = [dst]
     while path[-1] != src:
         path.append(prev[path[-1]])
@@ -245,28 +291,35 @@ def delay_oracle(
     return path, dist[dst]
 
 
+def _step_times(start: float, end: float, step: float) -> list[float]:
+    """Sample instants start + i*step through end (no accumulated rounding)."""
+    steps = int(math.floor((end - start) / step + 1e-9)) + 1
+    return [start + i * step for i in range(steps)]
+
+
+def associate(p: LatLon, t: float, topo: Topology) -> SatAddress:
+    """Physically nearest satellite; ties break to the smallest address."""
+    dots = _field(topo).unit_positions(t) @ _ground_unit(p, t, topo.config)
+    return topo.nodes[int(np.argmax(dots))]
+
+
+def delay_oracle(
+    topo: Topology, t: float, src: SatAddress, dst: SatAddress
+) -> tuple[list[SatAddress], float]:
+    """Exact minimum-propagation-delay satellite path at the time-t snapshot."""
+    if src == dst:
+        return [src], 0.0
+    fld = _field(topo)
+    delays = _edge_delays(fld, fld.unit_positions(t), topo)
+    _edge_a, _edge_b, adj = fld.links(topo)
+    path, delay = _min_delay_path(adj, delays, fld.index[src], fld.index[dst])
+    return [topo.nodes[i] for i in path], delay
+
+
 def path_delay(path: list[SatAddress], t: float, topo: Topology) -> float:
     """In-space propagation delay of a node sequence at the time-t snapshot."""
-    if len(path) < 2:
-        return 0.0
-    cfg = topo.config
     fld = _field(topo)
-    pos = fld.unit_positions(t)
-    total = 0.0
-    for a, b in zip(path, path[1:]):
-        d = float(np.dot(pos[fld.index[a]], pos[fld.index[b]]))
-        r = math.acos(max(-1.0, min(1.0, d)))
-        total += link_length_delay(r, cfg.altitude_km, cfg.consts)[1]
-    return total
-
-
-def _ground_leg_delay(p: LatLon, sat: SatAddress, t: float, topo: Topology) -> float:
-    cfg = topo.config
-    fld = _field(topo)
-    sp = fld.unit_positions(t)[fld.index[sat]]
-    d = float(np.dot(sp, _ground_unit(p, t, cfg)))
-    r = math.acos(max(-1.0, min(1.0, d)))
-    return slant_range_km(r, cfg.altitude_km, cfg.consts) / cfg.consts.light_speed_km_s
+    return _path_delay(fld.unit_positions(t), [fld.index[a] for a in path], topo.config)
 
 
 def link_delay_trace(
@@ -274,7 +327,10 @@ def link_delay_trace(
     window: tuple[float, float, float],
     topo: Topology,
 ) -> list[tuple[float, float]]:
-    """First-principles delay series for one inter-satellite link."""
+    """First-principles delay series for one inter-satellite link.
+
+    Samples fall at start + i*step, the same instants :func:`run` uses.
+    """
     a, b = edge
     if not topo.has_edge(a, b):
         raise RangeError(f"{a} -- {b} is not a topology edge")
@@ -282,54 +338,48 @@ def link_delay_trace(
     if step <= 0 or end < start:
         raise ConfigError("window must be non-empty with positive step")
     fld = _field(topo)
-    cfg = topo.config
-    ia, ib = fld.index[a], fld.index[b]
-    out = []
-    t = start
-    while t <= end + 1e-9:
-        pos = fld.unit_positions(t)
-        d = float(np.dot(pos[ia], pos[ib]))
-        r = math.acos(max(-1.0, min(1.0, d)))
-        out.append((t, link_length_delay(r, cfg.altitude_km, cfg.consts)[1]))
-        t += step
-    return out
+    times = _step_times(start, end, step)
+    pos = fld.unit_positions(np.array(times)[:, None], [fld.index[a], fld.index[b]])
+    delays = _link_delay_s(_central_angle(pos[:, 0], pos[:, 1]), topo.config)
+    return list(zip(times, delays.tolist()))
 
 
 # --- the experiment loop ----------------------------------------------------
 
 
 def run(scenario: Scenario) -> tuple[list[TraceRecord], dict]:
-    """Per step and experiment: associate, route, price both paths, record."""
+    """Per step and experiment: associate, route, price both paths, record.
+
+    Each step takes one position snapshot; association, coverage flags,
+    ground legs, the F-Rosette path and the oracle all read from it.
+    """
     cfg = scenario.config
     topo = build(cfg)
+    fld = _field(topo)
+    _edge_a, _edge_b, adj = fld.links(topo)
+    radius = _coverage_radius(cfg)
     edge_count = len(topo.edges)
     records: list[TraceRecord] = []
     last_pair: dict[str, tuple[SatAddress, SatAddress]] = {}
 
-    steps = int(math.floor((scenario.end_s - scenario.start_s) / scenario.step_s + 1e-9)) + 1
-    for i in range(steps):
-        t = scenario.start_s + i * scenario.step_s
+    for t in _step_times(scenario.start_s, scenario.end_s, scenario.step_s):
         if len(topo.edges) != edge_count:
             raise AssertionError("topology changed mid-simulation")
+        pos = fld.unit_positions(t)
+        delays = _edge_delays(fld, pos, topo)
         for src_name, dst_name in scenario.experiments:
             exp = f"{src_name}->{dst_name}"
-            src_p, dst_p = scenario.endpoints[src_name], scenario.endpoints[dst_name]
-            src_sat = associate(src_p, t, topo)
-            dst_sat = associate(dst_p, t, topo)
-
-            flags = []
-            for p, sat in ((src_p, src_sat), (dst_p, dst_sat)):
-                sp = subpoint(address_to_elements(sat, cfg), t, cfg.consts)
-                if great_circle_range(sp, p) > _coverage_radius(cfg):
-                    flags.append("coverage_violation")
-                    break
+            src_g = _ground_unit(scenario.endpoints[src_name], t, cfg)
+            dst_g = _ground_unit(scenario.endpoints[dst_name], t, cfg)
+            si, di = int(np.argmax(pos @ src_g)), int(np.argmax(pos @ dst_g))
+            src_sat, dst_sat = topo.nodes[si], topo.nodes[di]
+            src_r, dst_r = _central_angle(pos[[si, di]], np.stack([src_g, dst_g])).tolist()
+            flag = "coverage_violation" if src_r > radius or dst_r > radius else ""
 
             fro_path = shortest_path(src_sat, dst_sat, topo)
-            legs = _ground_leg_delay(src_p, src_sat, t, topo) + _ground_leg_delay(
-                dst_p, dst_sat, t, topo
-            )
-            fro_delay = legs + path_delay(fro_path, t, topo)
-            oracle_path, oracle_space = delay_oracle(topo, t, src_sat, dst_sat)
+            legs = _ground_leg_delay(src_r, cfg) + _ground_leg_delay(dst_r, cfg)
+            fro_delay = legs + _path_delay(pos, [fld.index[a] for a in fro_path], cfg)
+            oracle_path, oracle_space = _min_delay_path(adj, delays, si, di)
             oracle_delay = legs + oracle_space
 
             pair = (src_sat, dst_sat)
@@ -347,7 +397,7 @@ def run(scenario: Scenario) -> tuple[list[TraceRecord], dict]:
                     src_sat=src_sat,
                     dst_sat=dst_sat,
                     handoff=handoff,
-                    flag=";".join(flags),
+                    flag=flag,
                 )
             )
     return records, summarize(records, scenario)

@@ -8,9 +8,18 @@ import random
 import networkx as nx
 import pytest
 
-from frosette.constellation import address_to_elements, build
+from frosette.constellation import Topology, address_to_elements, build
 from frosette.errors import ConfigError, ParseError, RangeError
-from frosette.geom import LatLon, great_circle_range, link_length_delay, sat_position_eci, subpoint
+from frosette.geom import (
+    LatLon,
+    great_circle_range,
+    link_length_delay,
+    sat_position_eci,
+    slant_range_km,
+    subpoint,
+)
+from frosette.georouting import coverage_check
+from frosette.routing import shortest_path
 from frosette.sim import (
     Scenario,
     TRACE_COLUMNS,
@@ -120,17 +129,21 @@ def _nx_min_delay(topo, t, src, dst):
     return nx.dijkstra_path_length(g, src, dst)
 
 
-def test_delay_oracle_matches_networkx(topo_8_1):
+def test_delay_oracle_matches_networkx():
     rng = random.Random(1618)
-    for _ in range(8):
-        src = tuple(rng.randrange(8) for _ in range(2))
-        dst = tuple(rng.randrange(8) for _ in range(2))
-        t = rng.uniform(0.0, 5000.0)
-        path, delay = delay_oracle(topo_8_1, t, src, dst)
-        assert path[0] == src and path[-1] == dst
-        assert delay == pytest.approx(_nx_min_delay(topo_8_1, t, src, dst), rel=1e-9)
-        assert delay == pytest.approx(path_delay(path, t, topo_8_1), rel=1e-9)
-    assert delay_oracle(topo_8_1, 0.0, (1, 2), (1, 2)) == ([(1, 2)], 0.0)
+    for n, m, k in [(8, 6, 1), (4, 2, 2), (3, 1, 3)]:
+        topo = build(make_config(n, m, k))
+        for _ in range(8):
+            src = tuple(rng.randrange(n) for _ in range(k + 1))
+            dst = tuple(rng.randrange(n) for _ in range(k + 1))
+            t = rng.uniform(0.0, 5000.0)
+            path, delay = delay_oracle(topo, t, src, dst)
+            assert path[0] == src and path[-1] == dst
+            assert all(topo.has_edge(a, b) for a, b in zip(path, path[1:]))
+            assert delay == pytest.approx(_nx_min_delay(topo, t, src, dst), rel=1e-9)
+            assert delay == pytest.approx(path_delay(path, t, topo), rel=1e-9)
+        same = (1,) * (k + 1)
+        assert delay_oracle(topo, 0.0, same, same) == ([same], 0.0)
 
 
 def test_path_delay_sums_hop_delays(topo_8_1, cfg_8_1):
@@ -156,6 +169,10 @@ def test_link_delay_trace_window_and_errors(topo_8_1, cfg_8_1):
     series = link_delay_trace(edge, (0.0, 100.0, 10.0), topo_8_1)
     assert len(series) == 11
     assert [t for t, _ in series] == pytest.approx(list(range(0, 101, 10)))
+    # samples sit at start + i*step: no accumulated rounding at the window's end
+    series = link_delay_trace(edge, (0.0, 1.0, 0.1), topo_8_1)
+    assert len(series) == 11
+    assert series[-1][0] == 1.0
     with pytest.raises(RangeError):
         link_delay_trace(((0, 0), (2, 0)), (0.0, 1.0, 1.0), topo_8_1)
     with pytest.raises(ConfigError):
@@ -170,6 +187,21 @@ def test_intra_orbit_delay_constant(topo_8_1, cfg_8_1):
     )
     delays = [d for _, d in series]
     assert (max(delays) - min(delays)) / max(delays) < 1e-12
+
+
+def test_intra_orbit_delay_constant_at_paper_depth():
+    """Criterion 10 at N=16, k=3: deepest-layer links span a 2*pi/N^3 arc."""
+    cfg = make_config(16, 8, 3)
+    topo = build(cfg)
+    rng = random.Random(4096)
+    deepest = [
+        (a, b) for a, b, layer in topo.edges if layer == cfg.k and a[cfg.k] != cfg.n - 1
+    ]
+    for edge in rng.sample(deepest, 6):
+        series = link_delay_trace(edge, (0.0, cfg.period_s, cfg.period_s / 64), topo)
+        delays = [d for _, d in series]
+        assert len(delays) == 65
+        assert (max(delays) - min(delays)) / max(delays) <= 1e-12, edge
 
 
 # --- the run loop ---------------------------------------------------------------------------
@@ -231,3 +263,60 @@ def test_handoffs_counted_over_long_window():
         if (a.src_sat, a.dst_sat) != (b.src_sat, b.dst_sat)
     )
     assert summary["experiments"]["a->b"]["handoffs"] == flips
+
+
+def _ground_leg_s(p, sat, t, cfg):
+    r = great_circle_range(subpoint(address_to_elements(sat, cfg), t, cfg.consts), p)
+    return slant_range_km(r, cfg.altitude_km, cfg.consts) / cfg.consts.light_speed_km_s
+
+
+# Elevations chosen so that both flag values and handoffs occur.
+@pytest.mark.parametrize("n, m, k, elev_deg", [(8, 6, 1, 40.0), (5, 3, 2, 20.0)])
+def test_run_records_match_the_public_functions(n, m, k, elev_deg):
+    """The one-snapshot loop prices every step as the public functions do."""
+    doc = _scenario_doc()
+    doc["config"].update(n=n, m=m, k=k, min_elevation_deg=elev_deg)
+    doc["window"] = {"start_s": 0.0, "end_s": 1800.0, "step_s": 200.0}
+    doc["endpoints"]["c"] = {"lat_deg": -33.9, "lon_deg": 151.2}
+    doc["experiments"].append({"src": "b", "dst": "c"})
+    scn = scenario_from_dict(doc)
+    cfg = scn.config
+    topo = build(cfg)
+    records, _ = run(scn)
+    assert len(records) == 20
+    last = {}
+    for rec in records:
+        t = rec.t
+        src_name, dst_name = rec.experiment.split("->")
+        src_p, dst_p = scn.endpoints[src_name], scn.endpoints[dst_name]
+        src, dst = associate(src_p, t, topo), associate(dst_p, t, topo)
+        assert (rec.src_sat, rec.dst_sat) == (src, dst)
+        assert rec.handoff == (rec.experiment in last and last[rec.experiment] != (src, dst))
+        last[rec.experiment] = (src, dst)
+        covered = coverage_check(src, src_p, t, cfg) and coverage_check(dst, dst_p, t, cfg)
+        assert rec.flag == ("" if covered else "coverage_violation")
+
+        legs = _ground_leg_s(src_p, src, t, cfg) + _ground_leg_s(dst_p, dst, t, cfg)
+        fro = shortest_path(src, dst, topo)
+        oracle, oracle_space = delay_oracle(topo, t, src, dst)
+        assert rec.frosette_hops == len(fro) - 1
+        assert rec.oracle_hops == len(oracle) - 1
+        assert rec.frosette_delay_s == pytest.approx(legs + path_delay(fro, t, topo), rel=1e-12)
+        assert rec.oracle_delay_s == pytest.approx(legs + oracle_space, rel=1e-12)
+
+
+def test_oracle_index_built_once_per_run_and_never_by_associate(monkeypatch):
+    calls = []
+    adjacency = Topology.adjacency
+
+    def counted(self):
+        calls.append(self)
+        return adjacency(self)
+
+    monkeypatch.setattr(Topology, "adjacency", counted)
+    scn = scenario_from_dict(_scenario_doc())
+    associate(scn.endpoints["a"], 0.0, build(scn.config))
+    assert calls == []
+    records, _ = run(scn)
+    assert len(records) == 3
+    assert len(calls) == 1
