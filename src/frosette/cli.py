@@ -17,7 +17,7 @@ from . import verify as verify_checks
 from .addressing import format_cell_id, parse_cell_id, parse_sat_address
 from .config import config_to_dict, load_config
 from .constellation import build, format_address, topology_to_dict
-from .errors import FrosetteError, ParseError, RangeError
+from .errors import DomainError, FrosetteError, ParseError, RangeError
 from .geocell import (
     build_alpha0_tables,
     cell_count,
@@ -49,8 +49,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(doc: dict) -> None:
-    json.dump(doc, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    """Write doc to stdout as strict JSON; a NaN or infinity is a DomainError
+    and writes nothing."""
+    try:
+        text = json.dumps(doc, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise DomainError(f"result is not finite JSON: {exc}") from None
+    sys.stdout.write(text + "\n")
 
 
 def _stream_topology(topo, fh) -> None:

@@ -44,8 +44,10 @@ class ConstellationConfig:
             raise ConfigError(f"m must be in [0, n-1], got m={self.m} for n={self.n}")
         if self.k < 0:
             raise ConfigError(f"k must be >= 0, got {self.k}")
-        if self.altitude_km <= 0:
-            raise ConfigError(f"altitude_km must be positive, got {self.altitude_km}")
+        if not (0 < self.altitude_km < math.inf):
+            raise ConfigError(
+                f"altitude_km must be positive and finite, got {self.altitude_km}"
+            )
         if not (0.0 < self.inclination_rad < math.pi):
             raise ConfigError(
                 f"inclination_rad must be in (0, pi), got {self.inclination_rad}"

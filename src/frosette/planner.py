@@ -22,8 +22,10 @@ class SizeRequest:
     base_n: int
 
     def __post_init__(self) -> None:
-        if self.rtt_target_s <= 0:
-            raise ConfigError(f"rtt_target_s must be positive, got {self.rtt_target_s}")
+        if not (0 < self.rtt_target_s < math.inf):
+            raise ConfigError(
+                f"rtt_target_s must be positive and finite, got {self.rtt_target_s}"
+            )
         if not (0 <= self.min_elevation_rad < math.pi / 2):
             raise ConfigError(
                 f"min_elevation_rad must be in [0, pi/2), got {self.min_elevation_rad}"

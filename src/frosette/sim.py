@@ -90,6 +90,8 @@ class TraceRecord:
 
 
 def scenario_from_dict(data: dict) -> Scenario:
+    """Scenario from a JSON-style document; malformed or non-finite values
+    raise ParseError, inconsistent ones ConfigError."""
     try:
         cfg = config_from_dict(data["config"])
         window = data["window"]
@@ -98,30 +100,29 @@ def scenario_from_dict(data: dict) -> Scenario:
             for name, ep in data["endpoints"].items()
         }
         experiments = tuple((e["src"], e["dst"]) for e in data["experiments"])
-        seed = int(data.get("seed", 0))
-        scenario = Scenario(
-            config=cfg,
-            start_s=float(window["start_s"]),
-            end_s=float(window["end_s"]),
-            step_s=float(window["step_s"]),
-            endpoints=endpoints,
-            experiments=experiments,
-            seed=seed,
-        )
+        seed = int(os.environ.get("FROSETTE_SEED", data.get("seed", 0)))
+        start_s = float(window["start_s"])
+        end_s = float(window["end_s"])
+        step_s = float(window["step_s"])
     except KeyError as exc:
         raise ParseError(f"scenario is missing key {exc.args[0]!r}") from exc
-    env_seed = os.environ.get("FROSETTE_SEED")
-    if env_seed is not None:
-        scenario = Scenario(
-            config=scenario.config,
-            start_s=scenario.start_s,
-            end_s=scenario.end_s,
-            step_s=scenario.step_s,
-            endpoints=scenario.endpoints,
-            experiments=scenario.experiments,
-            seed=int(env_seed),
-        )
-    return scenario
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ParseError(f"bad scenario value: {exc}") from None
+    for name, value in (("start_s", start_s), ("end_s", end_s), ("step_s", step_s)):
+        if not math.isfinite(value):
+            raise ParseError(f"window {name} must be finite, got {value}")
+    for name, p in endpoints.items():
+        if not (math.isfinite(p.lat_rad) and math.isfinite(p.lon_rad)):
+            raise ParseError(f"endpoint {name!r} has a non-finite coordinate")
+    return Scenario(
+        config=cfg,
+        start_s=start_s,
+        end_s=end_s,
+        step_s=step_s,
+        endpoints=endpoints,
+        experiments=experiments,
+        seed=seed,
+    )
 
 
 def load_scenario(path: str) -> Scenario:

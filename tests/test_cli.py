@@ -6,10 +6,12 @@ errors raised before a handler runs (bad flags, wrong mode combinations)
 surface as SystemExit(1); errors inside a handler return the exit code.
 """
 import json
+import math
 
 import pytest
 
-from frosette.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, main
+from frosette.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, _emit, main
+from frosette.errors import DomainError
 
 CELLS_CONFIG = {
     "n": 8,
@@ -257,6 +259,21 @@ def test_size_infeasible(capsys):
     assert _json_err(capsys)["error"] == "InfeasibleError"
 
 
+@pytest.mark.parametrize("rtt_ms", ["nan", "inf"])
+def test_size_rejects_non_finite_rtt(rtt_ms, capsys):
+    rc = main(["size", "--rtt-ms", rtt_ms, "--elevation-deg", "25", "--base-n", "8"])
+    assert rc == EXIT_DOMAIN
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert json.loads(out.err)["error"] == "ConfigError"
+
+
+def test_emit_refuses_non_finite_json(capsys):
+    with pytest.raises(DomainError):
+        _emit({"altitude_km": math.nan})
+    assert capsys.readouterr().out == ""
+
+
 def test_size_missing_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["size", "--rtt-ms", "8.41"])
@@ -289,6 +306,29 @@ def test_simulate(tmp_path, capsys):
     lines = trace_path.read_text(encoding="utf-8").strip().splitlines()
     assert len(lines) == 4
     assert lines[0].startswith("t,experiment,frosette_hops")
+
+
+@pytest.mark.parametrize(
+    "window,endpoint",
+    [
+        ({"start_s": 0.0, "end_s": math.nan, "step_s": 20.0}, {"lat_deg": 39.9, "lon_deg": 116.4}),
+        ({"start_s": 0.0, "end_s": 40.0, "step_s": 20.0}, {"lat_deg": "x", "lon_deg": 116.4}),
+    ],
+)
+def test_simulate_malformed_scenario_values(tmp_path, capsys, window, endpoint):
+    scenario = {
+        "config": ROUTING_CONFIG,
+        "window": window,
+        "endpoints": {"bj": endpoint, "ny": {"lat_deg": 40.7, "lon_deg": -74.0}},
+        "experiments": [{"src": "bj", "dst": "ny"}],
+    }
+    scn_path = tmp_path / "scenario.json"
+    scn_path.write_text(json.dumps(scenario), encoding="utf-8")  # NaN as the bare token
+    rc = main(["simulate", "--scenario", str(scn_path), "--trace", str(tmp_path / "t.csv")])
+    assert rc == EXIT_USAGE
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert json.loads(out.err)["error"] == "ParseError"
 
 
 def test_simulate_bad_scenario(tmp_path, capsys):

@@ -100,6 +100,9 @@ def test_config_validation():
         make_config(8, 1, -1)
     with pytest.raises(ConfigError):
         make_config(8, 1, 0, incl_deg=0.0)
+    for altitude_km in (math.nan, math.inf, -math.inf, 0.0):
+        with pytest.raises(ConfigError):
+            make_config(8, 1, 0, altitude_km=altitude_km)
 
 
 # --- altitude sizing ------------------------------------------------------------

@@ -32,6 +32,9 @@ def test_request_validation():
         _req(8.4, 95, 8)
     with pytest.raises(ConfigError):
         _req(8.4, 25, 2)
+    for rtt_ms in (math.nan, math.inf):
+        with pytest.raises(ConfigError):
+            _req(rtt_ms, 25, 8)
 
 
 def test_reference_design_points():

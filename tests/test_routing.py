@@ -2,17 +2,22 @@
 
 Oracles here are deliberately dumb: BFS for distances, exhaustive pattern
 search for the minimal prefix cover, networkx max-flow for disjoint-path
-counts. The library must match them, never the other way round.
+counts, and the former dict-of-dicts max-flow for the exact disjoint paths.
+The library must match them, never the other way round.
 """
+import functools
+import gc
 import itertools
 import math
 import random
+import weakref
 from collections import deque
 
 import networkx as nx
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from frosette import routing
 from frosette.constellation import build, ring_neighbor
 from frosette.routing import (
     FibEntry,
@@ -300,3 +305,164 @@ def test_multipath_result_container():
     assert len(result) == 2
     assert list(iter(result)) == list(result.paths)
     assert result[0][0] == (0,)
+
+
+# --- exact paths against the dict-of-dicts max-flow ---------------------------------
+
+
+def _dict_maxflow_paths(src, dst, topo):
+    """(paths, reason) from Edmonds-Karp over a dict-of-dicts network of
+    ("in"/"out", address) nodes: the implementation disjoint_paths replaced."""
+    cfg = topo.config
+    if src == dst:
+        raise ValueError("multipath needs distinct endpoints")
+    active = [j for j in range(cfg.k + 1) if src[j] != dst[j]]
+
+    # Node-split flow network over address tuples: ("in", v) / ("out", v).
+    # capacity[u][v] with residuals stored in the same dict.
+    cap: dict = {}
+
+    def add_edge(u, v, c: int) -> None:
+        cap.setdefault(u, {}).setdefault(v, 0)
+        cap.setdefault(v, {}).setdefault(u, 0)
+        cap[u][v] += c
+
+    source, sink = ("out", src), ("in", dst)
+    for v in topo.nodes:
+        if v != src and v != dst:
+            add_edge(("in", v), ("out", v), 1)
+    for a, b, layer in topo.edges:
+        for u, v in ((a, b), (b, a)):
+            if u == src and layer not in active:
+                continue
+            if u == dst or v == src:
+                continue  # flow terminates at the sink and never re-enters src
+            add_edge(("out", u), ("in", v), 1)
+
+    flow: dict = {u: dict.fromkeys(nbrs, 0) for u, nbrs in cap.items()}
+    total = 0
+    while True:
+        parent = {source: None}
+        queue = deque([source])
+        while queue and sink not in parent:
+            u = queue.popleft()
+            for v in cap[u]:
+                if v not in parent and cap[u][v] - flow[u][v] > 0:
+                    parent[v] = u
+                    queue.append(v)
+        if sink not in parent:
+            break
+        v = sink
+        while parent[v] is not None:
+            u = parent[v]
+            flow[u][v] += 1
+            flow[v][u] -= 1
+            v = u
+        total += 1
+
+    paths = []
+    for _ in range(total):
+        node, walk = source, [src]
+        while node != sink:
+            nxt = next(v for v in flow[node] if flow[node][v] > 0)
+            flow[node][nxt] -= 1
+            flow[nxt][node] += 1
+            if nxt[0] == "in":
+                walk.append(nxt[1])
+            node = ("out", nxt[1]) if nxt != sink and nxt[0] == "in" else nxt
+        paths.append(tuple(walk))
+
+    def first_hop_key(path):
+        hop = path_hops(list(path[:2]), cfg)[0]
+        return (hop[0], 0 if hop[1] == 1 else 1)
+
+    paths.sort(key=first_hop_key)
+    reason = None
+    if len(active) < cfg.k + 1:
+        same = cfg.k + 1 - len(active)
+        noun = "layer" if same == 1 else "layers"
+        reason = (
+            f"{same} {noun} already agree; {2 * len(active)} disjoint paths exist"
+            + (" (ring case yields exactly 2)" if len(active) == 1 else "")
+        )
+    return tuple(paths), reason
+
+
+@functools.lru_cache(maxsize=None)
+def _ring_topology(n, k):
+    return build(make_config(n, 1, k))
+
+
+# every (N, k) with 3 <= N <= 9, k <= 3 and at most 729 satellites
+SMALL_RINGS = [(n, k) for k in range(4) for n in range(3, 10) if n ** (k + 1) <= 729]
+
+
+@st.composite
+def _endpoint_pairs(draw):
+    n, k = draw(st.sampled_from(SMALL_RINGS))
+    src = tuple(draw(st.lists(st.integers(0, n - 1), min_size=k + 1, max_size=k + 1)))
+    kind = draw(st.sampled_from(["all-differ", "partial-differ", "exact-half", "adjacent"]))
+    if kind == "all-differ":
+        offsets = draw(st.lists(st.integers(1, n - 1), min_size=k + 1, max_size=k + 1))
+    elif kind == "partial-differ":
+        offsets = draw(st.lists(st.integers(0, n - 1), min_size=k + 1, max_size=k + 1))
+        keep = draw(st.integers(0, k))
+        offsets[keep] = offsets[keep] or 1
+        if k:
+            offsets[(keep + 1) % (k + 1)] = 0
+    elif kind == "exact-half":
+        offsets = draw(st.lists(st.sampled_from([0, n // 2]), min_size=k + 1, max_size=k + 1))
+        offsets[draw(st.integers(0, k))] = n // 2
+    else:
+        offsets = [0] * (k + 1)
+        offsets[draw(st.integers(0, k))] = draw(st.sampled_from([1, n - 1]))
+    dst = tuple((a + o) % n for a, o in zip(src, offsets))
+    return n, k, src, dst
+
+
+@settings(max_examples=150, deadline=None)
+@given(_endpoint_pairs())
+def test_disjoint_paths_equal_dict_maxflow(case):
+    n, k, src, dst = case
+    topo = _ring_topology(n, k)
+    result = disjoint_paths(src, dst, topo)
+    assert (result.paths, result.reason) == _dict_maxflow_paths(src, dst, topo)
+
+
+@pytest.mark.parametrize(
+    "src,dst",
+    [
+        ((0, 0, 0, 0), (4, 4, 4, 4)),  # exact half on every ring
+        ((1, 2, 3, 4), (5, 7, 0, 2)),
+        ((7, 0, 7, 0), (0, 7, 0, 1)),  # adjacent or wrapping on every ring
+        ((3, 3, 3, 3), (3, 6, 3, 1)),  # two rings agree
+    ],
+)
+def test_disjoint_paths_equal_dict_maxflow_at_4096(src, dst):
+    topo = _ring_topology(8, 3)
+    result = disjoint_paths(src, dst, topo)
+    assert (result.paths, result.reason) == _dict_maxflow_paths(src, dst, topo)
+
+
+def test_arc_index_built_once_per_topology_and_only_by_disjoint_paths(monkeypatch):
+    calls = []
+    arc_index = routing._arc_index
+
+    def counted(topo):
+        calls.append(topo)
+        return arc_index(topo)
+
+    monkeypatch.setattr(routing, "_arc_index", counted)
+    cfg = make_config(5, 1, 2)
+    topo = build(cfg)
+    shortest_path((0, 0, 0), (2, 3, 4), topo)
+    fib_lookup(build_fib((0, 0, 0), cfg), (2, 3, 4))
+    assert calls == []
+    disjoint_paths((0, 0, 0), (2, 3, 4), topo)
+    disjoint_paths((1, 1, 1), (1, 3, 0), topo)
+    assert calls == [topo]
+    # the index lives on the instance only: nothing else keeps the topology alive
+    ref = weakref.ref(topo)
+    del topo, calls[:]
+    gc.collect()
+    assert ref() is None

@@ -75,6 +75,9 @@ def test_scenario_parse_and_defaults(tmp_path):
 def test_scenario_env_seed_override(monkeypatch):
     monkeypatch.setenv("FROSETTE_SEED", "777")
     assert scenario_from_dict(_scenario_doc()).seed == 777
+    monkeypatch.setenv("FROSETTE_SEED", "abc")
+    with pytest.raises(ParseError):
+        scenario_from_dict(_scenario_doc())
 
 
 def test_scenario_rejects_bad_documents():
@@ -94,6 +97,34 @@ def test_scenario_rejects_bad_documents():
     doc["window"]["end_s"] = -5.0
     with pytest.raises(ConfigError):
         scenario_from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "section,key,value",
+    [
+        ("window", "end_s", math.nan),
+        ("window", "start_s", -math.inf),
+        ("window", "step_s", math.inf),
+        ("window", "step_s", "fast"),
+        ("window", "end_s", None),
+        ("a", "lat_deg", "x"),
+        ("a", "lon_deg", math.nan),
+        ("a", "lat_deg", [1.0]),
+    ],
+)
+def test_scenario_rejects_malformed_values(section, key, value):
+    doc = _scenario_doc()
+    (doc["window"] if section == "window" else doc["endpoints"][section])[key] = value
+    with pytest.raises(ParseError):
+        scenario_from_dict(doc)
+
+
+def test_scenario_rejects_mistyped_sections():
+    for key, value in (("endpoints", []), ("window", [0, 60, 30]), ("experiments", ["ab"])):
+        doc = _scenario_doc()
+        doc[key] = value
+        with pytest.raises(ParseError):
+            scenario_from_dict(doc)
 
 
 # --- association ------------------------------------------------------------------
