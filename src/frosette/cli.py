@@ -58,20 +58,28 @@ def _emit(doc: dict) -> None:
     sys.stdout.write(text + "\n")
 
 
+_EDGE_CHUNK = 8192
+
+
 def _stream_topology(topo, fh) -> None:
-    """Topology JSON written node-by-node, never materialized as one string."""
+    """Topology JSON written in chunks, never materialized as one string.
+
+    Each address is rendered once; edges are written about 8k at a time.
+    """
+    name = {node: json.dumps(format_address(node)) for node in topo.nodes}
     fh.write('{"config": ')
     json.dump(config_to_dict(topo.config), fh)
     fh.write(', "nodes": [')
-    for i, node in enumerate(topo.nodes):
-        if i:
-            fh.write(", ")
-        fh.write(json.dumps(format_address(node)))
+    fh.write(", ".join(name.values()))
     fh.write('], "edges": [')
-    for i, (a, b, layer) in enumerate(topo.edges):
-        if i:
+    edges = topo.edges
+    for start in range(0, len(edges), _EDGE_CHUNK):
+        if start:
             fh.write(", ")
-        fh.write(json.dumps([format_address(a), format_address(b), layer]))
+        fh.write(", ".join([
+            f"[{name[a]}, {name[b]}, {layer}]"
+            for a, b, layer in edges[start:start + _EDGE_CHUNK]
+        ]))
     fh.write("]}\n")
 
 

@@ -9,7 +9,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 
-from .errors import ConfigError
+from .errors import ConfigError, ParseError
 
 TWO_PI = 2.0 * math.pi
 
@@ -91,18 +91,26 @@ def config_from_dict(doc: dict) -> ConstellationConfig:
         altitude_km = float(doc["altitude_km"])
         inclination_rad = math.radians(float(doc["inclination_deg"]))
         min_elevation_rad = math.radians(float(doc.get("min_elevation_deg", 0.0)))
+        constants = doc.get("constants")
+        overrides = {key: float(val) for key, val in constants.items()} if constants else {}
     except KeyError as exc:
         raise ConfigError(f"missing config field: {exc.args[0]}") from None
-    except (TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad config value: {exc}") from None
     consts = DEFAULT_CONSTANTS
-    overrides = doc.get("constants")
     if overrides:
-        known = {f for f in PhysicalConstants.__dataclass_fields__}
-        bad = set(overrides) - known
+        bad = set(overrides) - set(PhysicalConstants.__dataclass_fields__)
         if bad:
             raise ConfigError(f"unknown constants override(s): {sorted(bad)}")
-        consts = replace(consts, **{key: float(val) for key, val in overrides.items()})
+        for key, val in overrides.items():
+            # a zero margin is the default, and config_to_dict writes it back
+            if key == "atmosphere_margin_km":
+                ok, rule = val >= 0.0, "non-negative"
+            else:
+                ok, rule = val > 0.0, "positive"
+            if not (ok and math.isfinite(val)):
+                raise ConfigError(f"constant {key} must be finite and {rule}, got {val}")
+        consts = replace(consts, **overrides)
     return ConstellationConfig(
         n=n,
         m=m,
@@ -133,6 +141,19 @@ def config_to_dict(cfg: ConstellationConfig) -> dict:
     return doc
 
 
+def load_json(path: str):
+    """Parse a JSON file; text that is not JSON (or not UTF-8) is a ParseError.
+
+    The bytes are decoded explicitly rather than through a text-mode file,
+    which costs more than the parse for a config-sized document.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise ParseError(f"{path} is not valid JSON: {exc}") from None
+
+
 def load_config(path: str) -> ConstellationConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return config_from_dict(json.load(fh))
+    return config_from_dict(load_json(path))

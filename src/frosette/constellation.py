@@ -6,9 +6,17 @@ import json
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .config import TWO_PI, ConstellationConfig, PhysicalConstants, config_to_dict
 from .errors import InfeasibleError, RangeError
-from .geom import OrbitalElements, great_circle_range, sat_position_eci
+from .geom import (
+    OrbitalElements,
+    central_angles,
+    great_circle_range,
+    sat_position_eci,
+    sat_positions_eci,
+)
 
 SatAddress = tuple[int, ...]
 
@@ -46,15 +54,19 @@ def build(cfg: ConstellationConfig) -> Topology:
     """Construct the N^(k+1)-node, (k+1)-ring-per-node topology.
 
     Node order is lexicographic over digits; each undirected edge appears once,
-    emitted from its lower endpoint in the +1 direction of its layer.
+    emitted from its lower endpoint in the +1 direction of its layer. Node i
+    has the mixed-radix digits of i, so its layer-j neighbour is node i + s
+    (i + s - N*s where digit j wraps from N-1 to 0), with stride s = N^(k-j);
+    edges hold the very tuples in ``nodes``.
     """
     n, k = cfg.n, cfg.k
     nodes = tuple(itertools.product(range(n), repeat=k + 1))
-    edges = []
-    for addr in nodes:
-        for layer in range(k + 1):
-            nb = ring_neighbor(addr, layer, +1, n)
-            edges.append((addr, nb, layer))
+    strides = [(layer, n ** (k - layer)) for layer in range(k + 1)]
+    edges = [
+        (addr, nodes[i + s if addr[layer] < n - 1 else i + s - n * s], layer)
+        for i, addr in enumerate(nodes)
+        for layer, s in strides
+    ]
     return Topology(config=cfg, nodes=nodes, edges=tuple(edges))
 
 
@@ -130,13 +142,15 @@ def _layer0_range_at(cfg: ConstellationConfig, i: int, t: float) -> float:
 def _max_layer0_range(cfg: ConstellationConfig) -> float:
     """Numeric max over t of the inter-orbit link range, per adjacent pair."""
     period = cfg.period_s
+    times = np.arange(R_MAX_TIME_SAMPLES) * period / R_MAX_TIME_SAMPLES
+    base = (0,) * cfg.k
     best = 0.0
     for i in range(cfg.n):
-        samples = [
-            (_layer0_range_at(cfg, i, s * period / R_MAX_TIME_SAMPLES), s)
-            for s in range(R_MAX_TIME_SAMPLES)
-        ]
-        peak, s_peak = max(samples)
+        ei = address_to_elements((i,) + base, cfg)
+        ej = address_to_elements(((i + 1) % cfg.n,) + base, cfg)
+        ranges = central_angles(sat_positions_eci(ei, times), sat_positions_eci(ej, times))
+        s_peak = int(np.argmax(ranges))
+        peak = float(ranges[s_peak])
         lo = (s_peak - 1) * period / R_MAX_TIME_SAMPLES
         hi = (s_peak + 1) * period / R_MAX_TIME_SAMPLES
         # golden-section refinement of the bracketed peak

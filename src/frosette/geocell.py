@@ -19,7 +19,8 @@ honest and documented: digit combinations whose implied row falls outside the
 band's reach name empty border slivers; they resolve to the nearest border
 row rather than erroring. The alpha0 tables store the alpha of each row's
 first cell corner, found by bisecting the sub-point longitude of satellite 0
-along its track.
+along its track; every row bisects in lockstep over numpy arrays, and each
+row stops under the same per-row tolerance rule as a scalar bisection would.
 """
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ import numpy as np
 from .config import TWO_PI, ConstellationConfig
 from .constellation import address_to_elements
 from .errors import ConfigError, ParseError, RangeError
-from .geom import LatLon, subpoint, wrap_angle, wrap_lon
+from .geom import LatLon, subpoint_lons, wrap_angle, wrap_lon
 
 ALPHA0_BISECT_TOL_RAD = 1e-10
 FRA0_MAGIC = b"FRA0"
@@ -260,7 +261,10 @@ def build_alpha0_tables(cfg: ConstellationConfig) -> Alpha0Table:
     Row d's anchor sits where the track's longitude reaches d * half the cell
     longitude pitch; the time of that crossing is found by bisection on the
     first-principles sub-point longitude (monotone on [0, T/4] under the
-    lattice condition), then alpha0 = -omega_E * t.
+    lattice condition), then alpha0 = -omega_E * t. All rows bisect in
+    lockstep, one array of longitudes per step; each row stops on its own
+    once its bracket is narrower than ALPHA0_BISECT_TOL_RAD in alpha
+    ((hi - lo) * omega_E * rho), and a stopped row keeps its bracket.
     """
     _require_lattice(cfg)
     rho, span = cfg.rho, cfg.n**cfg.k
@@ -269,27 +273,25 @@ def build_alpha0_tables(cfg: ConstellationConfig) -> Alpha0Table:
     half_pitch = math.pi / (rho * span)
     lam_max = (rho - 1) * math.pi / (2.0 * rho)
     el0 = address_to_elements((0,) * (cfg.k + 1), cfg)
-    quarter = cfg.period_s / 4.0
     omega_e = cfg.omega_earth_rad_s
 
-    def lon_at(t: float) -> float:
-        return subpoint(el0, t, cfg.consts).lon_rad
-
+    target = np.minimum(np.arange(1, n_rows) * half_pitch, lam_max)
+    lo = np.zeros(n_rows - 1)
+    hi = np.full(n_rows - 1, cfg.period_s / 4.0)
+    active = np.arange(n_rows - 1)
+    for _ in range(200):
+        if not active.size:
+            break
+        lo_a, hi_a = lo[active], hi[active]
+        mid = 0.5 * (lo_a + hi_a)
+        below = subpoint_lons(el0, mid, cfg.consts) < target[active]
+        lo_a = np.where(below, mid, lo_a)
+        hi_a = np.where(below, hi_a, mid)
+        lo[active], hi[active] = lo_a, hi_a
+        active = active[(hi_a - lo_a) * omega_e * rho >= ALPHA0_BISECT_TOL_RAD]
     values = np.empty(n_rows, dtype=np.float64)
     values[0] = 0.0
-    for d in range(1, n_rows):
-        target = min(d * half_pitch, lam_max)
-        lo_t, hi_t = 0.0, quarter
-        for _ in range(200):
-            mid = 0.5 * (lo_t + hi_t)
-            if lon_at(mid) < target:
-                lo_t = mid
-            else:
-                hi_t = mid
-            if (hi_t - lo_t) * omega_e * rho < ALPHA0_BISECT_TOL_RAD:
-                break
-        t_star = 0.5 * (lo_t + hi_t)
-        values[d] = -omega_e * t_star
+    values[1:] = -omega_e * (0.5 * (lo + hi))
     return Alpha0Table(
         n=cfg.n, m=cfg.m, k=cfg.k, inclination_rad=cfg.inclination_rad, values=values
     )

@@ -52,6 +52,14 @@ def wrap_lon(lon: float) -> float:
     return lon - math.pi
 
 
+def wrap_lons(lon: np.ndarray) -> np.ndarray:
+    """Array form of :func:`wrap_lon`, elementwise with the same rounding."""
+    lon = np.fmod(lon + math.pi, TWO_PI)
+    lon[lon < 0.0] += TWO_PI
+    lon[lon >= TWO_PI] = 0.0
+    return lon - math.pi
+
+
 def wrap_angle(a: float) -> float:
     """Normalize any angle into [0, 2*pi)."""
     a = math.fmod(a, TWO_PI)
@@ -76,6 +84,33 @@ def sat_position_eci(elements: OrbitalElements, t: float) -> np.ndarray:
     z = su * sb
     ca, sa = math.cos(elements.raan_rad), math.sin(elements.raan_rad)
     return np.array([ca * x_orb - sa * y_orb, sa * x_orb + ca * y_orb, z])
+
+
+def sat_positions_eci(elements: OrbitalElements, times) -> np.ndarray:
+    """Array form of :func:`sat_position_eci`: (T, 3) unit directions.
+
+    Each row applies the scalar function's arithmetic in the same order;
+    only numpy's cos/sin may round differently from the C library's.
+    """
+    u = TWO_PI * np.asarray(times, dtype=np.float64) / elements.period_s + elements.phase0_rad
+    cu, su = np.cos(u), np.sin(u)
+    cb, sb = math.cos(elements.inclination_rad), math.sin(elements.inclination_rad)
+    y_orb = su * cb
+    ca, sa = math.cos(elements.raan_rad), math.sin(elements.raan_rad)
+    return np.stack([ca * cu - sa * y_orb, sa * cu + ca * y_orb, su * sb], axis=-1)
+
+
+def subpoint_lons(
+    elements: OrbitalElements, times, consts: PhysicalConstants
+) -> np.ndarray:
+    """Sub-point longitudes at each time: the array form of
+    ``subpoint(elements, t, consts).lon_rad``, with the same pole rule."""
+    t = np.asarray(times, dtype=np.float64)
+    p = sat_positions_eci(elements, t)
+    theta = TWO_PI * t / consts.sidereal_day_s
+    lon = wrap_lons(np.arctan2(p[:, 1], p[:, 0]) - theta)
+    lon[(np.abs(p[:, 0]) < 1e-15) & (np.abs(p[:, 1]) < 1e-15)] = 0.0
+    return lon
 
 
 def subpoint(elements: OrbitalElements, t: float, consts: PhysicalConstants) -> LatLon:
@@ -104,6 +139,21 @@ def great_circle_range(a, b) -> float:
     va, vb = _as_unit(a), _as_unit(b)
     cross = np.cross(va, vb)
     return math.atan2(float(np.linalg.norm(cross)), float(np.dot(va, vb)))
+
+
+def central_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Central angle in [0, pi] between unit vectors along the last axis.
+
+    The arctangent form of :func:`great_circle_range`: it keeps full
+    precision for nearly-identical and nearly-antipodal vectors, where acos
+    of the dot product loses digits.
+    """
+    ax, ay, az = a[..., 0], a[..., 1], a[..., 2]
+    bx, by, bz = b[..., 0], b[..., 1], b[..., 2]
+    cx, cy, cz = ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx
+    return np.arctan2(
+        np.sqrt(cx * cx + cy * cy + cz * cz), ax * bx + ay * by + az * bz
+    )
 
 
 def link_range_closed_form(i: int, j: int, t: float, cfg: ConstellationConfig) -> float:

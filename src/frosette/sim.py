@@ -9,17 +9,22 @@ from __future__ import annotations
 
 import csv
 import heapq
-import json
 import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import TWO_PI, ConstellationConfig, config_from_dict, config_to_dict
+from .config import (
+    TWO_PI,
+    ConstellationConfig,
+    config_from_dict,
+    config_to_dict,
+    load_json,
+)
 from .constellation import SatAddress, Topology, build, format_address
 from .errors import ConfigError, ParseError, RangeError
-from .geom import LatLon, slant_range_km
+from .geom import LatLon, central_angles, slant_range_km
 from .georouting import _coverage_radius
 from .routing import shortest_path
 
@@ -126,8 +131,7 @@ def scenario_from_dict(data: dict) -> Scenario:
 
 
 def load_scenario(path: str) -> Scenario:
-    with open(path, encoding="utf-8") as fh:
-        return scenario_from_dict(json.load(fh))
+    return scenario_from_dict(load_json(path))
 
 
 # --- geometry snapshots -----------------------------------------------------
@@ -220,21 +224,6 @@ def _ground_unit(p: LatLon, t: float, cfg: ConstellationConfig) -> np.ndarray:
     )
 
 
-def _central_angle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Central angle in [0, pi] between unit vectors along the last axis.
-
-    The arctangent form of ``geom.great_circle_range``: it keeps full
-    precision for nearly-identical and nearly-antipodal vectors, where acos
-    of the dot product loses digits.
-    """
-    ax, ay, az = a[..., 0], a[..., 1], a[..., 2]
-    bx, by, bz = b[..., 0], b[..., 1], b[..., 2]
-    cx, cy, cz = ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx
-    return np.arctan2(
-        np.sqrt(cx * cx + cy * cy + cz * cz), ax * bx + ay * by + az * bz
-    )
-
-
 def _link_delay_s(r: np.ndarray, cfg: ConstellationConfig) -> np.ndarray:
     """One-way chord delay of links spanning central angles r (``link_length_delay``)."""
     rs = cfg.consts.earth_radius_km + cfg.altitude_km
@@ -244,7 +233,7 @@ def _link_delay_s(r: np.ndarray, cfg: ConstellationConfig) -> np.ndarray:
 def _edge_delays(fld: _Field, pos: np.ndarray, topo: Topology) -> list[float]:
     """Per-edge one-way delay at one snapshot, in ``topo.edges`` order."""
     edge_a, edge_b, _adj = fld.links(topo)
-    return _link_delay_s(_central_angle(pos[edge_a], pos[edge_b]), fld.cfg).tolist()
+    return _link_delay_s(central_angles(pos[edge_a], pos[edge_b]), fld.cfg).tolist()
 
 
 def _ground_leg_delay(r: float, cfg: ConstellationConfig) -> float:
@@ -255,7 +244,7 @@ def _ground_leg_delay(r: float, cfg: ConstellationConfig) -> float:
 def _path_delay(pos: np.ndarray, rows: list[int], cfg: ConstellationConfig) -> float:
     if len(rows) < 2:
         return 0.0
-    hops = _link_delay_s(_central_angle(pos[rows[:-1]], pos[rows[1:]]), cfg)
+    hops = _link_delay_s(central_angles(pos[rows[:-1]], pos[rows[1:]]), cfg)
     total = 0.0
     for d in hops.tolist():  # in path order, as the oracle accumulates
         total += d
@@ -341,7 +330,7 @@ def link_delay_trace(
     fld = _field(topo)
     times = _step_times(start, end, step)
     pos = fld.unit_positions(np.array(times)[:, None], [fld.index[a], fld.index[b]])
-    delays = _link_delay_s(_central_angle(pos[:, 0], pos[:, 1]), topo.config)
+    delays = _link_delay_s(central_angles(pos[:, 0], pos[:, 1]), topo.config)
     return list(zip(times, delays.tolist()))
 
 
@@ -374,7 +363,7 @@ def run(scenario: Scenario) -> tuple[list[TraceRecord], dict]:
             dst_g = _ground_unit(scenario.endpoints[dst_name], t, cfg)
             si, di = int(np.argmax(pos @ src_g)), int(np.argmax(pos @ dst_g))
             src_sat, dst_sat = topo.nodes[si], topo.nodes[di]
-            src_r, dst_r = _central_angle(pos[[si, di]], np.stack([src_g, dst_g])).tolist()
+            src_r, dst_r = central_angles(pos[[si, di]], np.stack([src_g, dst_g])).tolist()
             flag = "coverage_violation" if src_r > radius or dst_r > radius else ""
 
             fro_path = shortest_path(src_sat, dst_sat, topo)

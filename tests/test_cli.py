@@ -5,13 +5,17 @@ reasonable; stdout/stderr are captured and parsed back as JSON.  Usage
 errors raised before a handler runs (bad flags, wrong mode combinations)
 surface as SystemExit(1); errors inside a handler return the exit code.
 """
+import io
 import json
 import math
 
 import pytest
 
-from frosette.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, _emit, main
+from frosette.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, _emit, _stream_topology, main
+from frosette.config import config_to_dict
+from frosette.constellation import build, format_address, topology_to_dict
 from frosette.errors import DomainError
+from conftest import make_config
 
 CELLS_CONFIG = {
     "n": 8,
@@ -100,6 +104,55 @@ def test_generate_files(tmp_path, capsys):
 def test_generate_missing_config(tmp_path, capsys):
     assert main(["generate", "--config", str(tmp_path / "nope.json")]) == EXIT_USAGE
     assert _json_err(capsys)["error"] == "io"
+
+
+def _stream_topology_per_item(topo, fh) -> None:
+    """The former node-by-node writer, kept as the byte-level oracle."""
+    fh.write('{"config": ')
+    json.dump(config_to_dict(topo.config), fh)
+    fh.write(', "nodes": [')
+    for i, node in enumerate(topo.nodes):
+        if i:
+            fh.write(", ")
+        fh.write(json.dumps(format_address(node)))
+    fh.write('], "edges": [')
+    for i, (a, b, layer) in enumerate(topo.edges):
+        if i:
+            fh.write(", ")
+        fh.write(json.dumps([format_address(a), format_address(b), layer]))
+    fh.write("]}\n")
+
+
+@pytest.mark.parametrize("n,k", [(5, 0), (4, 1), (6, 2), (9, 3)])
+def test_stream_topology_matches_per_item_writer(n, k):
+    # (9, 3) has 26,244 edges: several 8k chunks and a partial last one
+    topo = build(make_config(n, 1, k))
+    got, want = io.StringIO(), io.StringIO()
+    _stream_topology(topo, got)
+    _stream_topology_per_item(topo, want)
+    assert got.getvalue() == want.getvalue()
+    assert json.loads(got.getvalue()) == topology_to_dict(topo)
+
+
+@pytest.mark.parametrize("text", ['{"n": 8,', "", "\udcff", "\ufeff{}"])
+def test_malformed_json_files_exit_1(tmp_path, capsys, text):
+    bad = tmp_path / "broken.json"
+    bad.write_bytes(text.encode("utf-8", "surrogateescape"))
+    for argv in (
+        ["fib", "--config", str(bad), "--owner", "0.0"],
+        ["simulate", "--scenario", str(bad), "--trace", str(tmp_path / "t.csv")],
+    ):
+        assert main(argv) == EXIT_USAGE
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert json.loads(out.err)["error"] == "ParseError"
+
+
+def test_config_file_with_crlf_line_ends(tmp_path, capsys):
+    path = tmp_path / "crlf.json"
+    path.write_bytes(json.dumps(ROUTING_CONFIG, indent=2).replace("\n", "\r\n").encode())
+    assert main(["fib", "--config", str(path), "--owner", "0.0"]) == EXIT_OK
+    assert _json_out(capsys)["owner"] == "0.0"
 
 
 # --- route ----------------------------------------------------------------------

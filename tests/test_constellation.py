@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from frosette.config import TWO_PI
+from frosette.config import TWO_PI, config_from_dict, config_to_dict
 from frosette.constellation import (
     build,
     format_address,
@@ -42,6 +42,13 @@ def test_build_counts_and_degrees(n, k):
         assert key not in seen, f"duplicate edge {key}"
         seen.add(key)
     assert set(deg.values()) == {2 * (k + 1)}
+    # edges share the node tuples: endpoint b of node i's layer-j edge is the
+    # ring neighbour, found in nodes by mixed-radix index
+    index = {node: i for i, node in enumerate(topo.nodes)}
+    for e, (a, b, layer) in enumerate(topo.edges):
+        assert a is topo.nodes[e // (k + 1)] and layer == e % (k + 1)
+        assert b == ring_neighbor(a, layer, +1, n)
+        assert b is topo.nodes[index[b]]
 
 
 def test_ring_neighbor_and_adjacency():
@@ -103,6 +110,42 @@ def test_config_validation():
     for altitude_km in (math.nan, math.inf, -math.inf, 0.0):
         with pytest.raises(ConfigError):
             make_config(8, 1, 0, altitude_km=altitude_km)
+
+
+@pytest.mark.parametrize(
+    "constants",
+    [
+        {"earth_radius_km": "x"},
+        {"earth_radius_km": None},
+        {"earth_radius_km": math.nan},
+        {"sidereal_day_s": math.inf},
+        {"light_speed_km_s": 0.0},
+        {"earth_radius_km": -6371.0},
+        {"atmosphere_margin_km": -1.0},
+        {"atmosphere_margin_km": math.nan},
+        {"moon_radius_km": 1737.0},
+        [["earth_radius_km", 6371.0]],
+    ],
+)
+def test_config_rejects_bad_constants(constants):
+    doc = dict(config_to_dict(make_config(8, 6, 1)), constants=constants)
+    with pytest.raises(ConfigError):
+        config_from_dict(doc)
+
+
+def test_config_constants_round_trip():
+    doc = dict(
+        config_to_dict(make_config(8, 6, 1)),
+        constants={"earth_radius_km": 6400, "atmosphere_margin_km": 80.0},
+    )
+    cfg = config_from_dict(doc)
+    assert cfg.consts.earth_radius_km == 6400.0
+    assert cfg.consts.atmosphere_margin_km == 80.0
+    # the written form lists every constant, a zero margin included
+    back = config_to_dict(cfg)
+    assert config_from_dict(back) == cfg
+    margin_zero = dict(back, constants=dict(back["constants"], atmosphere_margin_km=0.0))
+    assert config_from_dict(margin_zero).consts.atmosphere_margin_km == 0.0
 
 
 # --- altitude sizing ------------------------------------------------------------

@@ -12,8 +12,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from frosette.config import TWO_PI
+from frosette.constellation import address_to_elements
 from frosette.errors import ConfigError, ParseError, RangeError
 from frosette.geocell import (
+    ALPHA0_BISECT_TOL_RAD,
     Alpha0Table,
     CellId,
     GeoCoord,
@@ -33,7 +35,7 @@ from frosette.geocell import (
     tables_to_dict,
     validate_cell,
 )
-from frosette.geom import LatLon, great_circle_range
+from frosette.geom import LatLon, great_circle_range, subpoint
 from conftest import make_config
 
 CELLS_CFG = make_config(8, 6, 1, incl_deg=45.0)
@@ -178,6 +180,56 @@ def test_alpha0_analytic_residual(tables_geo, cfg_geo):
         target = min(d * h, (rho - 1) * math.pi)
         worst = max(worst, abs(f_hat - target))
     assert worst < 1e-7, f"row-equation residual {worst:.2e} rad"
+
+
+def _scalar_alpha0_rows(cfg, rows):
+    """Row-at-a-time bisection on the scalar sub-point, the former body of
+    build_alpha0_tables, kept as the oracle for its lockstep form; anchors of
+    the given rows only, so large tables can be sampled."""
+    rho, span = cfg.rho, cfg.n**cfg.k
+    half_pitch = math.pi / (rho * span)
+    lam_max = (rho - 1) * math.pi / (2.0 * rho)
+    el0 = address_to_elements((0,) * (cfg.k + 1), cfg)
+    quarter = cfg.period_s / 4.0
+    omega_e = cfg.omega_earth_rad_s
+
+    def lon_at(t: float) -> float:
+        return subpoint(el0, t, cfg.consts).lon_rad
+
+    values = {}
+    for d in rows:
+        target = min(d * half_pitch, lam_max)
+        lo_t, hi_t = 0.0, quarter
+        for _ in range(200):
+            mid = 0.5 * (lo_t + hi_t)
+            if lon_at(mid) < target:
+                lo_t = mid
+            else:
+                hi_t = mid
+            if (hi_t - lo_t) * omega_e * rho < ALPHA0_BISECT_TOL_RAD:
+                break
+        t_star = 0.5 * (lo_t + hi_t)
+        values[d] = -omega_e * t_star
+    return values
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_alpha0_lockstep_matches_scalar_bisection(k):
+    ms = (lambda n: 1, lambda n: n // 2, lambda n: n - 2)
+    inclinations = (35.0, 50.0, 65.0, 80.0)
+    for i, n in enumerate(range(5, 17)):
+        m, incl = ms[i % 3](n), inclinations[(i + k) % 4]
+        if (n - m) * math.cos(math.radians(incl)) <= 1.0:
+            incl = 35.0
+        cfg = make_config(n, m, k, incl_deg=incl)
+        table = build_alpha0_tables(cfg)
+        assert table.values[0] == 0.0
+        rows = sorted(set(np.linspace(1, table.n_rows - 1, 48).round().astype(int).tolist()))
+        want = _scalar_alpha0_rows(cfg, rows)
+        for d in rows:
+            # numpy's trig may round a near-tie comparison the other way, so
+            # rows agree to the bisection tolerance, not always bit for bit
+            assert abs(table.values[d] - want[d]) <= ALPHA0_BISECT_TOL_RAD, (n, m, k, incl, d)
 
 
 def test_alpha0_level_strides(tables_cells):

@@ -15,6 +15,8 @@ from frosette.constellation import address_to_elements
 from frosette.errors import DomainError, InfeasibleError
 from frosette.geom import (
     LatLon,
+    OrbitalElements,
+    central_angles,
     coverage_range,
     elevation_angle,
     great_circle_range,
@@ -22,11 +24,14 @@ from frosette.geom import (
     link_range_closed_form,
     min_satellites,
     sat_position_eci,
+    sat_positions_eci,
     slant_range_km,
     subpoint,
+    subpoint_lons,
     visibility_ok,
     wrap_angle,
     wrap_lon,
+    wrap_lons,
 )
 from conftest import make_config
 
@@ -106,6 +111,43 @@ def test_sat_position_basics():
     # always a unit vector
     for t in (123.0, 4567.8, 1e5):
         assert np.linalg.norm(sat_position_eci(el, t)) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("addr,cfg", [
+    ((0, 0), make_config(8, 6, 1)),
+    ((5, 3, 1), make_config(7, 2, 2, incl_deg=53.0)),
+    ((15, 9, 2, 11), make_config(16, 8, 3, incl_deg=80.0)),
+])
+def test_array_positions_match_scalar(addr, cfg):
+    el = address_to_elements(addr, cfg)
+    times = np.concatenate([
+        np.linspace(-el.period_s, 3.0 * el.period_s, 997),
+        [0.0, el.period_s / 4.0, 1e7 + 0.123],
+    ])
+    got = sat_positions_eci(el, times)
+    want = np.array([sat_position_eci(el, float(t)) for t in times])
+    assert got.shape == (len(times), 3)
+    assert np.max(np.abs(got - want)) <= 1e-15
+    lons = subpoint_lons(el, times, cfg.consts)
+    want_lons = np.array([subpoint(el, float(t), cfg.consts).lon_rad for t in times])
+    # compared mod 2*pi: a last-digit difference at -pi may wrap to just below pi
+    dlon = (lons - want_lons + math.pi) % TWO_PI - math.pi
+    assert np.max(np.abs(dlon)) <= 1e-14
+    # central_angles is great_circle_range row by row
+    ranges = central_angles(want[:-1], want[1:])
+    assert np.allclose(
+        ranges, [great_circle_range(a, b) for a, b in zip(want[:-1], want[1:])],
+        rtol=0.0, atol=1e-15,
+    )
+
+
+def test_subpoint_lons_pole_and_wrap_rules():
+    # a polar orbit over the pole: both longitudes take the 0 convention
+    el = OrbitalElements(0.0, math.pi / 2, 0.0, 6000.0, 7571.0)
+    assert subpoint(el, 1500.0, C).lon_rad == 0.0
+    assert subpoint_lons(el, [1500.0], C).tolist() == [0.0]
+    xs = [-math.pi, math.pi, -1e-300, 0.0, 3.5, -3.5, 1e6, -1e6, 7 * math.pi, TWO_PI]
+    assert wrap_lons(np.array(xs)).tolist() == [wrap_lon(x) for x in xs]
 
 
 def test_subpoint_epoch_and_band():
