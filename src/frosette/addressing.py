@@ -11,10 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .config import ConstellationConfig
+from .constellation import SatAddress
+from .constellation import format_address as format_sat_address
 from .errors import ConfigError, LayoutError, ParseError, RangeError
 from .geocell import CellId, _validate_digits
-
-SatAddress = tuple[int, ...]
 
 PREFIX_BITS = 64
 TOTAL_BITS = 128
@@ -78,10 +78,6 @@ def bit_widths(cfg: ConstellationConfig) -> BitLayout:
 
 
 # --- text forms -------------------------------------------------------------
-
-
-def format_sat_address(addr: SatAddress) -> str:
-    return ".".join(str(d) for d in addr)
 
 
 def parse_sat_address(text: str, cfg: ConstellationConfig) -> SatAddress:

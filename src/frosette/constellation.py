@@ -1,6 +1,7 @@
-"""F-Rosette_k construction: satellites, layered rings, altitude sizing."""
+"""F-Rosette_k construction: satellites, layered rings, orbits, altitude sizing."""
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -9,19 +10,32 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TWO_PI, ConstellationConfig, PhysicalConstants, config_to_dict
-from .errors import InfeasibleError, RangeError
-from .geom import (
-    OrbitalElements,
-    central_angles,
-    great_circle_range,
-    sat_position_eci,
-    sat_positions_eci,
-)
+from .errors import DomainError, InfeasibleError, RangeError
+from .geom import OrbitalElements, central_angles, orbit_positions
 
 SatAddress = tuple[int, ...]
 
 R_MAX_TIME_SAMPLES = 4096
 R_MAX_REFINE_TOL = 1e-12
+# 64 times the paper's largest constellation (N=16, k=3). Below it the
+# integer phase m*s0*N^k + N*(id mod N^k) < N^(k+2) <= (N^(k+1))^2 fits int64.
+MAX_SATELLITES = 1 << 22
+
+
+def check_size(cfg: ConstellationConfig) -> None:
+    """Raise DomainError, before anything is allocated, above MAX_SATELLITES."""
+    if cfg.n_sats > MAX_SATELLITES:
+        raise DomainError(
+            f"N^(k+1) = {cfg.n_sats} satellites exceeds the limit of {MAX_SATELLITES}"
+        )
+
+
+def sat_id(addr: SatAddress, n: int) -> int:
+    """Mixed-radix id sum(s_j * N^(k-j)): the address's position in ``build``'s nodes."""
+    i = 0
+    for digit in addr:
+        i = i * n + digit
+    return i
 
 
 def validate_address(addr: SatAddress, cfg: ConstellationConfig) -> None:
@@ -59,6 +73,7 @@ def build(cfg: ConstellationConfig) -> Topology:
     (i + s - N*s where digit j wraps from N-1 to 0), with stride s = N^(k-j);
     edges hold the very tuples in ``nodes``.
     """
+    check_size(cfg)
     n, k = cfg.n, cfg.k
     nodes = tuple(itertools.product(range(n), repeat=k + 1))
     strides = [(layer, n ** (k - layer)) for layer in range(k + 1)]
@@ -88,25 +103,57 @@ def neighbors(
     return out
 
 
-def address_to_elements(addr: SatAddress, cfg: ConstellationConfig) -> OrbitalElements:
-    """Map a hierarchical address to its orbit.
+def _orbit_angles(ids, cfg: ConstellationConfig):
+    """(RAAN, epoch phase) of satellite ids, ints or an int array.
 
     Digit 0 selects the base-Rosette slot (RAAN 2*pi*s0/N, phase m*RAAN);
-    each deeper digit s_j shifts the in-orbit phase by 2*pi*s_j/N^j.
+    each deeper digit s_j adds 2*pi*s_j/N^j. The phase is summed in integer
+    units of 2*pi/N^(k+1) and reduced exactly before one conversion.
     """
+    n, span = cfg.n, cfg.n**cfg.k
+    s0 = ids // span
+    units = (cfg.m * s0 * span + n * (ids % span)) % (n * span)
+    return TWO_PI * s0 / n, TWO_PI * units / (n * span)
+
+
+def address_to_elements(addr: SatAddress, cfg: ConstellationConfig) -> OrbitalElements:
+    """Map a hierarchical address to its orbit (see :func:`_orbit_angles`)."""
     validate_address(addr, cfg)
-    n = cfg.n
-    raan = TWO_PI * addr[0] / n
-    phase = TWO_PI * cfg.m * addr[0] / n
-    for j in range(1, cfg.k + 1):
-        phase += TWO_PI * addr[j] / n**j
+    raan, phase = _orbit_angles(sat_id(addr, cfg.n), cfg)
     return OrbitalElements(
         raan_rad=raan,
         inclination_rad=cfg.inclination_rad,
-        phase0_rad=phase % TWO_PI,
+        phase0_rad=phase,
         period_s=cfg.period_s,
         orbit_radius_km=cfg.orbit_radius_km,
     )
+
+
+class OrbitState:
+    """Every satellite's orbit as cos/sin arrays of its epoch phase and RAAN,
+    indexed by :func:`sat_id`; built from the config alone."""
+
+    def __init__(self, cfg: ConstellationConfig) -> None:
+        check_size(cfg)
+        raan, phase = _orbit_angles(np.arange(cfg.n_sats), cfg)
+        self.cfg = cfg
+        self.cp, self.sp = np.cos(phase), np.sin(phase)
+        self.ca, self.sa = np.cos(raan), np.sin(raan)
+
+    def unit_positions(self, t, rows=slice(None)) -> np.ndarray:
+        """Inertial unit vectors of the given rows: (R, 3) at a scalar t,
+        (T, R, 3) for times of shape (T, 1)."""
+        cfg = self.cfg
+        return orbit_positions(
+            self.cp[rows], self.sp[rows], self.ca[rows], self.sa[rows],
+            cfg.inclination_rad, TWO_PI * t / cfg.period_s,
+        )
+
+
+@functools.lru_cache(maxsize=8)
+def orbit_state(cfg: ConstellationConfig) -> OrbitState:
+    """The config's orbit state, built once per distinct config."""
+    return OrbitState(cfg)
 
 
 def min_altitude_coverage(cfg: ConstellationConfig) -> float:
@@ -132,23 +179,21 @@ class StabilityReport:
     h_min_km: float
 
 
-def _layer0_range_at(cfg: ConstellationConfig, i: int, t: float) -> float:
-    base = (0,) * cfg.k
-    ei = address_to_elements((i,) + base, cfg)
-    ej = address_to_elements(((i + 1) % cfg.n,) + base, cfg)
-    return great_circle_range(sat_position_eci(ei, t), sat_position_eci(ej, t))
-
-
 def _max_layer0_range(cfg: ConstellationConfig) -> float:
     """Numeric max over t of the inter-orbit link range, per adjacent pair."""
     period = cfg.period_s
-    times = np.arange(R_MAX_TIME_SAMPLES) * period / R_MAX_TIME_SAMPLES
-    base = (0,) * cfg.k
+    times = np.arange(R_MAX_TIME_SAMPLES)[:, None] * period / R_MAX_TIME_SAMPLES
+    state, span = orbit_state(cfg), cfg.n**cfg.k
     best = 0.0
     for i in range(cfg.n):
-        ei = address_to_elements((i,) + base, cfg)
-        ej = address_to_elements(((i + 1) % cfg.n,) + base, cfg)
-        ranges = central_angles(sat_positions_eci(ei, times), sat_positions_eci(ej, times))
+        rows = [i * span, (i + 1) % cfg.n * span]  # (i, 0, ..., 0) and its layer-0 neighbour
+
+        def range_at(t: float) -> float:
+            p = state.unit_positions(t, rows)
+            return float(central_angles(p[0], p[1]))
+
+        p = state.unit_positions(times, rows)
+        ranges = central_angles(p[:, 0], p[:, 1])
         s_peak = int(np.argmax(ranges))
         peak = float(ranges[s_peak])
         lo = (s_peak - 1) * period / R_MAX_TIME_SAMPLES
@@ -158,17 +203,16 @@ def _max_layer0_range(cfg: ConstellationConfig) -> float:
         a, b = lo, hi
         c = b - gr * (b - a)
         d = a + gr * (b - a)
-        fc = _layer0_range_at(cfg, i, c)
-        fd = _layer0_range_at(cfg, i, d)
+        fc, fd = range_at(c), range_at(d)
         while b - a > R_MAX_REFINE_TOL * period:
             if fc > fd:
                 b, d, fd = d, c, fc
                 c = b - gr * (b - a)
-                fc = _layer0_range_at(cfg, i, c)
+                fc = range_at(c)
             else:
                 a, c, fc = c, d, fd
                 d = a + gr * (b - a)
-                fd = _layer0_range_at(cfg, i, d)
+                fd = range_at(d)
         best = max(best, peak, fc, fd)
     return best
 

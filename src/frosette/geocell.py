@@ -32,9 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TWO_PI, ConstellationConfig
-from .constellation import address_to_elements
+from .constellation import address_to_elements, check_size
 from .errors import ConfigError, ParseError, RangeError
-from .geom import LatLon, subpoint_lons, wrap_angle, wrap_lon
+from .geom import LatLon, check_finite, subpoint_lons, wrap_angle, wrap_lon
 
 ALPHA0_BISECT_TOL_RAD = 1e-10
 FRA0_MAGIC = b"FRA0"
@@ -266,6 +266,7 @@ def build_alpha0_tables(cfg: ConstellationConfig) -> Alpha0Table:
     once its bracket is narrower than ALPHA0_BISECT_TOL_RAD in alpha
     ((hi - lo) * omega_E * rho), and a stopped row keeps its bracket.
     """
+    check_size(cfg)  # about N^(k+1)/2 rows
     _require_lattice(cfg)
     rho, span = cfg.rho, cfg.n**cfg.k
     num = (rho - 1) * span
@@ -455,6 +456,7 @@ def locate_point(
     The tables argument is accepted for call-site symmetry but the quantizer
     needs only the lattice arithmetic.
     """
+    check_finite(p.lat_rad, p.lon_rad)
     _require_lattice(cfg)
     rho, n, k = cfg.rho, cfg.n, cfg.k
     span = n**k

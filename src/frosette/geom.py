@@ -2,6 +2,12 @@
 
 Circular Keplerian orbits around a spherical earth. The epoch convention used
 everywhere: at t=0 the prime meridian coincides with the inertial x-axis.
+
+Every satellite position in the package comes from one array kernel,
+:func:`orbit_positions` (fed by ``constellation.OrbitState``), and every range
+from one formula, :func:`central_angles`. The scalar :func:`sat_position_eci`
+and :func:`subpoint` are the per-satellite references that tests and
+``verify`` compare against; no production path calls them.
 """
 from __future__ import annotations
 
@@ -11,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TWO_PI, ConstellationConfig, PhysicalConstants
-from .errors import DomainError, InfeasibleError
+from .errors import DomainError, InfeasibleError, RangeError
 
 BISECT_TOL_RAD = 1e-12
 BISECT_MAX_ITER = 200
@@ -60,6 +66,12 @@ def wrap_lons(lon: np.ndarray) -> np.ndarray:
     return lon - math.pi
 
 
+def check_finite(*values: float) -> None:
+    """Raise RangeError unless every coordinate or time is a finite number."""
+    if not all(math.isfinite(v) for v in values):
+        raise RangeError(f"coordinates and times must be finite, got {values}")
+
+
 def wrap_angle(a: float) -> float:
     """Normalize any angle into [0, 2*pi)."""
     a = math.fmod(a, TWO_PI)
@@ -74,30 +86,40 @@ def sat_position_eci(elements: OrbitalElements, t: float) -> np.ndarray:
     """Unit direction of the satellite in the inertial frame at time t.
 
     Argument of latitude u(t) = 2*pi*t/T + phase0, ascending node at the RAAN,
-    orbit plane tilted by the inclination.
+    orbit plane tilted by the inclination. The scalar, first-principles
+    reference for :func:`orbit_positions`, with the same angle-sum rotation.
     """
-    u = TWO_PI * t / elements.period_s + elements.phase0_rad
-    cu, su = math.cos(u), math.sin(u)
+    w = TWO_PI * t / elements.period_s
+    cp, sp = math.cos(elements.phase0_rad), math.sin(elements.phase0_rad)
+    cw, sw = math.cos(w), math.sin(w)
+    cu, su = cp * cw - sp * sw, sp * cw + cp * sw
     cb, sb = math.cos(elements.inclination_rad), math.sin(elements.inclination_rad)
-    x_orb = cu
-    y_orb = su * cb
-    z = su * sb
     ca, sa = math.cos(elements.raan_rad), math.sin(elements.raan_rad)
-    return np.array([ca * x_orb - sa * y_orb, sa * x_orb + ca * y_orb, z])
+    return np.array([ca * cu - sa * su * cb, sa * cu + ca * su * cb, su * sb])
 
 
-def sat_positions_eci(elements: OrbitalElements, times) -> np.ndarray:
-    """Array form of :func:`sat_position_eci`: (T, 3) unit directions.
+def orbit_positions(cos_phase, sin_phase, cos_raan, sin_raan, inclination_rad, w):
+    """Inertial unit vectors of satellites advanced by the angle w = 2*pi*t/T.
 
-    Each row applies the scalar function's arithmetic in the same order;
-    only numpy's cos/sin may round differently from the C library's.
+    The one position kernel. Each satellite's epoch phase (cos, sin) is
+    rotated by w rather than added to it: the sum would be rounded at the
+    scale of the phase (or of w, for large t), which moves a 2*pi/N^3 arc by
+    ~1e-12 relative from step to step; the rotation keeps it within ~4e-13.
+    Arguments broadcast: per-satellite arrays with a scalar w give (R, 3),
+    with w of shape (T, 1) they give (T, R, 3).
     """
-    u = TWO_PI * np.asarray(times, dtype=np.float64) / elements.period_s + elements.phase0_rad
-    cu, su = np.cos(u), np.sin(u)
-    cb, sb = math.cos(elements.inclination_rad), math.sin(elements.inclination_rad)
-    y_orb = su * cb
-    ca, sa = math.cos(elements.raan_rad), math.sin(elements.raan_rad)
-    return np.stack([ca * cu - sa * y_orb, sa * cu + ca * y_orb, su * sb], axis=-1)
+    cw, sw = np.cos(w), np.sin(w)
+    cu, su = cos_phase * cw - sin_phase * sw, sin_phase * cw + cos_phase * sw
+    cb, sb = math.cos(inclination_rad), math.sin(inclination_rad)
+    return np.stack(
+        [cos_raan * cu - sin_raan * su * cb, sin_raan * cu + cos_raan * su * cb, su * sb],
+        axis=-1,
+    )
+
+
+def ground_unit(p: LatLon, t: float, cfg: ConstellationConfig) -> np.ndarray:
+    """Inertial unit vector of a ground point at time t (the earth turns east)."""
+    return LatLon(p.lat_rad, p.lon_rad + cfg.omega_earth_rad_s * t).unit_vector()
 
 
 def subpoint_lons(
@@ -106,7 +128,9 @@ def subpoint_lons(
     """Sub-point longitudes at each time: the array form of
     ``subpoint(elements, t, consts).lon_rad``, with the same pole rule."""
     t = np.asarray(times, dtype=np.float64)
-    p = sat_positions_eci(elements, t)
+    cp, sp = math.cos(elements.phase0_rad), math.sin(elements.phase0_rad)
+    ca, sa = math.cos(elements.raan_rad), math.sin(elements.raan_rad)
+    p = orbit_positions(cp, sp, ca, sa, elements.inclination_rad, TWO_PI * t / elements.period_s)
     theta = TWO_PI * t / consts.sidereal_day_s
     lon = wrap_lons(np.arctan2(p[:, 1], p[:, 0]) - theta)
     lon[(np.abs(p[:, 0]) < 1e-15) & (np.abs(p[:, 1]) < 1e-15)] = 0.0
@@ -131,22 +155,16 @@ def _as_unit(p) -> np.ndarray:
 
 
 def great_circle_range(a, b) -> float:
-    """Central angle between two points, in [0, pi].
-
-    Uses the arctangent form, which stays accurate for nearly-identical and
-    nearly-antipodal inputs where plain acos loses digits.
-    """
-    va, vb = _as_unit(a), _as_unit(b)
-    cross = np.cross(va, vb)
-    return math.atan2(float(np.linalg.norm(cross)), float(np.dot(va, vb)))
+    """Central angle between two points (LatLon or unit vectors), in [0, pi]."""
+    return float(central_angles(_as_unit(a), _as_unit(b)))
 
 
 def central_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Central angle in [0, pi] between unit vectors along the last axis.
 
-    The arctangent form of :func:`great_circle_range`: it keeps full
-    precision for nearly-identical and nearly-antipodal vectors, where acos
-    of the dot product loses digits.
+    The one range formula. The arctangent form keeps full precision for
+    nearly-identical and nearly-antipodal vectors, where acos of the dot
+    product loses digits.
     """
     ax, ay, az = a[..., 0], a[..., 1], a[..., 2]
     bx, by, bz = b[..., 0], b[..., 1], b[..., 2]
@@ -187,11 +205,10 @@ def link_range_closed_form(i: int, j: int, t: float, cfg: ConstellationConfig) -
     return 2.0 * math.asin(math.sqrt(s))
 
 
-def link_length_delay(
-    r: float, altitude_km: float, consts: PhysicalConstants
-) -> tuple[float, float]:
-    """Chord length (km) and one-way delay (s) of a link spanning range r."""
-    length = 2.0 * (consts.earth_radius_km + altitude_km) * math.sin(r / 2.0)
+def link_length_delay(r, altitude_km: float, consts: PhysicalConstants):
+    """Chord length (km) and one-way delay (s) of links spanning ranges r
+    (a float or an array)."""
+    length = 2.0 * (consts.earth_radius_km + altitude_km) * np.sin(r / 2.0)
     return length, length / consts.light_speed_km_s
 
 

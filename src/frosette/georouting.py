@@ -5,6 +5,11 @@ gamma), every ring hop shifts those by a constant, and the destination cell's
 center is a fixed coordinate. Greedy correction of alpha (layer 0) then gamma
 (deeper layers) lands next to the target; a bounded ring sweep mops up the
 quantization residue. Coverage of the cell center ends the route early.
+
+Coverage and distances to the target are central angles between positions
+from the config's ``constellation.OrbitState`` and the target's inertial
+vector, computed only for the satellites a route tests; the one full
+snapshot is taken when a route ends undelivered.
 """
 from __future__ import annotations
 
@@ -13,11 +18,15 @@ import math
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from .config import TWO_PI, ConstellationConfig
-from .constellation import SatAddress, address_to_elements, ring_neighbor, validate_address
+from .constellation import (
+    SatAddress, address_to_elements, orbit_state, ring_neighbor, sat_id, validate_address,
+)
 from .errors import DomainError
 from .geocell import Alpha0Table, CellId, GeoCoord, cell_center, geocoord_to_latlon
-from .geom import LatLon, coverage_range, great_circle_range, subpoint, wrap_angle
+from .geom import LatLon, central_angles, check_finite, coverage_range, ground_unit, wrap_angle
 
 MOTION_CONSTANCY_TOL_RAD = 1e-9
 MOTION_SAMPLE_TIMES = 16
@@ -48,6 +57,7 @@ class GeoRouteResult:
 def serving_coord(addr: SatAddress, t: float, cfg: ConstellationConfig) -> GeoCoord:
     """The (alpha, gamma) a satellite maintains locally: linear drift from epoch."""
     validate_address(addr, cfg)
+    check_finite(t)
     el = address_to_elements(addr, cfg)
     alpha = wrap_angle(el.raan_rad - cfg.omega_earth_rad_s * t)
     gamma = wrap_angle(el.phase0_rad + TWO_PI * t / cfg.period_s)
@@ -90,16 +100,17 @@ def _coverage_radius(cfg: ConstellationConfig) -> float:
     return coverage_range(cfg.altitude_km, cfg.min_elevation_rad, cfg.consts)
 
 
+def _ranges(sats: list[SatAddress], ground, t: float, cfg: ConstellationConfig):
+    """Central angles from the satellites to an inertial ground vector at t."""
+    pos = orbit_state(cfg).unit_positions(t, [sat_id(s, cfg.n) for s in sats])
+    return central_angles(pos, ground)
+
+
 def coverage_check(sat: SatAddress, target: LatLon, t: float, cfg: ConstellationConfig) -> bool:
     """True when the satellite's footprint (at its min elevation) reaches target."""
-    el = address_to_elements(sat, cfg)
-    return great_circle_range(subpoint(el, t, cfg.consts), target) <= _coverage_radius(cfg)
-
-
-def _ring_distance_to(
-    sat: SatAddress, target: LatLon, t: float, cfg: ConstellationConfig
-) -> float:
-    return great_circle_range(subpoint(address_to_elements(sat, cfg), t, cfg.consts), target)
+    validate_address(sat, cfg)
+    check_finite(target.lat_rad, target.lon_rad, t)
+    return bool(_ranges([sat], ground_unit(target, t, cfg), t, cfg)[0] <= _coverage_radius(cfg))
 
 
 def geo_route(
@@ -113,36 +124,41 @@ def geo_route(
 
     Phase 1 walks layer 0 to cancel the alpha gap, phase 2 walks layers 1..k
     to cancel the gamma gap (recomputed per layer, since layer-0 hops shift
-    gamma too). If the greedy walk ends uncovered, one sweep over the rings,
+    gamma too). Each walk stops at its first satellite that covers the
+    target. If the greedy walk ends uncovered, one sweep over the rings,
     deepest first, moves along whichever neighbor strictly shrinks the
     great-circle distance to the target, at most N-1 steps per ring.
     """
     validate_address(src_serving, cfg)
+    check_finite(t)
     center = cell_center(dst_cell, tables)
-    target = geocoord_to_latlon(center, cfg)
-    cur = src_serving
-    path = [cur]
+    ground = ground_unit(geocoord_to_latlon(center, cfg), t, cfg)
+    radius = _coverage_radius(cfg)
+    path = [src_serving]
 
-    def covered() -> bool:
-        return coverage_check(cur, target, t, cfg)
+    def walk(layer: int, direction: int, steps: int) -> bool:
+        """Append up to `steps` hops; True once one of them covers the target."""
+        cur, hops = path[-1], []
+        for _ in range(steps):
+            cur = ring_neighbor(cur, layer, direction, cfg.n)
+            hops.append(cur)
+        covered = np.flatnonzero(_ranges(hops, ground, t, cfg) <= radius)
+        path.extend(hops[: covered[0] + 1] if covered.size else hops)
+        return covered.size > 0
 
-    if covered():
-        return GeoRouteResult(tuple(path), cur, True, 0)
+    if _ranges(path, ground, t, cfg)[0] <= radius:
+        return GeoRouteResult(tuple(path), src_serving, True, 0)
 
     # Phase 1: inter-orbit alpha alignment.
-    here = serving_coord(cur, t, cfg)
+    here = serving_coord(src_serving, t, cfg)
     gap = wrap_angle(center.alpha_rad - here.alpha_rad)
     direction, span = (1, gap) if gap < math.pi else (-1, TWO_PI - gap)
-    steps = min(round(span / (TWO_PI / cfg.n)), cfg.n // 2)
-    for _ in range(steps):
-        cur = ring_neighbor(cur, 0, direction, cfg.n)
-        path.append(cur)
-        if covered():
-            return GeoRouteResult(tuple(path), cur, True, 0)
+    if walk(0, direction, min(round(span / (TWO_PI / cfg.n)), cfg.n // 2)):
+        return GeoRouteResult(tuple(path), path[-1], True, 0)
 
     # Phase 2: intra-orbit gamma alignment, finest achievable step per layer.
     for layer in range(1, cfg.k + 1):
-        here = serving_coord(cur, t, cfg)
+        here = serving_coord(path[-1], t, cfg)
         gap = wrap_angle(center.gamma_rad - here.gamma_rad)
         direction, span = (1, gap) if gap < math.pi else (-1, TWO_PI - gap)
         pitch = TWO_PI / cfg.n**layer
@@ -150,43 +166,26 @@ def geo_route(
         if steps > cfg.n / 2:
             steps = cfg.n - steps
             direction = -direction
-        for _ in range(steps):
-            cur = ring_neighbor(cur, layer, direction, cfg.n)
-            path.append(cur)
-            if covered():
-                return GeoRouteResult(tuple(path), cur, True, 0)
+        if walk(layer, direction, steps):
+            return GeoRouteResult(tuple(path), path[-1], True, 0)
 
     # Fallback: greedy descent on true sub-point distance, one sweep.
     fallback = 0
+    cur = path[-1]
+    best = float(_ranges([cur], ground, t, cfg)[0])
     for layer in range(cfg.k, -1, -1):
-        best = _ring_distance_to(cur, target, t, cfg)
         for _ in range(cfg.n - 1):
-            candidates = [
-                (
-                    _ring_distance_to(nb, target, t, cfg),
-                    direction,
-                    nb,
-                )
-                for direction in (1, -1)
-                for nb in (ring_neighbor(cur, layer, direction, cfg.n),)
-            ]
-            dist, _, nb = min(candidates)
+            up, down = (ring_neighbor(cur, layer, d, cfg.n) for d in (1, -1))
+            d_up, d_down = _ranges([up, down], ground, t, cfg).tolist()
+            dist, nb = (d_down, down) if d_down <= d_up else (d_up, up)
             if dist >= best:
                 break
             best, cur = dist, nb
             path.append(cur)
             fallback += 1
-            if covered():
+            if dist <= radius:
                 return GeoRouteResult(tuple(path), cur, True, fallback)
 
-    violation = not any(
-        coverage_check(sat, target, t, cfg)
-        for sat in _all_addresses(cfg)
-    )
+    snapshot = orbit_state(cfg).unit_positions(t)
+    violation = not bool(np.any(central_angles(snapshot, ground) <= radius))
     return GeoRouteResult(tuple(path), cur, False, fallback, coverage_violation=violation)
-
-
-def _all_addresses(cfg: ConstellationConfig):
-    import itertools
-
-    return itertools.product(range(cfg.n), repeat=cfg.k + 1)

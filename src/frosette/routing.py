@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ConstellationConfig
-from .constellation import SatAddress, Topology, ring_neighbor, validate_address
+from .constellation import SatAddress, Topology, ring_neighbor, sat_id, validate_address
 
 Path = list[SatAddress]
 
@@ -182,14 +182,6 @@ class MultipathResult:
         return self.paths[idx]
 
 
-def _node_id(addr: SatAddress, n: int) -> int:
-    """Mixed-radix id sum(s_j * N^(k-j)): the address's position in ``build``'s nodes."""
-    i = 0
-    for digit in addr:
-        i = i * n + digit
-    return i
-
-
 def _arc_index(topo: Topology) -> list[tuple[int, ...]]:
     """Per satellite x, the in-node ids 2w of its 2(k+1) ring neighbours w, in arc order.
 
@@ -283,9 +275,9 @@ def disjoint_paths(src: SatAddress, dst: SatAddress, topo: Topology) -> Multipat
     n = cfg.n
     active = [j for j in range(cfg.k + 1) if src[j] != dst[j]]
     arcs = _arcs(topo)
-    s, t = _node_id(src, n), _node_id(dst, n)
+    s, t = sat_id(src, n), sat_id(dst, n)
     source, sink = 2 * s + 1, 2 * t
-    allowed = {2 * _node_id(ring_neighbor(src, j, d, n), n) for j in active for d in (1, -1)}
+    allowed = {2 * sat_id(ring_neighbor(src, j, d, n), n) for j in active for d in (1, -1)}
     open_first = [y for y in arcs[s] if y in allowed]  # src's unsaturated arcs
 
     # succ[x]: in-node of x's next hop, -1 when no flow passes x.

@@ -4,6 +4,10 @@ Every delay is computed from satellite geometry at the query instant; the
 oracle runs an exact minimum-delay search over the same snapshot, so the
 stretch column measures only the routing scheme's detour, never modeling
 slack. Ground legs are charged identically to both routes.
+
+A snapshot is one call to the config's ``constellation.OrbitState``; ground
+points enter as inertial vectors (``geom.ground_unit``), and every range,
+coverage test and link delay is ``geom.central_angles`` of the two.
 """
 from __future__ import annotations
 
@@ -15,16 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import (
-    TWO_PI,
-    ConstellationConfig,
-    config_from_dict,
-    config_to_dict,
-    load_json,
+from .config import ConstellationConfig, config_from_dict, config_to_dict, load_json
+from .constellation import (
+    SatAddress, Topology, build, format_address, orbit_state, sat_id, validate_address,
 )
-from .constellation import SatAddress, Topology, build, format_address
 from .errors import ConfigError, ParseError, RangeError
-from .geom import LatLon, central_angles, slant_range_km
+from .geom import LatLon, central_angles, check_finite, ground_unit, link_length_delay, slant_range_km
 from .georouting import _coverage_radius
 from .routing import shortest_path
 
@@ -137,103 +137,38 @@ def load_scenario(path: str) -> Scenario:
 # --- geometry snapshots -----------------------------------------------------
 
 
-class _Field:
-    """Vectorized orbital state for every node of a topology.
+def _links(topo: Topology) -> tuple[np.ndarray, np.ndarray, list]:
+    """(edge_a, edge_b, adjacency) over satellite ids, built on first use and
+    kept on the instance.
 
-    Built once per Topology instance (see :func:`_field`). The integer link
-    index the delay oracle searches is built on first use only, so callers
-    that just associate never pay for it.
+    edge_a/edge_b hold the endpoints of ``topo.edges`` in order; the
+    adjacency lists (neighbor id, edge id) per node in ``neighbors()`` order,
+    so searches over it break ties as searches over addresses do.
     """
-
-    def __init__(self, topo: Topology) -> None:
-        cfg = topo.config
-        self.cfg = cfg
-        n, k = cfg.n, cfg.k
-        addr = np.array(topo.nodes)  # (M, k+1)
-        raan = TWO_PI * addr[:, 0] / n
-        # Phase in units of 2*pi/N^(k+1), reduced exactly in integers.
-        steps = cfg.m * addr[:, 0] * n**k
-        for j in range(1, k + 1):
-            steps = steps + addr[:, j] * n ** (k + 1 - j)
-        phase0 = TWO_PI * (steps % n ** (k + 1)) / n ** (k + 1)
-        self.cp, self.sp = np.cos(phase0), np.sin(phase0)
-        self.ca, self.sa = np.cos(raan), np.sin(raan)
-        self.index = {a: i for i, a in enumerate(topo.nodes)}
-        self._links: tuple[np.ndarray, np.ndarray, list] | None = None
-
-    def unit_positions(self, t, rows=slice(None)) -> np.ndarray:
-        """Inertial unit vectors of the given rows: (M, 3) at a scalar t,
-        (T, R, 3) for times of shape (T, 1) and R rows.
-
-        Each in-plane direction is its fixed phase rotated by the common
-        angle 2*pi*t/T. Adding the angles first would round every satellite
-        at the scale of its phase, which moves a 2*pi/N^3 arc by ~1e-12
-        relative from step to step; the rotation keeps it within ~4e-13.
-        """
-        cfg = self.cfg
-        w = TWO_PI * t / cfg.period_s
-        cw, sw = np.cos(w), np.sin(w)
-        cp, sp = self.cp[rows], self.sp[rows]
-        cu, su = cp * cw - sp * sw, sp * cw + cp * sw
-        cb, sb = math.cos(cfg.inclination_rad), math.sin(cfg.inclination_rad)
-        ca, sa = self.ca[rows], self.sa[rows]
-        return np.stack(
-            [ca * cu - sa * su * cb, sa * cu + ca * su * cb, su * sb], axis=-1
-        )
-
-    def links(self, topo: Topology) -> tuple[np.ndarray, np.ndarray, list]:
-        """(edge_a, edge_b, adjacency) over node indices.
-
-        edge_a/edge_b index the endpoints of ``topo.edges`` in order; the
-        adjacency lists (neighbor index, edge id) per node in ``neighbors()``
-        order, so searches over it break ties as searches over addresses do.
-        """
-        if self._links is None:
-            index = self.index
-            ends = [(index[a], index[b]) for a, b, _layer in topo.edges]
-            edge_id = {pair: e for e, pair in enumerate(ends)}
-            adjacency = topo.adjacency()
-            adj = []
-            for i, addr in enumerate(topo.nodes):
-                row = []
-                for _layer, _direction, nb in adjacency[addr]:
-                    j = index[nb]
-                    e = edge_id.get((i, j))
-                    row.append((j, edge_id[(j, i)] if e is None else e))
-                adj.append(row)
-            edge_a, edge_b = np.array(ends, dtype=np.intp).reshape(-1, 2).T
-            self._links = (edge_a, edge_b, adj)
-        return self._links
+    links = topo.__dict__.get("_sim_links")
+    if links is None:
+        n = topo.config.n
+        ends = [(sat_id(a, n), sat_id(b, n)) for a, b, _layer in topo.edges]
+        edge_id = {pair: e for e, pair in enumerate(ends)}
+        adj = []
+        for i, row in enumerate(topo.adjacency().values()):
+            ids = [sat_id(nb, n) for _layer, _direction, nb in row]
+            adj.append([(j, edge_id.get((i, j), edge_id.get((j, i)))) for j in ids])
+        edge_a, edge_b = np.array(ends, dtype=np.intp).reshape(-1, 2).T
+        links = (edge_a, edge_b, adj)
+        object.__setattr__(topo, "_sim_links", links)  # Topology is frozen
+    return links
 
 
-def _field(topo: Topology) -> _Field:
-    """The topology's snapshot state, built on first use and kept on the instance."""
-    fld = topo.__dict__.get("_sim_field")
-    if fld is None:
-        fld = _Field(topo)
-        object.__setattr__(topo, "_sim_field", fld)  # Topology is frozen
-    return fld
+def _link_delays(a: np.ndarray, b: np.ndarray, cfg: ConstellationConfig) -> np.ndarray:
+    """One-way delays of the links between unit vectors a and b."""
+    return link_length_delay(central_angles(a, b), cfg.altitude_km, cfg.consts)[1]
 
 
-def _ground_unit(p: LatLon, t: float, cfg: ConstellationConfig) -> np.ndarray:
-    """Inertial unit vector of a ground point (earth-fixed frame rotates)."""
-    lon_inertial = p.lon_rad + cfg.omega_earth_rad_s * t
-    cl = math.cos(p.lat_rad)
-    return np.array(
-        [cl * math.cos(lon_inertial), cl * math.sin(lon_inertial), math.sin(p.lat_rad)]
-    )
-
-
-def _link_delay_s(r: np.ndarray, cfg: ConstellationConfig) -> np.ndarray:
-    """One-way chord delay of links spanning central angles r (``link_length_delay``)."""
-    rs = cfg.consts.earth_radius_km + cfg.altitude_km
-    return 2.0 * rs * np.sin(r / 2.0) / cfg.consts.light_speed_km_s
-
-
-def _edge_delays(fld: _Field, pos: np.ndarray, topo: Topology) -> list[float]:
+def _edge_delays(topo: Topology, pos: np.ndarray) -> list[float]:
     """Per-edge one-way delay at one snapshot, in ``topo.edges`` order."""
-    edge_a, edge_b, _adj = fld.links(topo)
-    return _link_delay_s(central_angles(pos[edge_a], pos[edge_b]), fld.cfg).tolist()
+    edge_a, edge_b, _adj = _links(topo)
+    return _link_delays(pos[edge_a], pos[edge_b], topo.config).tolist()
 
 
 def _ground_leg_delay(r: float, cfg: ConstellationConfig) -> float:
@@ -244,7 +179,7 @@ def _ground_leg_delay(r: float, cfg: ConstellationConfig) -> float:
 def _path_delay(pos: np.ndarray, rows: list[int], cfg: ConstellationConfig) -> float:
     if len(rows) < 2:
         return 0.0
-    hops = _link_delay_s(central_angles(pos[rows[:-1]], pos[rows[1:]]), cfg)
+    hops = _link_delays(pos[rows[:-1]], pos[rows[1:]], cfg)
     total = 0.0
     for d in hops.tolist():  # in path order, as the oracle accumulates
         total += d
@@ -287,9 +222,18 @@ def _step_times(start: float, end: float, step: float) -> list[float]:
     return [start + i * step for i in range(steps)]
 
 
+def _ids(addrs: list[SatAddress], cfg: ConstellationConfig) -> list[int]:
+    """Satellite ids of addresses, each validated first."""
+    for a in addrs:
+        validate_address(a, cfg)
+    return [sat_id(a, cfg.n) for a in addrs]
+
+
 def associate(p: LatLon, t: float, topo: Topology) -> SatAddress:
     """Physically nearest satellite; ties break to the smallest address."""
-    dots = _field(topo).unit_positions(t) @ _ground_unit(p, t, topo.config)
+    check_finite(p.lat_rad, p.lon_rad, t)
+    cfg = topo.config
+    dots = orbit_state(cfg).unit_positions(t) @ ground_unit(p, t, cfg)
     return topo.nodes[int(np.argmax(dots))]
 
 
@@ -297,19 +241,20 @@ def delay_oracle(
     topo: Topology, t: float, src: SatAddress, dst: SatAddress
 ) -> tuple[list[SatAddress], float]:
     """Exact minimum-propagation-delay satellite path at the time-t snapshot."""
+    check_finite(t)  # NaN delays would leave dst unreached
     if src == dst:
         return [src], 0.0
-    fld = _field(topo)
-    delays = _edge_delays(fld, fld.unit_positions(t), topo)
-    _edge_a, _edge_b, adj = fld.links(topo)
-    path, delay = _min_delay_path(adj, delays, fld.index[src], fld.index[dst])
+    delays = _edge_delays(topo, orbit_state(topo.config).unit_positions(t))
+    _edge_a, _edge_b, adj = _links(topo)
+    path, delay = _min_delay_path(adj, delays, *_ids([src, dst], topo.config))
     return [topo.nodes[i] for i in path], delay
 
 
 def path_delay(path: list[SatAddress], t: float, topo: Topology) -> float:
     """In-space propagation delay of a node sequence at the time-t snapshot."""
-    fld = _field(topo)
-    return _path_delay(fld.unit_positions(t), [fld.index[a] for a in path], topo.config)
+    check_finite(t)
+    cfg = topo.config
+    return _path_delay(orbit_state(cfg).unit_positions(t), _ids(path, cfg), cfg)
 
 
 def link_delay_trace(
@@ -325,13 +270,13 @@ def link_delay_trace(
     if not topo.has_edge(a, b):
         raise RangeError(f"{a} -- {b} is not a topology edge")
     start, end, step = window
+    check_finite(start, end, step)
     if step <= 0 or end < start:
         raise ConfigError("window must be non-empty with positive step")
-    fld = _field(topo)
+    cfg = topo.config
     times = _step_times(start, end, step)
-    pos = fld.unit_positions(np.array(times)[:, None], [fld.index[a], fld.index[b]])
-    delays = _link_delay_s(central_angles(pos[:, 0], pos[:, 1]), topo.config)
-    return list(zip(times, delays.tolist()))
+    pos = orbit_state(cfg).unit_positions(np.array(times)[:, None], _ids([a, b], cfg))
+    return list(zip(times, _link_delays(pos[:, 0], pos[:, 1], cfg).tolist()))
 
 
 # --- the experiment loop ----------------------------------------------------
@@ -345,22 +290,19 @@ def run(scenario: Scenario) -> tuple[list[TraceRecord], dict]:
     """
     cfg = scenario.config
     topo = build(cfg)
-    fld = _field(topo)
-    _edge_a, _edge_b, adj = fld.links(topo)
+    state = orbit_state(cfg)
+    _edge_a, _edge_b, adj = _links(topo)
     radius = _coverage_radius(cfg)
-    edge_count = len(topo.edges)
     records: list[TraceRecord] = []
     last_pair: dict[str, tuple[SatAddress, SatAddress]] = {}
 
     for t in _step_times(scenario.start_s, scenario.end_s, scenario.step_s):
-        if len(topo.edges) != edge_count:
-            raise AssertionError("topology changed mid-simulation")
-        pos = fld.unit_positions(t)
-        delays = _edge_delays(fld, pos, topo)
+        pos = state.unit_positions(t)
+        delays = _edge_delays(topo, pos)
         for src_name, dst_name in scenario.experiments:
             exp = f"{src_name}->{dst_name}"
-            src_g = _ground_unit(scenario.endpoints[src_name], t, cfg)
-            dst_g = _ground_unit(scenario.endpoints[dst_name], t, cfg)
+            src_g = ground_unit(scenario.endpoints[src_name], t, cfg)
+            dst_g = ground_unit(scenario.endpoints[dst_name], t, cfg)
             si, di = int(np.argmax(pos @ src_g)), int(np.argmax(pos @ dst_g))
             src_sat, dst_sat = topo.nodes[si], topo.nodes[di]
             src_r, dst_r = central_angles(pos[[si, di]], np.stack([src_g, dst_g])).tolist()
@@ -368,7 +310,7 @@ def run(scenario: Scenario) -> tuple[list[TraceRecord], dict]:
 
             fro_path = shortest_path(src_sat, dst_sat, topo)
             legs = _ground_leg_delay(src_r, cfg) + _ground_leg_delay(dst_r, cfg)
-            fro_delay = legs + _path_delay(pos, [fld.index[a] for a in fro_path], cfg)
+            fro_delay = legs + _path_delay(pos, [sat_id(a, cfg.n) for a in fro_path], cfg)
             oracle_path, oracle_space = _min_delay_path(adj, delays, si, di)
             oracle_delay = legs + oracle_space
 

@@ -16,6 +16,7 @@ import numpy as np
 from .addressing import GroundAddress, bit_widths, decode, encode
 from .config import TWO_PI, ConstellationConfig
 from .constellation import (
+    address_to_elements,
     build,
     ground_to_space_rtt,
     min_altitude_coverage,
@@ -156,8 +157,6 @@ def check_link_closed_form() -> tuple[bool, str]:
     for _ in range(200):
         i, j = rng.sample(range(cfg.n), 2)
         t = rng.uniform(0, cfg.rho * cfg.period_s)
-        from .constellation import address_to_elements
-
         pi = sat_position_eci(address_to_elements((i,), cfg), t)
         pj = sat_position_eci(address_to_elements((j,), cfg), t)
         cross = np.cross(pi, pj)
@@ -170,8 +169,6 @@ def check_link_closed_form() -> tuple[bool, str]:
 
 def check_subpoint_repeat() -> tuple[bool, str]:
     cfg = _demo(8, 6, 1, 70.0, 1200.0)
-    from .constellation import address_to_elements
-
     el = address_to_elements((3, 5), cfg)
     worst = 0.0
     for frac in (0.0, 0.13, 0.4, 0.77):

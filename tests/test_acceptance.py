@@ -13,6 +13,7 @@ from collections import deque
 from random import Random
 
 import networkx as nx
+import pytest
 
 from conftest import make_config
 from frosette.constellation import (
@@ -308,6 +309,28 @@ def test_criterion_08_geo_delivery():
         f"10000/10000 delivered, zero loops, worst {worst} hops <= {bound} "
         f"({fallbacks} needed the fallback sweep)",
     )
+
+
+@pytest.mark.parametrize("k, triples", [(2, 1000), (3, 300)])
+def test_criterion_08_invariants_at_paper_depth(k, triples):
+    """Criterion 8's invariants at 4,096 and 65,536 satellites."""
+    cfg = make_config(16, 8, k, altitude_km=1100.0, elev_deg=0.0)
+    topo, tables = build(cfg), build_alpha0_tables(cfg)
+    bound = (k + 1) * (cfg.n // 2) + (k + 1) * (cfg.n - 1)
+    rng = Random(808 + k)
+
+    def sphere_point():
+        return LatLon(math.asin(2.0 * rng.random() - 1.0), rng.uniform(-math.pi, math.pi))
+
+    for _ in range(triples):
+        src_p, dst_p = sphere_point(), sphere_point()
+        t = rng.uniform(0.0, cfg.period_s)
+        res = geo_route(associate(src_p, t, topo), locate_point(dst_p, cfg), t, cfg, tables)
+        assert res.delivered, f"{src_p}->{dst_p} at t={t:.1f}: not delivered"
+        assert not res.coverage_violation
+        assert len(set(res.path)) == len(res.path), "routing loop"
+        assert res.hops <= bound, f"{res.hops} hops > bound {bound}"
+        assert len(path_hops(res.path, cfg)) == res.hops  # raises on a non-ring hop
 
 
 # --- 9. delay stretch over one period ----------------------------------------------

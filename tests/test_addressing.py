@@ -21,6 +21,7 @@ from frosette.addressing import (
     parse_sat_address,
     to_colon_hex,
 )
+from frosette.constellation import format_address
 from frosette.errors import LayoutError, ParseError, RangeError
 from frosette.geocell import CellId, capacity
 from conftest import make_config
@@ -58,6 +59,7 @@ def test_bit_widths_overflow():
 
 def test_sat_address_text_round_trip():
     assert format_sat_address((0, 13)) == "0.13"
+    assert format_sat_address is format_address  # one formatter
     assert parse_sat_address("0.13", CFG) == (0, 13)
     with pytest.raises(ParseError):
         parse_sat_address("0..3", CFG)

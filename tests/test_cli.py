@@ -11,6 +11,7 @@ import math
 
 import pytest
 
+from frosette import constellation, geocell
 from frosette.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, _emit, _stream_topology, main
 from frosette.config import config_to_dict
 from frosette.constellation import build, format_address, topology_to_dict
@@ -104,6 +105,23 @@ def test_generate_files(tmp_path, capsys):
 def test_generate_missing_config(tmp_path, capsys):
     assert main(["generate", "--config", str(tmp_path / "nope.json")]) == EXIT_USAGE
     assert _json_err(capsys)["error"] == "io"
+
+
+def test_generate_refuses_oversized_config(tmp_path, capsys, monkeypatch):
+    # 64^4 satellites is over the size limit; with the enumeration stubbed
+    # out, a missing guard fails the test instead of allocating.
+    monkeypatch.setattr(constellation, "itertools", None)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(dict(ROUTING_CONFIG, n=64, m=1, k=3)), encoding="utf-8")
+    assert main(["generate", "--config", str(path)]) == EXIT_DOMAIN
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert json.loads(out.err)["error"] == "DomainError"
+    # --to-location builds only the alpha0 tables (about N^(k+1)/2 rows)
+    monkeypatch.setattr(geocell, "np", None)
+    argv = ["cells", "--config", str(path), "--to-location", "0,0/0,0/0,0/0,0"]
+    assert main(argv) == EXIT_DOMAIN
+    assert json.loads(capsys.readouterr().err)["error"] == "DomainError"
 
 
 def _stream_topology_per_item(topo, fh) -> None:
@@ -217,6 +235,30 @@ def test_route_geo(tmp_path, capsys):
     assert "/" in doc["dst_cell"]
     assert doc["terminal"] == doc["path"][-1]
     assert doc["path"][0] == doc["serving"]
+
+
+GEO_FLAGS = {"--from-lat": "10.0", "--from-lon": "20.0", "--to-lat": "-30.0",
+             "--to-lon": "150.0", "--time": "60"}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("flag", [*GEO_FLAGS, "--locate LAT", "--locate LON"])
+def test_non_finite_coordinates_exit_1(flag, value, tmp_path, capsys):
+    if flag.startswith("--locate"):
+        path = tmp_path / "cells.json"
+        path.write_text(json.dumps(CELLS_CONFIG), encoding="utf-8")
+        coords = [value, "10"] if flag.endswith("LAT") else ["10", value]
+        argv = ["cells", "--config", str(path), "--locate", *coords]
+    else:
+        path = tmp_path / "geo.json"
+        path.write_text(json.dumps(GEO_CONFIG), encoding="utf-8")
+        argv = ["route", "--config", str(path), "--geo"]
+        for name, default in GEO_FLAGS.items():
+            argv += [name, value if name == flag else default]
+    assert main(argv) == EXIT_USAGE
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert json.loads(out.err)["error"] == "RangeError"
 
 
 def test_route_geo_missing_coords(cfg_path, capsys):

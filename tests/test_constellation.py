@@ -3,24 +3,30 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 
+from frosette import constellation
 from frosette.config import TWO_PI, config_from_dict, config_to_dict
 from frosette.constellation import (
+    MAX_SATELLITES,
+    OrbitState,
     build,
     format_address,
     ground_to_space_rtt,
     min_altitude_coverage,
     min_altitude_stability,
     neighbors,
+    orbit_state,
     ring_neighbor,
+    sat_id,
     stability_report,
     address_to_elements,
     topology_to_dict,
     topology_to_json,
     validate_address,
 )
-from frosette.errors import ConfigError, RangeError
+from frosette.errors import ConfigError, DomainError, RangeError
 from frosette.geom import great_circle_range, sat_position_eci
 from conftest import make_config
 
@@ -87,6 +93,39 @@ def test_address_to_elements_formula():
     el3 = address_to_elements((1, 2, 3), cfg3)
     want = TWO_PI * (1 * 1 / 4 + 2 / 4 + 3 / 16) % TWO_PI
     assert el3.phase0_rad == pytest.approx(want)
+
+
+@pytest.mark.parametrize("n,m,k", [(8, 6, 1), (7, 3, 2), (5, 4, 3)])
+def test_orbit_state_shares_the_address_phase(n, m, k):
+    # one phase formula: the state's arrays are the cos/sin of the very
+    # angles address_to_elements returns, row sat_id(addr) for each address
+    cfg = make_config(n, m, k)
+    topo, state = build(cfg), orbit_state(cfg)
+    assert orbit_state(cfg) is state
+    assert [sat_id(a, n) for a in topo.nodes] == list(range(cfg.n_sats))
+    for addr in topo.nodes:
+        el, i = address_to_elements(addr, cfg), sat_id(addr, n)
+        assert 0.0 <= el.phase0_rad < TWO_PI
+        assert state.cp[i] == np.cos(el.phase0_rad) and state.sp[i] == np.sin(el.phase0_rad)
+        assert state.ca[i] == np.cos(el.raan_rad) and state.sa[i] == np.sin(el.raan_rad)
+    assert state.unit_positions(123.0).shape == (cfg.n_sats, 3)
+    assert state.unit_positions(np.array([[0.0], [1.0]]), [0, 1, 2]).shape == (2, 3, 3)
+
+
+def test_size_guard_refuses_before_allocating(monkeypatch):
+    # 64^4 = 16,777,216 satellites: the size is only computed. With the
+    # enumeration and numpy stubbed out, a guard that let the config through
+    # would fail here instead of allocating.
+    cfg = make_config(64, 1, 3)
+    assert cfg.n_sats > MAX_SATELLITES >= 64 * 65_536
+    monkeypatch.setattr(constellation, "itertools", None)
+    monkeypatch.setattr(constellation, "np", None)
+    with pytest.raises(DomainError, match="16777216"):
+        build(cfg)
+    with pytest.raises(DomainError):
+        OrbitState(cfg)
+    with pytest.raises(DomainError):
+        orbit_state(cfg)
 
 
 def test_layer_edges_differ_in_one_digit():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from frosette.config import DEFAULT_CONSTANTS, TWO_PI
-from frosette.constellation import address_to_elements
+from frosette.constellation import address_to_elements, orbit_state, sat_id
 from frosette.errors import DomainError, InfeasibleError
 from frosette.geom import (
     LatLon,
@@ -24,7 +24,6 @@ from frosette.geom import (
     link_range_closed_form,
     min_satellites,
     sat_position_eci,
-    sat_positions_eci,
     slant_range_km,
     subpoint,
     subpoint_lons,
@@ -124,7 +123,7 @@ def test_array_positions_match_scalar(addr, cfg):
         np.linspace(-el.period_s, 3.0 * el.period_s, 997),
         [0.0, el.period_s / 4.0, 1e7 + 0.123],
     ])
-    got = sat_positions_eci(el, times)
+    got = orbit_state(cfg).unit_positions(times[:, None], [sat_id(addr, cfg.n)])[:, 0]
     want = np.array([sat_position_eci(el, float(t)) for t in times])
     assert got.shape == (len(times), 3)
     assert np.max(np.abs(got - want)) <= 1e-15

@@ -4,17 +4,26 @@ The machinery rests on one physical fact — every ring hop shifts the ground
 coordinate by a time-independent delta — so that constancy is tested against
 first-principles sub-points before anything about delivery.
 """
+import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from frosette.config import TWO_PI
-from frosette.constellation import address_to_elements
+from frosette.constellation import address_to_elements, build, ring_neighbor, validate_address
 from frosette.errors import RangeError
-from frosette.geocell import locate_point
+from frosette.geocell import (
+    GeoCoord,
+    build_alpha0_tables,
+    cell_center,
+    geocoord_to_latlon,
+    locate_point,
+)
 from frosette.geom import (
     LatLon,
+    OrbitalElements,
     coverage_range,
     great_circle_range,
     subpoint,
@@ -23,6 +32,7 @@ from frosette.geom import (
 )
 from frosette.georouting import (
     GeoRouteResult,
+    _coverage_radius,
     coverage_check,
     geo_route,
     measure_hop_motions,
@@ -128,3 +138,173 @@ def test_geo_route_coverage_violation():
     assert not res.delivered
     assert res.coverage_violation
     assert isinstance(res, GeoRouteResult)
+
+
+# --- the former scalar implementation, kept verbatim as an exact oracle -------------
+#
+# geo_route and its helpers as they were before positions came from the orbit
+# state: per-hop sub-points from a float-summed phase, np.cross ranges, and a
+# scalar coverage scan over every address. Only the names are prefixed, and
+# great_circle_range has its `_as_unit` helper inlined.
+
+
+def _old_address_to_elements(addr, cfg):
+    validate_address(addr, cfg)
+    n = cfg.n
+    raan = TWO_PI * addr[0] / n
+    phase = TWO_PI * cfg.m * addr[0] / n
+    for j in range(1, cfg.k + 1):
+        phase += TWO_PI * addr[j] / n**j
+    return OrbitalElements(
+        raan_rad=raan,
+        inclination_rad=cfg.inclination_rad,
+        phase0_rad=phase % TWO_PI,
+        period_s=cfg.period_s,
+        orbit_radius_km=cfg.orbit_radius_km,
+    )
+
+
+def _old_sat_position_eci(elements, t):
+    u = TWO_PI * t / elements.period_s + elements.phase0_rad
+    cu, su = math.cos(u), math.sin(u)
+    cb, sb = math.cos(elements.inclination_rad), math.sin(elements.inclination_rad)
+    x_orb = cu
+    y_orb = su * cb
+    z = su * sb
+    ca, sa = math.cos(elements.raan_rad), math.sin(elements.raan_rad)
+    return np.array([ca * x_orb - sa * y_orb, sa * x_orb + ca * y_orb, z])
+
+
+def _old_subpoint(elements, t, consts):
+    p = _old_sat_position_eci(elements, t)
+    theta = TWO_PI * t / consts.sidereal_day_s
+    lat = math.asin(max(-1.0, min(1.0, p[2])))
+    if abs(p[0]) < 1e-15 and abs(p[1]) < 1e-15:
+        return LatLon(lat, 0.0)  # pole: longitude undefined, 0 by convention
+    lon = math.atan2(p[1], p[0]) - theta
+    return LatLon(lat, wrap_lon(lon))
+
+
+def _old_great_circle_range(a, b):
+    va = a.unit_vector() if isinstance(a, LatLon) else np.asarray(a, dtype=float)
+    vb = b.unit_vector() if isinstance(b, LatLon) else np.asarray(b, dtype=float)
+    cross = np.cross(va, vb)
+    return math.atan2(float(np.linalg.norm(cross)), float(np.dot(va, vb)))
+
+
+def _old_serving_coord(addr, t, cfg):
+    validate_address(addr, cfg)
+    el = _old_address_to_elements(addr, cfg)
+    alpha = wrap_angle(el.raan_rad - cfg.omega_earth_rad_s * t)
+    gamma = wrap_angle(el.phase0_rad + TWO_PI * t / cfg.period_s)
+    return GeoCoord(alpha, gamma)
+
+
+def _old_coverage_check(sat, target, t, cfg):
+    el = _old_address_to_elements(sat, cfg)
+    return _old_great_circle_range(_old_subpoint(el, t, cfg.consts), target) <= _coverage_radius(cfg)
+
+
+def _old_ring_distance_to(sat, target, t, cfg):
+    return _old_great_circle_range(
+        _old_subpoint(_old_address_to_elements(sat, cfg), t, cfg.consts), target
+    )
+
+
+def _old_geo_route(src_serving, dst_cell, t, cfg, tables):
+    validate_address(src_serving, cfg)
+    center = cell_center(dst_cell, tables)
+    target = geocoord_to_latlon(center, cfg)
+    cur = src_serving
+    path = [cur]
+
+    def covered() -> bool:
+        return _old_coverage_check(cur, target, t, cfg)
+
+    if covered():
+        return GeoRouteResult(tuple(path), cur, True, 0)
+
+    # Phase 1: inter-orbit alpha alignment.
+    here = _old_serving_coord(cur, t, cfg)
+    gap = wrap_angle(center.alpha_rad - here.alpha_rad)
+    direction, span = (1, gap) if gap < math.pi else (-1, TWO_PI - gap)
+    steps = min(round(span / (TWO_PI / cfg.n)), cfg.n // 2)
+    for _ in range(steps):
+        cur = ring_neighbor(cur, 0, direction, cfg.n)
+        path.append(cur)
+        if covered():
+            return GeoRouteResult(tuple(path), cur, True, 0)
+
+    # Phase 2: intra-orbit gamma alignment, finest achievable step per layer.
+    for layer in range(1, cfg.k + 1):
+        here = _old_serving_coord(cur, t, cfg)
+        gap = wrap_angle(center.gamma_rad - here.gamma_rad)
+        direction, span = (1, gap) if gap < math.pi else (-1, TWO_PI - gap)
+        pitch = TWO_PI / cfg.n**layer
+        steps = round(span / pitch) % cfg.n
+        if steps > cfg.n / 2:
+            steps = cfg.n - steps
+            direction = -direction
+        for _ in range(steps):
+            cur = ring_neighbor(cur, layer, direction, cfg.n)
+            path.append(cur)
+            if covered():
+                return GeoRouteResult(tuple(path), cur, True, 0)
+
+    # Fallback: greedy descent on true sub-point distance, one sweep.
+    fallback = 0
+    for layer in range(cfg.k, -1, -1):
+        best = _old_ring_distance_to(cur, target, t, cfg)
+        for _ in range(cfg.n - 1):
+            candidates = [
+                (
+                    _old_ring_distance_to(nb, target, t, cfg),
+                    direction,
+                    nb,
+                )
+                for direction in (1, -1)
+                for nb in (ring_neighbor(cur, layer, direction, cfg.n),)
+            ]
+            dist, _, nb = min(candidates)
+            if dist >= best:
+                break
+            best, cur = dist, nb
+            path.append(cur)
+            fallback += 1
+            if covered():
+                return GeoRouteResult(tuple(path), cur, True, fallback)
+
+    violation = not any(
+        _old_coverage_check(sat, target, t, cfg)
+        for sat in _old_all_addresses(cfg)
+    )
+    return GeoRouteResult(tuple(path), cur, False, fallback, coverage_violation=violation)
+
+
+def _old_all_addresses(cfg):
+    return itertools.product(range(cfg.n), repeat=cfg.k + 1)
+
+
+# Partial coverage (10 degree mask) so that walks, fallback sweeps,
+# undelivered routes and (at k=1) coverage violations all occur.
+@pytest.mark.parametrize("cfg", [
+    make_config(8, 4, 1, altitude_km=1100.0, elev_deg=10.0),
+    make_config(8, 4, 2, incl_deg=60.0, altitude_km=1100.0, elev_deg=10.0),
+], ids=["k1", "k2"])
+def test_geo_route_equals_former_scalar_route(cfg):
+    topo, tables = build(cfg), build_alpha0_tables(cfg)
+    rng = random.Random(7)
+    kinds = set()
+    for i in range(2000):
+        src_p = LatLon(math.asin(2 * rng.random() - 1), rng.uniform(-math.pi, math.pi))
+        dst_p = LatLon(math.asin(2 * rng.random() - 1), rng.uniform(-math.pi, math.pi))
+        t = rng.uniform(0.0, cfg.rho * cfg.period_s)
+        if i % 2:
+            serving = tuple(rng.randrange(cfg.n) for _ in range(cfg.k + 1))
+        else:
+            serving = associate(src_p, t, topo)
+        cell = locate_point(dst_p, cfg, tables)
+        got = geo_route(serving, cell, t, cfg, tables)
+        assert got == _old_geo_route(serving, cell, t, cfg, tables)
+        kinds.add((got.delivered, got.fallback_hops > 0, got.coverage_violation))
+    assert {(True, False, False), (True, True, False), (False, True, False)} <= kinds

@@ -18,7 +18,7 @@ from frosette.geom import (
     slant_range_km,
     subpoint,
 )
-from frosette.georouting import coverage_check
+from frosette.georouting import coverage_check, serving_coord
 from frosette.routing import shortest_path
 from frosette.sim import (
     Scenario,
@@ -143,6 +143,32 @@ def test_associate_matches_brute_force(topo_8_1, cfg_8_1):
             ),
         )
         assert got == best
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_inputs_raise(topo_8_1, bad, monkeypatch):
+    # With NaN delays Dijkstra never reaches dst and the walk back from it
+    # never ends; the stub fails the test instead of hanging it.
+    import frosette.sim as sim_module
+
+    def unreachable(*args):
+        raise AssertionError("search ran on a non-finite time")
+
+    monkeypatch.setattr(sim_module, "_min_delay_path", unreachable)
+    with pytest.raises(RangeError):
+        delay_oracle(topo_8_1, bad, (0, 0), (3, 3))
+    with pytest.raises(RangeError):
+        path_delay([(0, 0), (1, 0)], bad, topo_8_1)
+    with pytest.raises(RangeError):
+        associate(LatLon(bad, 0.0), 0.0, topo_8_1)
+    with pytest.raises(RangeError):
+        associate(LatLon(0.0, 0.0), bad, topo_8_1)
+    with pytest.raises(RangeError):
+        link_delay_trace(((0, 0), (0, 1)), (0.0, bad, 10.0), topo_8_1)
+    with pytest.raises(RangeError):
+        coverage_check((0, 0), LatLon(0.0, 0.0), bad, topo_8_1.config)
+    with pytest.raises(RangeError):
+        serving_coord((0, 0), bad, topo_8_1.config)
 
 
 # --- delay oracle ---------------------------------------------------------------------
