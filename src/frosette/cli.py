@@ -9,6 +9,7 @@ inconsistent configurations) and for a failed `verify` run.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -16,7 +17,7 @@ import sys
 from . import verify as verify_checks
 from .addressing import format_cell_id, parse_cell_id, parse_sat_address
 from .config import config_to_dict, load_config
-from .constellation import build, format_address, topology_to_dict
+from .constellation import build, format_address, ring_table
 from .errors import DomainError, FrosetteError, ParseError, RangeError
 from .geocell import (
     build_alpha0_tables,
@@ -58,27 +59,31 @@ def _emit(doc: dict) -> None:
     sys.stdout.write(text + "\n")
 
 
-_EDGE_CHUNK = 8192
+_ROW_CHUNK = 2048
 
 
 def _stream_topology(topo, fh) -> None:
     """Topology JSON written in chunks, never materialized as one string.
 
-    Each address is rendered once; edges are written about 8k at a time.
+    Each address is rendered once, into a list indexed by satellite id; edges
+    are read off ``ring_table`` 2,048 satellites at a time.
     """
-    name = {node: json.dumps(format_address(node)) for node in topo.nodes}
+    cfg = topo.config
+    addrs = itertools.product(range(cfg.n), repeat=cfg.k + 1)
+    name = [json.dumps(format_address(a)) for a in addrs]
+    up = ring_table(cfg)[0][:, 0::2]
     fh.write('{"config": ')
-    json.dump(config_to_dict(topo.config), fh)
+    json.dump(config_to_dict(cfg), fh)
     fh.write(', "nodes": [')
-    fh.write(", ".join(name.values()))
+    fh.write(", ".join(name))
     fh.write('], "edges": [')
-    edges = topo.edges
-    for start in range(0, len(edges), _EDGE_CHUNK):
+    for start in range(0, len(up), _ROW_CHUNK):
         if start:
             fh.write(", ")
         fh.write(", ".join([
-            f"[{name[a]}, {name[b]}, {layer}]"
-            for a, b, layer in edges[start:start + _EDGE_CHUNK]
+            f"[{name[i]}, {name[j]}, {layer}]"
+            for i, row in enumerate(up[start:start + _ROW_CHUNK].tolist(), start)
+            for layer, j in enumerate(row)
         ]))
     fh.write("]}\n")
 
@@ -93,8 +98,8 @@ def _cmd_generate(args) -> int:
         with open(args.output, "w", encoding="utf-8") as fh:
             _stream_topology(topo, fh)
         summary = {
-            "nodes": len(topo.nodes),
-            "edges": len(topo.edges),
+            "nodes": cfg.n_sats,
+            "edges": (cfg.k + 1) * cfg.n_sats,
             "output": args.output,
         }
         if args.tables:

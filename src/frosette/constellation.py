@@ -48,16 +48,60 @@ def validate_address(addr: SatAddress, cfg: ConstellationConfig) -> None:
             raise RangeError(f"digit {digit} out of range [0, {cfg.n}) in {addr}")
 
 
+def ring_table(cfg: ConstellationConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(nbr, edge): the ring links of every satellite id, as read-only (M, 2(k+1)) arrays.
+
+    ``nbr[i]`` holds i's neighbours in ``neighbors()`` order (layers ascending,
+    +1 before -1); ``edge[i]`` the matching edge ids, where edge i*(k+1)+L,
+    entry i*(k+1)+L of ``Topology.edges``, joins i to its +1 neighbour on layer L.
+    Built once per (N, k), which is all it depends on, and shared by every
+    config with those two.
+    """
+    check_size(cfg)
+    return _ring_table(cfg.n, cfg.k)
+
+
+@functools.lru_cache(maxsize=8)
+def _ring_table(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    ids, layer, width = np.arange(n ** (k + 1))[:, None], np.arange(k + 1), k + 1
+    stride = n ** (k - layer)
+    digit, wrap = ids // stride % n, (1 - n) * stride
+    up = ids + np.where(digit == n - 1, wrap, stride)
+    down = ids - np.where(digit == 0, wrap, stride)
+    nbr = np.stack([up, down], axis=2).reshape(-1, 2 * width)
+    edge = np.stack([ids * width + layer, down * width + layer], axis=2).reshape(-1, 2 * width)
+    nbr.flags.writeable = edge.flags.writeable = False
+    return nbr, edge
+
+
 @dataclass(frozen=True)
 class Topology:
-    """Immutable digit-ring topology of an F-Rosette_k."""
+    """Immutable digit-ring topology of an F-Rosette_k; ``nodes`` and ``edges``
+    are built on first use, ``edges[e]`` being the link with :func:`ring_table`
+    edge id e, (a, b, layer) with b the +1 neighbour of a."""
 
     config: ConstellationConfig
-    nodes: tuple[SatAddress, ...]
-    edges: tuple[tuple[SatAddress, SatAddress, int], ...]
 
-    def adjacency(self) -> dict[SatAddress, list[tuple[int, int, SatAddress]]]:
-        """node -> [(layer, direction, neighbor)], layers ascending, +1 first."""
+    @functools.cached_property
+    def nodes(self) -> tuple[SatAddress, ...]:
+        return tuple(itertools.product(range(self.config.n), repeat=self.config.k + 1))
+
+    @functools.cached_property
+    def edges(self) -> tuple[tuple[SatAddress, SatAddress, int], ...]:
+        nodes, up = self.nodes, ring_table(self.config)[0][:, 0::2].tolist()
+        return tuple([(a, nodes[b], layer) for a, row in zip(nodes, up)
+                      for layer, b in enumerate(row)])
+
+    @functools.cached_property
+    def _id_adjacency(self) -> list[list[tuple[int, int]]]:
+        nbr, edge = ring_table(self.config)
+        return [list(zip(a, e)) for a, e in zip(nbr.tolist(), edge.tolist())]
+
+    def adjacency(self, ids: bool = False):
+        """node -> [(layer, direction, neighbor)], layers ascending, +1 first; with
+        ids=True, per satellite id [(neighbor id, edge id)] from :func:`ring_table`."""
+        if ids:
+            return self._id_adjacency
         return {addr: neighbors(addr, self.config) for addr in self.nodes}
 
     def has_edge(self, a: SatAddress, b: SatAddress) -> bool:
@@ -65,24 +109,9 @@ class Topology:
 
 
 def build(cfg: ConstellationConfig) -> Topology:
-    """Construct the N^(k+1)-node, (k+1)-ring-per-node topology.
-
-    Node order is lexicographic over digits; each undirected edge appears once,
-    emitted from its lower endpoint in the +1 direction of its layer. Node i
-    has the mixed-radix digits of i, so its layer-j neighbour is node i + s
-    (i + s - N*s where digit j wraps from N-1 to 0), with stride s = N^(k-j);
-    edges hold the very tuples in ``nodes``.
-    """
+    """The N^(k+1)-node, (k+1)-ring-per-node topology of a config."""
     check_size(cfg)
-    n, k = cfg.n, cfg.k
-    nodes = tuple(itertools.product(range(n), repeat=k + 1))
-    strides = [(layer, n ** (k - layer)) for layer in range(k + 1)]
-    edges = [
-        (addr, nodes[i + s if addr[layer] < n - 1 else i + s - n * s], layer)
-        for i, addr in enumerate(nodes)
-        for layer, s in strides
-    ]
-    return Topology(config=cfg, nodes=nodes, edges=tuple(edges))
+    return Topology(cfg)
 
 
 def ring_neighbor(addr: SatAddress, layer: int, direction: int, n: int) -> SatAddress:
@@ -130,8 +159,8 @@ def address_to_elements(addr: SatAddress, cfg: ConstellationConfig) -> OrbitalEl
 
 
 class OrbitState:
-    """Every satellite's orbit as cos/sin arrays of its epoch phase and RAAN,
-    indexed by :func:`sat_id`; built from the config alone."""
+    """Every satellite's orbit as read-only cos/sin arrays of its epoch phase
+    and RAAN, indexed by :func:`sat_id`; built from the config alone."""
 
     def __init__(self, cfg: ConstellationConfig) -> None:
         check_size(cfg)
@@ -139,6 +168,8 @@ class OrbitState:
         self.cfg = cfg
         self.cp, self.sp = np.cos(phase), np.sin(phase)
         self.ca, self.sa = np.cos(raan), np.sin(raan)
+        for a in (self.cp, self.sp, self.ca, self.sa):
+            a.flags.writeable = False  # shared by every caller of orbit_state
 
     def unit_positions(self, t, rows=slice(None)) -> np.ndarray:
         """Inertial unit vectors of the given rows: (R, 3) at a scalar t,

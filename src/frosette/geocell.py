@@ -34,7 +34,7 @@ import numpy as np
 from .config import TWO_PI, ConstellationConfig
 from .constellation import address_to_elements, check_size
 from .errors import ConfigError, ParseError, RangeError
-from .geom import LatLon, check_finite, subpoint_lons, wrap_angle, wrap_lon
+from .geom import LatLon, check_latlon, subpoint_lons, wrap_angle, wrap_lon
 
 ALPHA0_BISECT_TOL_RAD = 1e-10
 FRA0_MAGIC = b"FRA0"
@@ -456,7 +456,7 @@ def locate_point(
     The tables argument is accepted for call-site symmetry but the quantizer
     needs only the lattice arithmetic.
     """
-    check_finite(p.lat_rad, p.lon_rad)
+    check_latlon(p)
     _require_lattice(cfg)
     rho, n, k = cfg.rho, cfg.n, cfg.k
     span = n**k

@@ -72,6 +72,13 @@ def check_finite(*values: float) -> None:
         raise RangeError(f"coordinates and times must be finite, got {values}")
 
 
+def check_latlon(p: LatLon, *times: float) -> None:
+    """check_finite on p and times; RangeError for |latitude| > 90 deg (longitudes wrap)."""
+    check_finite(p.lat_rad, p.lon_rad, *times)
+    if abs(p.lat_rad) > math.pi / 2:
+        raise RangeError(f"latitude {math.degrees(p.lat_rad)} deg is outside [-90, 90]")
+
+
 def wrap_angle(a: float) -> float:
     """Normalize any angle into [0, 2*pi)."""
     a = math.fmod(a, TWO_PI)

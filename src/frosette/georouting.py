@@ -26,7 +26,8 @@ from .constellation import (
 )
 from .errors import DomainError
 from .geocell import Alpha0Table, CellId, GeoCoord, cell_center, geocoord_to_latlon
-from .geom import LatLon, central_angles, check_finite, coverage_range, ground_unit, wrap_angle
+from .geom import LatLon, central_angles, check_finite, check_latlon, coverage_range
+from .geom import ground_unit, wrap_angle
 
 MOTION_CONSTANCY_TOL_RAD = 1e-9
 MOTION_SAMPLE_TIMES = 16
@@ -109,7 +110,7 @@ def _ranges(sats: list[SatAddress], ground, t: float, cfg: ConstellationConfig):
 def coverage_check(sat: SatAddress, target: LatLon, t: float, cfg: ConstellationConfig) -> bool:
     """True when the satellite's footprint (at its min elevation) reaches target."""
     validate_address(sat, cfg)
-    check_finite(target.lat_rad, target.lon_rad, t)
+    check_latlon(target, t)
     return bool(_ranges([sat], ground_unit(target, t, cfg), t, cfg)[0] <= _coverage_radius(cfg))
 
 

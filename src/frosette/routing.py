@@ -8,10 +8,10 @@ unit-node-capacity flow whose first hops are pinned to the layers where the
 addresses differ.
 
 The flow runs on integers: a satellite is its mixed-radix id, which is also
-its position in ``build``'s node order, and its arcs are scanned in the order
-the topology's edge list meets it. That order is what a dict-keyed network
-built from the edge list would use, so the augmenting paths, and the paths
-returned, are the ones such a network gives.
+its position in ``build``'s node order, and its arcs are scanned by ascending
+``constellation.ring_table`` edge id, the order the topology's edge list meets
+them. That is what a dict-keyed network built from the edge list would use, so
+the augmenting paths, and the paths returned, are the ones such a network gives.
 """
 from __future__ import annotations
 
@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ConstellationConfig
-from .constellation import SatAddress, Topology, ring_neighbor, sat_id, validate_address
+from .constellation import SatAddress, Topology, ring_neighbor, ring_table, sat_id
+from .constellation import validate_address
 
 Path = list[SatAddress]
 
@@ -185,27 +186,14 @@ class MultipathResult:
 def _arc_index(topo: Topology) -> list[tuple[int, ...]]:
     """Per satellite x, the in-node ids 2w of its 2(k+1) ring neighbours w, in arc order.
 
-    Arc order is the order in which the edges of ``topo.edges`` meet x: each
-    edge (a, a+e_L, L) is emitted at key (id(a), L). Sorting by that key gives
-    x-e_L for ascending L where x_L > 0, then x+e_L for ascending L, then x-e_L
-    (a wrap) for descending L where x_L = 0.
+    Arc order is ascending ``ring_table`` edge id: the order in which the
+    topology's edge list meets x.
     """
-    cfg = topo.config
-    n, k = cfg.n, cfg.k
-    ids = np.arange(cfg.n_sats)
-    heads, keys = [], []
-    for layer in range(k + 1):
-        step = n ** (k - layer)
-        digit = ids // step % n
-        up = np.where(digit == n - 1, ids - (n - 1) * step, ids + step)
-        down = np.where(digit == 0, ids + (n - 1) * step, ids - step)
-        heads += [up, down]
-        keys += [ids * (k + 1) + layer, down * (k + 1) + layer]  # edge tails: x, x-e_L
-    heads, keys = np.stack(heads, axis=1), np.stack(keys, axis=1)
-    rows = np.take_along_axis(heads, np.argsort(keys, axis=1), axis=1).tolist()
+    nbr, edge = ring_table(topo.config)
+    rows = np.take_along_axis(nbr, np.argsort(edge, axis=1), axis=1).tolist()
     # One int object per in-node id, shared by its 2(k+1) rows: at 4,096
     # satellites the index then holds 0.6 MB instead of 1.5 MB.
-    in_node = list(range(0, 2 * cfg.n_sats, 2))
+    in_node = list(range(0, 2 * len(nbr), 2))
     return [tuple(map(in_node.__getitem__, row)) for row in rows]
 
 
@@ -253,8 +241,8 @@ def disjoint_paths(src: SatAddress, dst: SatAddress, topo: Topology) -> Multipat
     except the endpoints is split into an in-node 2x and an out-node 2x+1 with
     capacity one, and the source's first hops are restricted to layers where
     the digits differ. Saturation yields exactly two paths per differing
-    layer, labeled and ordered by their first hop (layer ascending, clockwise
-    before counter-clockwise).
+    layer, labeled and ordered by their first hop as ``neighbors()`` orders
+    it (layer ascending, clockwise before counter-clockwise).
 
     The network is implicit over integer ids. A satellite carrying flow has
     one successor and one predecessor, so the flow is a successor slot and a
@@ -262,22 +250,23 @@ def disjoint_paths(src: SatAddress, dst: SatAddress, topo: Topology) -> Multipat
     the residual network an in-node has one arc: its split arc when the
     satellite is free, else back to its predecessor. An out-node has the
     reversed split arc when the satellite carries flow, then its ring arcs in
-    :func:`_arc_index` order, less the one carrying flow and any into src.
-    That is the order in which a dict-of-dicts network built from
-    ``topo.edges`` inserts them, so the breadth-first search finds the same
-    augmenting paths, and returns the same paths, as that network does.
+    ascending ``ring_table`` edge-id order (:func:`_arc_index`), less the one
+    carrying flow and any into src. That is the order in which a dict-of-dicts
+    network built from ``topo.edges`` inserts them, so the breadth-first
+    search finds the same augmenting paths, and returns the same paths, as
+    that network does.
     """
     cfg = topo.config
     validate_address(src, cfg)
     validate_address(dst, cfg)
     if src == dst:
         raise ValueError("multipath needs distinct endpoints")
-    n = cfg.n
     active = [j for j in range(cfg.k + 1) if src[j] != dst[j]]
     arcs = _arcs(topo)
-    s, t = sat_id(src, n), sat_id(dst, n)
+    s, t = sat_id(src, cfg.n), sat_id(dst, cfg.n)
     source, sink = 2 * s + 1, 2 * t
-    allowed = {2 * sat_id(ring_neighbor(src, j, d, n), n) for j in active for d in (1, -1)}
+    nbr = ring_table(cfg)[0][s].tolist()
+    allowed = {2 * nbr[2 * j + d] for j in active for d in (0, 1)}
     open_first = [y for y in arcs[s] if y in allowed]  # src's unsaturated arcs
 
     # succ[x]: in-node of x's next hop, -1 when no flow passes x.
@@ -304,19 +293,13 @@ def disjoint_paths(src: SatAddress, dst: SatAddress, topo: Topology) -> Multipat
             y = x
 
     paths = []
-    for y in saturated:
+    for y in sorted(saturated, key=lambda first: nbr.index(first >> 1)):
         walk, w = [src], y >> 1
         while w != t:
             walk.append(topo.nodes[w])
             w = succ[w] >> 1
         walk.append(dst)
         paths.append(tuple(walk))
-
-    def first_hop_key(path):
-        hop = path_hops(list(path[:2]), cfg)[0]
-        return (hop[0], 0 if hop[1] == 1 else 1)
-
-    paths.sort(key=first_hop_key)
     reason = None
     if len(active) < cfg.k + 1:
         same = cfg.k + 1 - len(active)

@@ -21,10 +21,12 @@ import numpy as np
 
 from .config import ConstellationConfig, config_from_dict, config_to_dict, load_json
 from .constellation import (
-    SatAddress, Topology, build, format_address, orbit_state, sat_id, validate_address,
+    SatAddress, Topology, build, format_address, orbit_state, ring_table, sat_id,
+    validate_address,
 )
 from .errors import ConfigError, ParseError, RangeError
-from .geom import LatLon, central_angles, check_finite, ground_unit, link_length_delay, slant_range_km
+from .geom import LatLon, central_angles, check_finite, check_latlon, ground_unit
+from .geom import link_length_delay, slant_range_km
 from .georouting import _coverage_radius
 from .routing import shortest_path
 
@@ -117,8 +119,10 @@ def scenario_from_dict(data: dict) -> Scenario:
         if not math.isfinite(value):
             raise ParseError(f"window {name} must be finite, got {value}")
     for name, p in endpoints.items():
-        if not (math.isfinite(p.lat_rad) and math.isfinite(p.lon_rad)):
-            raise ParseError(f"endpoint {name!r} has a non-finite coordinate")
+        try:
+            check_latlon(p)
+        except RangeError as exc:
+            raise ParseError(f"endpoint {name!r}: {exc}") from None
     return Scenario(
         config=cfg,
         start_s=start_s,
@@ -137,38 +141,17 @@ def load_scenario(path: str) -> Scenario:
 # --- geometry snapshots -----------------------------------------------------
 
 
-def _links(topo: Topology) -> tuple[np.ndarray, np.ndarray, list]:
-    """(edge_a, edge_b, adjacency) over satellite ids, built on first use and
-    kept on the instance.
-
-    edge_a/edge_b hold the endpoints of ``topo.edges`` in order; the
-    adjacency lists (neighbor id, edge id) per node in ``neighbors()`` order,
-    so searches over it break ties as searches over addresses do.
-    """
-    links = topo.__dict__.get("_sim_links")
-    if links is None:
-        n = topo.config.n
-        ends = [(sat_id(a, n), sat_id(b, n)) for a, b, _layer in topo.edges]
-        edge_id = {pair: e for e, pair in enumerate(ends)}
-        adj = []
-        for i, row in enumerate(topo.adjacency().values()):
-            ids = [sat_id(nb, n) for _layer, _direction, nb in row]
-            adj.append([(j, edge_id.get((i, j), edge_id.get((j, i)))) for j in ids])
-        edge_a, edge_b = np.array(ends, dtype=np.intp).reshape(-1, 2).T
-        links = (edge_a, edge_b, adj)
-        object.__setattr__(topo, "_sim_links", links)  # Topology is frozen
-    return links
-
-
 def _link_delays(a: np.ndarray, b: np.ndarray, cfg: ConstellationConfig) -> np.ndarray:
     """One-way delays of the links between unit vectors a and b."""
     return link_length_delay(central_angles(a, b), cfg.altitude_km, cfg.consts)[1]
 
 
 def _edge_delays(topo: Topology, pos: np.ndarray) -> list[float]:
-    """Per-edge one-way delay at one snapshot, in ``topo.edges`` order."""
-    edge_a, edge_b, _adj = _links(topo)
-    return _link_delays(pos[edge_a], pos[edge_b], topo.config).tolist()
+    """Per-edge one-way delay at one snapshot, indexed by ``ring_table`` edge id:
+    edge i*(k+1)+L joins satellite i to its +1 neighbour on layer L."""
+    cfg = topo.config
+    tails = pos.repeat(cfg.k + 1, axis=0)
+    return _link_delays(tails, pos[ring_table(cfg)[0][:, 0::2].ravel()], cfg).tolist()
 
 
 def _ground_leg_delay(r: float, cfg: ConstellationConfig) -> float:
@@ -231,7 +214,7 @@ def _ids(addrs: list[SatAddress], cfg: ConstellationConfig) -> list[int]:
 
 def associate(p: LatLon, t: float, topo: Topology) -> SatAddress:
     """Physically nearest satellite; ties break to the smallest address."""
-    check_finite(p.lat_rad, p.lon_rad, t)
+    check_latlon(p, t)
     cfg = topo.config
     dots = orbit_state(cfg).unit_positions(t) @ ground_unit(p, t, cfg)
     return topo.nodes[int(np.argmax(dots))]
@@ -245,7 +228,7 @@ def delay_oracle(
     if src == dst:
         return [src], 0.0
     delays = _edge_delays(topo, orbit_state(topo.config).unit_positions(t))
-    _edge_a, _edge_b, adj = _links(topo)
+    adj = topo.adjacency(ids=True)
     path, delay = _min_delay_path(adj, delays, *_ids([src, dst], topo.config))
     return [topo.nodes[i] for i in path], delay
 
@@ -291,7 +274,7 @@ def run(scenario: Scenario) -> tuple[list[TraceRecord], dict]:
     cfg = scenario.config
     topo = build(cfg)
     state = orbit_state(cfg)
-    _edge_a, _edge_b, adj = _links(topo)
+    adj = topo.adjacency(ids=True)
     radius = _coverage_radius(cfg)
     records: list[TraceRecord] = []
     last_pair: dict[str, tuple[SatAddress, SatAddress]] = {}

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import random
-from collections import deque
 
 import numpy as np
 
@@ -21,6 +20,8 @@ from .constellation import (
     ground_to_space_rtt,
     min_altitude_coverage,
     ring_neighbor,
+    ring_table,
+    sat_id,
 )
 from .geocell import (
     CellId,
@@ -53,16 +54,15 @@ def _demo(n: int, m: int, k: int, incl_deg: float, altitude_km: float) -> Conste
     )
 
 
-def _bfs_distances(topo, src):
-    dist = {src: 0}
-    queue = deque([src])
-    adj = topo.adjacency()
-    while queue:
-        node = queue.popleft()
-        for _layer, _direction, nb in adj[node]:
-            if nb not in dist:
-                dist[nb] = dist[node] + 1
-                queue.append(nb)
+def _bfs_hops(nbr: np.ndarray, src: int) -> np.ndarray:
+    """Hop distance from id src to every id over a ring table, frontier by frontier."""
+    dist = np.full(len(nbr), -1)
+    dist[src], frontier, hops = 0, np.array([src]), 0
+    while frontier.size:
+        hops += 1
+        frontier = np.unique(nbr[frontier])
+        frontier = frontier[dist[frontier] < 0]
+        dist[frontier] = hops
     return dist
 
 
@@ -76,25 +76,36 @@ def check_structure() -> tuple[bool, str]:
                 f"N={n},k={k}: {len(topo.nodes)} nodes / {len(topo.edges)} edges, "
                 f"want {want_nodes}/{want_edges}"
             )
-        degrees = {node: 0 for node in topo.nodes}
-        for a, b, _ in topo.edges:
-            degrees[a] += 1
-            degrees[b] += 1
-        if set(degrees.values()) != {2 * (k + 1)}:
-            return False, f"N={n},k={k}: degree set {set(degrees.values())}"
-    return True, "node/edge/degree counts exact on 3 configs"
+        nbr, edge = ring_table(cfg)
+        for e, (a, b, layer) in enumerate(topo.edges):
+            i, j, up, down = sat_id(a, n), sat_id(b, n), 2 * layer, 2 * layer + 1
+            table = (nbr[i, up], nbr[j, down], edge[i, up], edge[j, down])
+            if b != ring_neighbor(a, layer, 1, n) or table != (j, i, e, e):
+                return False, f"N={n},k={k}: edge {e} {a}--{b} disagrees with ring_table"
+    cfg = _demo(16, 1, 3, 70.0, 1200.0)
+    dist = _bfs_hops(ring_table(cfg)[0], 0)
+    digits = np.arange(cfg.n_sats)[:, None] // cfg.n ** np.arange(cfg.k, -1, -1) % cfg.n
+    if not np.array_equal(dist, np.minimum(digits, cfg.n - digits).sum(axis=1)):
+        return False, "N=16,k=3: BFS distances from 0.0.0.0 differ from summed ring arcs"
+    if dist.max() != hop_bound(cfg):
+        return False, f"N=16,k=3: diameter {dist.max()} != bound {hop_bound(cfg)}"
+    return True, (
+        "counts and ring_table exact on 3 configs; "
+        f"N=16,k=3: {cfg.n_sats} BFS distances = ring arcs, diameter {dist.max()} = bound"
+    )
 
 
 def check_hop_optimality() -> tuple[bool, str]:
     cfg = _demo(8, 6, 1, 70.0, 1200.0)
     topo = build(cfg)
+    nbr = ring_table(cfg)[0]
     worst = 0
-    for src in topo.nodes:
-        dist = _bfs_distances(topo, src)
-        for dst in topo.nodes:
+    for i, src in enumerate(topo.nodes):
+        dist = _bfs_hops(nbr, i)
+        for j, dst in enumerate(topo.nodes):
             hops = len(shortest_path(src, dst, topo)) - 1
-            if hops != dist[dst]:
-                return False, f"{src}->{dst}: routed {hops}, BFS {dist[dst]}"
+            if hops != dist[j]:
+                return False, f"{src}->{dst}: routed {hops}, BFS {dist[j]}"
             worst = max(worst, hops)
     if worst != hop_bound(cfg):
         return False, f"diameter {worst} != bound {hop_bound(cfg)}"
@@ -288,15 +299,13 @@ def check_encode_roundtrip() -> tuple[bool, str]:
 def check_link_delay_shape() -> tuple[bool, str]:
     cfg = _demo(8, 6, 1, 70.0, 1200.0)
     topo = build(cfg)
-    intra = next(e for e in topo.edges if e[2] == 1 and e[0][1] != cfg.n - 1)
-    inter = next(e for e in topo.edges if e[2] == 0)
     t_end = cfg.period_s
-    series = link_delay_trace((intra[0], intra[1]), (0.0, t_end, t_end / 64), topo)
+    series = link_delay_trace(((0, 0), (0, 1)), (0.0, t_end, t_end / 64), topo)
     delays = [d for _, d in series]
     spread = (max(delays) - min(delays)) / max(delays)
     if spread > 1e-12:
         return False, f"intra-orbit delay varies by {spread:.3e} relative"
-    series = link_delay_trace((inter[0], inter[1]), (0.0, t_end, t_end / 256), topo)
+    series = link_delay_trace(((0, 0), (1, 0)), (0.0, t_end, t_end / 256), topo)
     half = len(series) // 2
     worst = max(abs(series[i][1] - series[i + half][1]) for i in range(half))
     scale = max(d for _, d in series)

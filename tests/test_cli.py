@@ -261,6 +261,38 @@ def test_non_finite_coordinates_exit_1(flag, value, tmp_path, capsys):
     assert json.loads(out.err)["error"] == "RangeError"
 
 
+@pytest.mark.parametrize(
+    "flag,value",
+    [("--locate", "95"), ("--locate", "-200"), ("--from-lat", "120"), ("--to-lat", "-90.5")],
+)
+def test_latitudes_beyond_90_exit_1(flag, value, tmp_path, capsys):
+    if flag == "--locate":
+        path = tmp_path / "cells.json"
+        path.write_text(json.dumps(CELLS_CONFIG), encoding="utf-8")
+        argv = ["cells", "--config", str(path), "--locate", value, "10"]
+    else:
+        path = tmp_path / "geo.json"
+        path.write_text(json.dumps(GEO_CONFIG), encoding="utf-8")
+        argv = ["route", "--config", str(path), "--geo"]
+        for name, default in GEO_FLAGS.items():
+            argv += [name, value if name == flag else default]
+    assert main(argv) == EXIT_USAGE
+    out = capsys.readouterr()
+    assert out.out == ""
+    err = json.loads(out.err)
+    assert err["error"] == "RangeError" and "latitude" in err["detail"]
+
+
+def test_locate_accepts_the_poles_and_wraps_longitudes(tmp_path, capsys):
+    path = tmp_path / "cells.json"
+    path.write_text(json.dumps(CELLS_CONFIG), encoding="utf-8")
+    cells = []
+    for lat, lon in (("90", "0"), ("-90", "0"), ("10", "20"), ("10", "380")):
+        assert main(["cells", "--config", str(path), "--locate", lat, lon]) == EXIT_OK
+        cells.append(_json_out(capsys)["cell"])
+    assert cells[2] == cells[3]
+
+
 def test_route_geo_missing_coords(cfg_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["route", "--config", cfg_path, "--geo", "--from-lat", "1.0"])

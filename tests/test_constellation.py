@@ -11,6 +11,7 @@ from frosette.config import TWO_PI, config_from_dict, config_to_dict
 from frosette.constellation import (
     MAX_SATELLITES,
     OrbitState,
+    Topology,
     build,
     format_address,
     ground_to_space_rtt,
@@ -19,6 +20,7 @@ from frosette.constellation import (
     neighbors,
     orbit_state,
     ring_neighbor,
+    ring_table,
     sat_id,
     stability_report,
     address_to_elements,
@@ -55,6 +57,41 @@ def test_build_counts_and_degrees(n, k):
         assert a is topo.nodes[e // (k + 1)] and layer == e % (k + 1)
         assert b == ring_neighbor(a, layer, +1, n)
         assert b is topo.nodes[index[b]]
+
+
+@pytest.mark.parametrize("n,k", [(5, 0), (4, 1), (3, 2), (4, 3)])
+def test_ring_table_is_neighbors_and_edge_ids(n, k):
+    # row i of the table is neighbors() of node i by id, and edge id e names
+    # topo.edges[e] from both of its ends
+    cfg = make_config(n, 1, k)
+    topo = build(cfg)
+    nbr, edge = ring_table(cfg)
+    assert nbr.shape == edge.shape == (cfg.n_sats, 2 * (k + 1))
+    for i, node in enumerate(topo.nodes):
+        assert [topo.nodes[j] for j in nbr[i]] == [nb for _l, _d, nb in neighbors(node, cfg)]
+    for e, (a, b, layer) in enumerate(topo.edges):
+        assert (edge[sat_id(a, n), 2 * layer], edge[sat_id(b, n), 2 * layer + 1]) == (e, e)
+    assert topo.adjacency(ids=True) == [
+        list(zip(row, ids)) for row, ids in zip(nbr.tolist(), edge.tolist())
+    ]
+    # the table depends on N and k only
+    assert ring_table(make_config(n, 0, k, altitude_km=900.0))[0] is nbr
+
+
+def test_topology_builds_nodes_and_edges_on_first_use():
+    cfg = make_config(4, 1, 1)
+    topo = build(cfg)
+    assert topo == Topology(cfg)
+    assert not {"nodes", "edges"} & set(vars(topo))
+    assert topo.edges is topo.edges and topo.edges[0][0] is topo.nodes[0]
+
+
+def test_shared_config_arrays_are_read_only():
+    cfg = make_config(4, 1, 1)
+    state = orbit_state(cfg)
+    for array in (*ring_table(cfg), state.cp, state.sp, state.ca, state.sa):
+        with pytest.raises(ValueError):
+            array[0] = 0
 
 
 def test_ring_neighbor_and_adjacency():

@@ -65,10 +65,15 @@ def test_wrap_values():
 
 
 def _haversine(a: LatLon, b: LatLon) -> float:
-    # independent oracle
-    s1 = math.sin((b.lat_rad - a.lat_rad) / 2) ** 2
-    s2 = math.cos(a.lat_rad) * math.cos(b.lat_rad) * math.sin((b.lon_rad - a.lon_rad) / 2) ** 2
-    return 2 * math.asin(min(1.0, math.sqrt(s1 + s2)))
+    # independent oracle; past a quarter circle it measures from b's antipode,
+    # since asin of a half-angle sine near 1 loses half the digits
+    def hav(lat, lon):
+        s1 = math.sin((lat - a.lat_rad) / 2) ** 2
+        s2 = math.cos(a.lat_rad) * math.cos(lat) * math.sin((lon - a.lon_rad) / 2) ** 2
+        return 2 * math.asin(min(1.0, math.sqrt(s1 + s2)))
+
+    r = hav(b.lat_rad, b.lon_rad)
+    return math.pi - hav(-b.lat_rad, b.lon_rad + math.pi) if r > math.pi / 2 else r
 
 
 @given(

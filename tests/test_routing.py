@@ -14,11 +14,12 @@ import weakref
 from collections import deque
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from frosette import routing
-from frosette.constellation import build, ring_neighbor
+from frosette.constellation import build, ring_neighbor, ring_table
 from frosette.routing import (
     FibEntry,
     build_fib,
@@ -113,6 +114,32 @@ def test_shortest_path_matches_bfs(n, m, k):
     assert diameter <= hop_bound(cfg)
     if n % 2 == 0:
         assert diameter == (k + 1) * n // 2
+
+
+def test_paper_scale_ring_table_bfs():
+    # N=16, k=3: 65,536 satellites. The torus C_N^(k+1) is vertex-transitive,
+    # so the distances from one source cover every pair.
+    cfg = make_config(16, 1, 3)
+    n, k, m = cfg.n, cfg.k, cfg.n_sats
+    nbr, edge = ring_table(cfg)
+    ids = np.arange(m)
+    for layer in range(k + 1):  # the -1 neighbour of the +1 neighbour is home
+        assert np.array_equal(nbr[nbr[:, 2 * layer], 2 * layer + 1], ids)
+    assert np.array_equal(np.bincount(edge.ravel()), np.full((k + 1) * m, 2))
+    dist = np.full(m, -1)
+    dist[0], frontier, hops = 0, np.array([0]), 0
+    while frontier.size:
+        hops += 1
+        frontier = np.unique(nbr[frontier])
+        frontier = frontier[dist[frontier] < 0]
+        dist[frontier] = hops
+    digits = ids[:, None] // n ** np.arange(k, -1, -1) % n
+    assert np.array_equal(dist, np.minimum(digits, n - digits).sum(axis=1))
+    assert dist.max() == hop_bound(cfg) == 32
+    topo, src = build(cfg), (0,) * (k + 1)
+    for j in random.Random(65536).sample(range(m), 2000):
+        dst = tuple(digits[j].tolist())
+        assert len(shortest_path(src, dst, topo)) - 1 == dist[j]
 
 
 def test_shortest_path_structure():

@@ -18,6 +18,7 @@ from frosette.geom import (
     slant_range_km,
     subpoint,
 )
+from frosette.geocell import locate_point
 from frosette.georouting import coverage_check, serving_coord
 from frosette.routing import shortest_path
 from frosette.sim import (
@@ -110,6 +111,8 @@ def test_scenario_rejects_bad_documents():
         ("a", "lat_deg", "x"),
         ("a", "lon_deg", math.nan),
         ("a", "lat_deg", [1.0]),
+        ("a", "lat_deg", 95.0),
+        ("b", "lat_deg", -90.5),
     ],
 )
 def test_scenario_rejects_malformed_values(section, key, value):
@@ -169,6 +172,17 @@ def test_non_finite_inputs_raise(topo_8_1, bad, monkeypatch):
         coverage_check((0, 0), LatLon(0.0, 0.0), bad, topo_8_1.config)
     with pytest.raises(RangeError):
         serving_coord((0, 0), bad, topo_8_1.config)
+
+
+@pytest.mark.parametrize("lat_deg", [95.0, -90.5, -200.0])
+def test_latitudes_beyond_90_raise(topo_8_1, cfg_cells, lat_deg):
+    p = LatLon(math.radians(lat_deg), 0.1)
+    with pytest.raises(RangeError, match="latitude"):
+        associate(p, 0.0, topo_8_1)
+    with pytest.raises(RangeError, match="latitude"):
+        coverage_check((0, 0), p, 0.0, topo_8_1.config)
+    with pytest.raises(RangeError, match="latitude"):
+        locate_point(p, cfg_cells)
 
 
 # --- delay oracle ---------------------------------------------------------------------
@@ -363,12 +377,13 @@ def test_run_records_match_the_public_functions(n, m, k, elev_deg):
 
 
 def test_oracle_index_built_once_per_run_and_never_by_associate(monkeypatch):
+    # the index is the id form of the adjacency, converted from the ring table
     calls = []
     adjacency = Topology.adjacency
 
-    def counted(self):
-        calls.append(self)
-        return adjacency(self)
+    def counted(self, **kwargs):
+        calls.append(kwargs)
+        return adjacency(self, **kwargs)
 
     monkeypatch.setattr(Topology, "adjacency", counted)
     scn = scenario_from_dict(_scenario_doc())
@@ -376,4 +391,4 @@ def test_oracle_index_built_once_per_run_and_never_by_associate(monkeypatch):
     assert calls == []
     records, _ = run(scn)
     assert len(records) == 3
-    assert len(calls) == 1
+    assert calls == [{"ids": True}]
