@@ -11,7 +11,7 @@ import numpy as np
 
 from .config import TWO_PI, ConstellationConfig, PhysicalConstants, config_to_dict
 from .errors import DomainError, InfeasibleError, RangeError
-from .geom import OrbitalElements, central_angles, orbit_positions
+from .geom import OrbitalElements, central_angles, closed_form_sin2, orbit_positions
 
 SatAddress = tuple[int, ...]
 
@@ -258,19 +258,6 @@ def _intra_orbit_arcs(cfg: ConstellationConfig) -> list[float]:
     return arcs
 
 
-def _closed_form_r_max(cfg: ConstellationConfig) -> float:
-    b2 = cfg.inclination_rad / 2.0
-    c2, s2 = math.cos(b2) ** 2, math.sin(b2) ** 2
-    m, unit = cfg.m, math.pi / cfg.n
-    s = (
-        c2 * c2 * math.sin(m * (m + 1) * unit) ** 2
-        + 2.0 * s2 * c2 * math.sin(m * m * unit) ** 2
-        + s2 * s2 * math.sin(m * (m - 1) * unit) ** 2
-        + 2.0 * s2 * c2 * math.sin(m * unit) ** 2
-    )
-    return math.asin(math.sqrt(max(0.0, min(1.0, s))))
-
-
 def stability_report(cfg: ConstellationConfig) -> StabilityReport:
     """Numeric worst-case link range and the altitude floors it implies.
 
@@ -284,9 +271,10 @@ def stability_report(cfg: ConstellationConfig) -> StabilityReport:
     re = cfg.consts.earth_radius_km
     h_stab = (1.0 / math.cos(r_max / 2.0) - 1.0) * re
     h_cov = min_altitude_coverage(cfg)
+    s_closed = closed_form_sin2(cfg, cfg.m, 1.0)  # offset m, time coupling 1
     return StabilityReport(
         r_max_rad=r_max,
-        r_max_closed_form_rad=_closed_form_r_max(cfg),
+        r_max_closed_form_rad=math.asin(math.sqrt(max(0.0, min(1.0, s_closed)))),
         h_stability_km=h_stab,
         h_coverage_km=h_cov,
         h_min_km=max(h_stab, h_cov),

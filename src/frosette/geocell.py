@@ -24,7 +24,6 @@ row stops under the same per-row tolerance rule as a scalar bisection would.
 """
 from __future__ import annotations
 
-import json
 import math
 import struct
 from dataclasses import dataclass

@@ -50,12 +50,7 @@ class LatLon:
 
 def wrap_lon(lon: float) -> float:
     """Normalize a longitude into [-pi, pi)."""
-    lon = math.fmod(lon + math.pi, TWO_PI)
-    if lon < 0.0:
-        lon += TWO_PI
-    if lon >= TWO_PI:  # adding 2*pi to a tiny negative can round back up to 2*pi
-        lon = 0.0
-    return lon - math.pi
+    return wrap_angle(lon + math.pi) - math.pi
 
 
 def wrap_lons(lon: np.ndarray) -> np.ndarray:
@@ -115,13 +110,16 @@ def orbit_positions(cos_phase, sin_phase, cos_raan, sin_raan, inclination_rad, w
     Arguments broadcast: per-satellite arrays with a scalar w give (R, 3),
     with w of shape (T, 1) they give (T, R, 3).
     """
+    x, y, su = _orbit_xy(cos_phase, sin_phase, cos_raan, sin_raan, inclination_rad, w)
+    return np.stack([x, y, su * math.sin(inclination_rad)], axis=-1)
+
+
+def _orbit_xy(cos_phase, sin_phase, cos_raan, sin_raan, inclination_rad, w):
+    """The kernel's x and y, and the sine of the argument of latitude that z scales."""
     cw, sw = np.cos(w), np.sin(w)
     cu, su = cos_phase * cw - sin_phase * sw, sin_phase * cw + cos_phase * sw
-    cb, sb = math.cos(inclination_rad), math.sin(inclination_rad)
-    return np.stack(
-        [cos_raan * cu - sin_raan * su * cb, sin_raan * cu + cos_raan * su * cb, su * sb],
-        axis=-1,
-    )
+    cb = math.cos(inclination_rad)
+    return cos_raan * cu - sin_raan * su * cb, sin_raan * cu + cos_raan * su * cb, su
 
 
 def ground_unit(p: LatLon, t: float, cfg: ConstellationConfig) -> np.ndarray:
@@ -137,10 +135,10 @@ def subpoint_lons(
     t = np.asarray(times, dtype=np.float64)
     cp, sp = math.cos(elements.phase0_rad), math.sin(elements.phase0_rad)
     ca, sa = math.cos(elements.raan_rad), math.sin(elements.raan_rad)
-    p = orbit_positions(cp, sp, ca, sa, elements.inclination_rad, TWO_PI * t / elements.period_s)
+    x, y, _ = _orbit_xy(cp, sp, ca, sa, elements.inclination_rad, TWO_PI * t / elements.period_s)
     theta = TWO_PI * t / consts.sidereal_day_s
-    lon = wrap_lons(np.arctan2(p[:, 1], p[:, 0]) - theta)
-    lon[(np.abs(p[:, 0]) < 1e-15) & (np.abs(p[:, 1]) < 1e-15)] = 0.0
+    lon = wrap_lons(np.arctan2(y, x) - theta)
+    lon[(np.abs(x) < 1e-15) & (np.abs(y) < 1e-15)] = 0.0
     return lon
 
 
@@ -181,31 +179,30 @@ def central_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     )
 
 
-def link_range_closed_form(i: int, j: int, t: float, cfg: ConstellationConfig) -> float:
-    """Great-circle range between base-ring satellites i and j at time t.
+def closed_form_sin2(cfg: ConstellationConfig, d: int, coupling: float) -> float:
+    """sin^2(r/2) for base-ring satellites d apart: a four-term expansion in
+    half-inclination powers, the last term scaled by the time coupling."""
+    b2 = cfg.inclination_rad / 2.0
+    c2, s2 = math.cos(b2) ** 2, math.sin(b2) ** 2
+    m, unit = cfg.m, math.pi / cfg.n
+    return (
+        c2 * c2 * math.sin((m + 1) * d * unit) ** 2
+        + 2.0 * s2 * c2 * math.sin(m * d * unit) ** 2
+        + s2 * s2 * math.sin((m - 1) * d * unit) ** 2
+        + 2.0 * s2 * c2 * math.sin(d * unit) ** 2 * coupling
+    )
 
-    Four-term expansion in half-inclination powers; the last term carries the
-    cos(4*pi*t/T + 2*m*(i+j)*pi/N) time coupling.
-    """
+
+def link_range_closed_form(i: int, j: int, t: float, cfg: ConstellationConfig) -> float:
+    """Great-circle range between base-ring satellites i and j at time t:
+    :func:`closed_form_sin2` with the coupling cos(4*pi*t/T + 2*m*(i+j)*pi/N)."""
     if i == j:
         raise DomainError("closed-form range requires i != j")
     n, m = cfg.n, cfg.m
     if not (0 <= i < n and 0 <= j < n):
         raise DomainError(f"satellite indices must be in [0, {n})")
-    b2 = cfg.inclination_rad / 2.0
-    d = j - i
-    c2, s2 = math.cos(b2) ** 2, math.sin(b2) ** 2
-    unit = math.pi / n
-    s = (
-        c2 * c2 * math.sin((m + 1) * d * unit) ** 2
-        + 2.0 * s2 * c2 * math.sin(m * d * unit) ** 2
-        + s2 * s2 * math.sin((m - 1) * d * unit) ** 2
-        + 2.0
-        * s2
-        * c2
-        * math.sin(d * unit) ** 2
-        * math.cos(2.0 * TWO_PI * t / cfg.period_s + 2.0 * m * (j + i) * unit)
-    )
+    coupling = math.cos(2.0 * TWO_PI * t / cfg.period_s + 2.0 * m * (j + i) * (math.pi / n))
+    s = closed_form_sin2(cfg, j - i, coupling)
     if s < -1e-9 or s > 1.0 + 1e-9:
         raise DomainError(f"closed form out of range: sin^2(r/2) = {s}")
     s = max(0.0, min(1.0, s))

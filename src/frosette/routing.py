@@ -16,6 +16,7 @@ the augmenting paths, and the paths returned, are the ones such a network gives.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -113,6 +114,27 @@ class Fib:
     n: int
     entries: tuple[FibEntry, ...]
 
+    @cached_property
+    def _actions(self) -> tuple[tuple[tuple[int, int] | None, ...], ...]:
+        """Per layer and relative digit, the action of the first matching entry, or None."""
+        table = [[None] * self.n for _ in self.owner]
+        for layer, row in enumerate(table):
+            for e in reversed(self.entries):  # so that the first match is written last
+                if e.layer == layer:
+                    action = (layer, e.direction)
+                    for rel in _matched(e, self.n):
+                        row[rel] = action
+        return tuple(map(tuple, table))
+
+
+def _matched(entry: FibEntry, n: int):
+    """Relative digits in [0, n) an entry matches: a run if its bits span n, else by test."""
+    fixed = entry.pattern.rstrip("*")
+    if n > 1 << len(entry.pattern) or set(fixed) - {"0", "1"}:
+        return filter(entry.matches, range(n))
+    run = 1 << len(entry.pattern) - len(fixed)
+    return range(int("0" + fixed, 2) * run, min(n, (int("0" + fixed, 2) + 1) * run))
+
 
 def _prefix_cover(lo: int, hi: int, width: int) -> list[str]:
     """Minimal trailing-wildcard patterns covering the integers [lo, hi]."""
@@ -127,39 +149,50 @@ def _prefix_cover(lo: int, hi: int, width: int) -> list[str]:
     return out
 
 
-def build_fib(owner: SatAddress, cfg: ConstellationConfig) -> Fib:
-    """Forwarding table keyed by relative digit; identical shape for any owner.
-
-    Per layer, relative digits in [1, ceil(N/2)) go clockwise and the rest
-    counter-clockwise (the exact-half digit included, matching ring_step);
-    each group collapses into its minimal prefix cover.
-    """
-    validate_address(owner, cfg)
-    n = cfg.n
+@lru_cache(maxsize=8)
+def _shared_fib(n: int, k: int) -> Fib:
+    """Satellite 0's FIB; all FIBs of an (N, k) constellation share its entries and table."""
     width = max(1, (n - 1).bit_length())
     split = (n + 1) // 2  # first counter-clockwise relative digit
     entries = []
-    for layer in range(cfg.k + 1):
+    for layer in range(k + 1):
         for pattern in _prefix_cover(1, split - 1, width):
             entries.append(FibEntry(layer, pattern, 1))
         for pattern in _prefix_cover(split, n - 1, width):
             entries.append(FibEntry(layer, pattern, -1))
-    return Fib(owner=owner, n=n, entries=tuple(entries))
+    return Fib(owner=(0,) * (k + 1), n=n, entries=tuple(entries))
+
+
+def build_fib(owner: SatAddress, cfg: ConstellationConfig) -> Fib:
+    """Forwarding table keyed by relative digit; the same entries for any owner.
+
+    Per layer, relative digits in [1, ceil(N/2)) go clockwise and the rest
+    counter-clockwise (the exact-half digit included, matching ring_step);
+    each group collapses into its minimal prefix cover. All FIBs of one
+    (N, k) share one ``entries`` tuple and the table compiled from it.
+    """
+    validate_address(owner, cfg)
+    shared = _shared_fib(cfg.n, cfg.k)
+    fib = Fib(owner=owner, n=cfg.n, entries=shared.entries)
+    fib.__dict__["_actions"] = shared._actions  # where the cached property keeps it
+    return fib
 
 
 def fib_lookup(fib: Fib, dst: SatAddress) -> tuple[int, int] | None:
     """Next action for a destination: (layer, direction), or None to deliver.
 
-    Layers are scanned deepest first; the first differing digit decides.
+    Layers are scanned deepest first; the first differing digit decides, by
+    its layer's first matching entry, read from the table of actions per
+    relative digit that the FIB compiles from its entries on first use.
     """
-    for layer in range(len(fib.owner) - 1, -1, -1):
-        rel = (dst[layer] - fib.owner[layer]) % fib.n
-        if rel == 0:
-            continue
-        for entry in fib.entries:
-            if entry.layer == layer and entry.matches(rel):
-                return (layer, entry.direction)
-        raise AssertionError(f"FIB of {fib.owner} has no entry for relative digit {rel}")
+    actions, owner, n = fib._actions, fib.owner, fib.n
+    for layer in range(len(owner) - 1, -1, -1):
+        rel = (dst[layer] - owner[layer]) % n
+        if rel:
+            action = actions[layer][rel]
+            if action is None:
+                raise AssertionError(f"FIB of {owner} has no entry for relative digit {rel}")
+            return action
     return None
 
 

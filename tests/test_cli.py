@@ -8,6 +8,7 @@ surface as SystemExit(1); errors inside a handler return the exit code.
 import io
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -303,6 +304,24 @@ def test_route_geo_missing_coords(cfg_path, capsys):
 
 
 # --- fib ------------------------------------------------------------------------
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "config, owner, golden",
+    [
+        (ROUTING_CONFIG, "3.5", "fib_n8_k1_owner_3.5.json"),
+        (dict(ROUTING_CONFIG, n=5, m=1, k=2), "1.2.4", "fib_n5_k2_owner_1.2.4.json"),
+    ],
+)
+def test_fib_stdout_is_byte_identical_to_golden(tmp_path, capsys, config, owner, golden):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["fib", "--config", str(path), "--owner", owner]) == EXIT_OK
+    out = capsys.readouterr()
+    assert out.out == (GOLDEN / golden).read_text(encoding="utf-8")
+    assert out.err == ""
 
 
 def test_fib(cfg_path, capsys):

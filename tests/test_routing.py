@@ -10,6 +10,7 @@ import gc
 import itertools
 import math
 import random
+import re
 import weakref
 from collections import deque
 
@@ -21,6 +22,7 @@ from hypothesis import given, settings, strategies as st
 from frosette import routing
 from frosette.constellation import build, ring_neighbor, ring_table
 from frosette.routing import (
+    Fib,
     FibEntry,
     build_fib,
     disjoint_paths,
@@ -267,6 +269,121 @@ def test_fib_lookup_deepest_first():
     assert layer == 1  # deepest differing layer acts first
     layer, _ = fib_lookup(fib, (3, 0))
     assert layer == 0
+
+
+def _first_match_lookup(fib, dst):
+    """The FIB lookup as a scan of every entry: the deepest differing layer's
+    first entry whose pattern matches the relative digit decides."""
+    for layer in range(len(fib.owner) - 1, -1, -1):
+        rel = (dst[layer] - fib.owner[layer]) % fib.n
+        if rel == 0:
+            continue
+        for entry in fib.entries:
+            if entry.layer == layer and entry.matches(rel):
+                return (layer, entry.direction)
+        raise AssertionError(f"FIB of {fib.owner} has no entry for relative digit {rel}")
+    return None
+
+
+def _first_matches(fib):
+    return [
+        [
+            next(((layer, e.direction) for e in fib.entries
+                  if e.layer == layer and e.matches(rel)), None)
+            for rel in range(fib.n)
+        ]
+        for layer in range(len(fib.owner))
+    ]
+
+
+@pytest.mark.parametrize("n", range(2, 34))
+def test_fib_table_equals_first_match_over_entries(n):
+    fib = routing._shared_fib(n, 2)
+    table = fib._actions
+    assert [list(row) for row in table] == _first_matches(fib)
+    split = (n + 1) // 2
+    for layer, row in enumerate(table):
+        assert row[1:] == tuple((layer, 1 if rel < split else -1) for rel in range(1, n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 20),
+    owner=st.lists(st.integers(0, 19), min_size=1, max_size=3),
+    entries=st.lists(
+        st.builds(
+            FibEntry,
+            st.integers(-1, 3),
+            st.text(alphabet="01*x", max_size=6),
+            st.sampled_from([1, -1]),
+        ),
+        max_size=10,
+    ),
+    dst=st.lists(st.integers(0, 40), min_size=3, max_size=3),
+)
+def test_hand_built_fib_is_decided_by_its_own_entries(n, owner, entries, dst):
+    fib = Fib(tuple(owner), n, tuple(entries))
+    assert [list(row) for row in fib._actions] == _first_matches(fib)
+    try:
+        want = _first_match_lookup(fib, dst)
+    except AssertionError as exc:
+        with pytest.raises(AssertionError, match=re.escape(str(exc))):
+            fib_lookup(fib, dst)
+    else:
+        assert fib_lookup(fib, dst) == want
+
+
+def test_hand_built_fib_overrides_the_shared_table():
+    cfg = make_config(8, 6, 1)
+    shared = build_fib((3, 5), cfg)
+    flipped = tuple(FibEntry(e.layer, e.pattern, -e.direction) for e in shared.entries)
+    fib = Fib((3, 5), 8, flipped)
+    for dst in itertools.product(range(8), repeat=2):
+        want = fib_lookup(shared, dst)
+        assert fib_lookup(fib, dst) == (None if want is None else (want[0], -want[1]))
+
+
+def test_fib_with_a_gap_raises():
+    entries = (FibEntry(0, "001", 1), FibEntry(0, "010", 1), FibEntry(0, "1**", -1))
+    fib = Fib((0, 0), 8, entries + (FibEntry(1, "***", 1),))  # layer 0 misses digit 3
+    assert fib_lookup(fib, (2, 7)) == (1, 1)
+    assert fib_lookup(fib, (2, 0)) == (0, 1)
+    with pytest.raises(AssertionError, match="no entry for relative digit 3"):
+        fib_lookup(fib, (3, 0))
+
+
+def test_fibs_of_one_config_share_entries_and_table():
+    cfg = make_config(16, 8, 3)
+    rng = random.Random(7)
+    owners = [tuple(rng.randrange(16) for _ in range(4)) for _ in range(50)]
+    fibs = [build_fib(owner, cfg) for owner in owners]
+    assert all(f.entries is fibs[0].entries for f in fibs)
+    assert all(f._actions is fibs[0]._actions for f in fibs)
+    assert [f.owner for f in fibs] == owners
+    # a hand-built FIB with equal fields is equal, and compiles an equal table of its own
+    twin = Fib(owners[0], 16, tuple(list(fibs[0].entries)))
+    assert twin == fibs[0] and twin.entries is not fibs[0].entries
+    assert twin._actions == fibs[0]._actions and twin._actions is not fibs[0]._actions
+
+
+def test_fib_walks_at_n16_k3_follow_the_ring_arcs():
+    cfg = make_config(16, 8, 3)
+    n, rng, fibs = cfg.n, random.Random(2024), {}
+    for _ in range(400):
+        src = tuple(rng.randrange(n) for _ in range(4))
+        dst = tuple(rng.randrange(n) for _ in range(4))
+        cur, hops = src, 0
+        while True:
+            if cur not in fibs:
+                fibs[cur] = build_fib(cur, cfg)
+            action = fib_lookup(fibs[cur], dst)
+            if action is None:
+                break
+            cur = ring_neighbor(cur, *action, n)
+            hops += 1
+            assert hops <= hop_bound(cfg)
+        assert cur == dst
+        assert hops == sum(min((b - a) % n, (a - b) % n) for a, b in zip(src, dst))
 
 
 # --- node-disjoint multipath --------------------------------------------------------
