@@ -115,8 +115,14 @@ def _cmd_route(args) -> int:
     cfg = load_config(args.config)
     if args.geo:
         missing = [
-            flag for flag in ("--from-lat", "--from-lon", "--to-lat", "--to-lon")
-            if getattr(args, flag[2:].replace("-", "_")) is None
+            flag
+            for flag, val in (
+                ("--from-lat", args.from_lat),
+                ("--from-lon", args.from_lon),
+                ("--to-lat", args.to_lat),
+                ("--to-lon", args.to_lon),
+            )
+            if val is None
         ]
         if missing:
             _usage_error(f"--geo requires {' '.join(missing)}")
@@ -297,12 +303,18 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (FrosetteError, OSError) as exc:
-        usage = isinstance(exc, (ParseError, RangeError, OSError))
-        name = type(exc).__name__ if isinstance(exc, FrosetteError) else "io"
-        json.dump({"error": name, "detail": str(exc)}, sys.stderr)
+    except (ParseError, RangeError) as exc:
+        json.dump({"error": type(exc).__name__, "detail": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
-        return EXIT_USAGE if usage else EXIT_DOMAIN
+        return EXIT_USAGE
+    except FrosetteError as exc:
+        json.dump({"error": type(exc).__name__, "detail": str(exc)}, sys.stderr)
+        sys.stderr.write("\n")
+        return EXIT_DOMAIN
+    except OSError as exc:
+        json.dump({"error": "io", "detail": str(exc)}, sys.stderr)
+        sys.stderr.write("\n")
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

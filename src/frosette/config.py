@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 from .errors import ConfigError, ParseError
 
@@ -132,7 +132,12 @@ def config_to_dict(cfg: ConstellationConfig) -> dict:
         "min_elevation_deg": math.degrees(cfg.min_elevation_rad),
     }
     if cfg.consts != DEFAULT_CONSTANTS:
-        doc["constants"] = asdict(cfg.consts)
+        doc["constants"] = {
+            "earth_radius_km": cfg.consts.earth_radius_km,
+            "sidereal_day_s": cfg.consts.sidereal_day_s,
+            "light_speed_km_s": cfg.consts.light_speed_km_s,
+            "atmosphere_margin_km": cfg.consts.atmosphere_margin_km,
+        }
     return doc
 
 

@@ -50,7 +50,12 @@ class LatLon:
 
 def wrap_lon(lon: float) -> float:
     """Normalize a longitude into [-pi, pi)."""
-    return wrap_angle(lon + math.pi) - math.pi
+    lon = math.fmod(lon + math.pi, TWO_PI)
+    if lon < 0.0:
+        lon += TWO_PI
+    if lon >= TWO_PI:  # adding 2*pi to a tiny negative can round back up to 2*pi
+        lon = 0.0
+    return lon - math.pi
 
 
 def wrap_lons(lon: np.ndarray) -> np.ndarray:

@@ -21,8 +21,9 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .config import ConstellationConfig
-from .constellation import SatAddress, Topology, ring_neighbor, ring_table, sat_id
-from .constellation import validate_address
+from .constellation import MAX_SATELLITES, SatAddress, Topology, ring_neighbor, ring_table
+from .constellation import sat_id, validate_address
+from .errors import DomainError
 
 Path = list[SatAddress]
 
@@ -116,24 +117,26 @@ class Fib:
 
     @cached_property
     def _actions(self) -> tuple[tuple[tuple[int, int] | None, ...], ...]:
-        """Per layer and relative digit, the action of the first matching entry, or None."""
+        """Per layer and relative digit, the action of the first matching entry, or None.
+
+        Built on first lookup; a FIB holding its (N, k)'s shared entries reads
+        the one table compiled for them.
+        """
+        shared = _shared_fib(self.n, len(self.owner) - 1)
+        if self.entries is shared.entries and self is not shared:
+            return shared._actions
+        if len(self.owner) * self.n > MAX_SATELLITES:
+            raise DomainError(
+                f"a FIB table of {len(self.owner)} x {self.n} digits exceeds the limit of {MAX_SATELLITES}"
+            )
         table = [[None] * self.n for _ in self.owner]
         for layer, row in enumerate(table):
             for e in reversed(self.entries):  # so that the first match is written last
                 if e.layer == layer:
                     action = (layer, e.direction)
-                    for rel in _matched(e, self.n):
+                    for rel in filter(e.matches, range(self.n)):
                         row[rel] = action
         return tuple(map(tuple, table))
-
-
-def _matched(entry: FibEntry, n: int):
-    """Relative digits in [0, n) an entry matches: a run if its bits span n, else by test."""
-    fixed = entry.pattern.rstrip("*")
-    if n > 1 << len(entry.pattern) or set(fixed) - {"0", "1"}:
-        return filter(entry.matches, range(n))
-    run = 1 << len(entry.pattern) - len(fixed)
-    return range(int("0" + fixed, 2) * run, min(n, (int("0" + fixed, 2) + 1) * run))
 
 
 def _prefix_cover(lo: int, hi: int, width: int) -> list[str]:
@@ -172,10 +175,7 @@ def build_fib(owner: SatAddress, cfg: ConstellationConfig) -> Fib:
     (N, k) share one ``entries`` tuple and the table compiled from it.
     """
     validate_address(owner, cfg)
-    shared = _shared_fib(cfg.n, cfg.k)
-    fib = Fib(owner=owner, n=cfg.n, entries=shared.entries)
-    fib.__dict__["_actions"] = shared._actions  # where the cached property keeps it
-    return fib
+    return Fib(owner=owner, n=cfg.n, entries=_shared_fib(cfg.n, cfg.k).entries)
 
 
 def fib_lookup(fib: Fib, dst: SatAddress) -> tuple[int, int] | None:

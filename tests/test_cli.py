@@ -8,6 +8,7 @@ surface as SystemExit(1); errors inside a handler return the exit code.
 import io
 import json
 import math
+import time
 from pathlib import Path
 
 import pytest
@@ -322,6 +323,17 @@ def test_fib_stdout_is_byte_identical_to_golden(tmp_path, capsys, config, owner,
     out = capsys.readouterr()
     assert out.out == (GOLDEN / golden).read_text(encoding="utf-8")
     assert out.err == ""
+
+
+def test_fib_on_a_huge_ring_lists_its_entries_at_once(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(ROUTING_CONFIG, n=1 << 31, m=1, k=0)), encoding="utf-8")
+    start = time.perf_counter()
+    assert main(["fib", "--config", str(path), "--owner", "5"]) == EXIT_OK
+    assert time.perf_counter() - start < 5.0  # no per-digit table: about 0.1 ms of work
+    doc = _json_out(capsys)
+    assert doc["entry_count"] == len(doc["entries"]) == 31
+    assert doc["entries"][-1] == {"layer": 0, "pattern": "1" + "*" * 30, "direction": -1}
 
 
 def test_fib(cfg_path, capsys):

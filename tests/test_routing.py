@@ -20,7 +20,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from frosette import routing
-from frosette.constellation import build, ring_neighbor, ring_table
+from frosette.constellation import MAX_SATELLITES, build, ring_neighbor, ring_table
+from frosette.errors import DomainError
 from frosette.routing import (
     Fib,
     FibEntry,
@@ -364,6 +365,19 @@ def test_fibs_of_one_config_share_entries_and_table():
     twin = Fib(owners[0], 16, tuple(list(fibs[0].entries)))
     assert twin == fibs[0] and twin.entries is not fibs[0].entries
     assert twin._actions == fibs[0]._actions and twin._actions is not fibs[0]._actions
+
+
+def test_fib_table_is_built_on_first_lookup_and_refuses_oversized_rings():
+    small = build_fib((1, 2), make_config(8, 6, 1))
+    assert "_actions" not in small.__dict__
+    assert fib_lookup(small, (2, 2)) == (0, 1)
+    assert "_actions" in small.__dict__
+    huge = build_fib((5,), make_config(1 << 23, 1, 0))  # listing entries needs no table
+    assert "_actions" not in huge.__dict__
+    with pytest.raises(DomainError, match="exceeds the limit"):
+        fib_lookup(huge, (6,))
+    with pytest.raises(DomainError, match="exceeds the limit"):
+        fib_lookup(Fib((0,), MAX_SATELLITES + 1, ()), (1,))
 
 
 def test_fib_walks_at_n16_k3_follow_the_ring_arcs():
