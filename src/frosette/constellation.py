@@ -262,8 +262,9 @@ def stability_report(cfg: ConstellationConfig) -> StabilityReport:
     """Numeric worst-case link range and the altitude floors it implies.
 
     r_max is maximized over layer-0 edges across a full period plus the fixed
-    intra-orbit arcs (wrap edges included). A closed-form estimate is also
-    evaluated and reported for comparison, but never used for the result.
+    intra-orbit arcs (wrap edges included). The closed-form layer-0 range
+    (``geom.closed_form_sin2`` at offset 1 and time coupling 1) is also
+    reported for comparison, but never used for the result.
     """
     r_max = max(_max_layer0_range(cfg), *(_intra_orbit_arcs(cfg) or [0.0]))
     if r_max >= math.pi:
@@ -271,10 +272,10 @@ def stability_report(cfg: ConstellationConfig) -> StabilityReport:
     re = cfg.consts.earth_radius_km
     h_stab = (1.0 / math.cos(r_max / 2.0) - 1.0) * re
     h_cov = min_altitude_coverage(cfg)
-    s_closed = closed_form_sin2(cfg, cfg.m, 1.0)  # offset m, time coupling 1
+    s_closed = closed_form_sin2(cfg, 1, 1.0)  # layer-0 neighbours, time coupling 1
     return StabilityReport(
         r_max_rad=r_max,
-        r_max_closed_form_rad=math.asin(math.sqrt(max(0.0, min(1.0, s_closed)))),
+        r_max_closed_form_rad=2.0 * math.asin(math.sqrt(max(0.0, min(1.0, s_closed)))),
         h_stability_km=h_stab,
         h_coverage_km=h_cov,
         h_min_km=max(h_stab, h_cov),

@@ -8,6 +8,9 @@ slack. Ground legs are charged identically to both routes.
 A snapshot is one call to the config's ``constellation.OrbitState``; ground
 points enter as inertial vectors (``geom.ground_unit``), and every range,
 coverage test and link delay is ``geom.central_angles`` of the two.
+:func:`run` takes its snapshots in blocks of about 2,048 satellite-steps,
+one position array per block, and prices the F-Rosette route of each
+satellite pair, found once per run, from the step's edge delays.
 """
 from __future__ import annotations
 
@@ -141,17 +144,25 @@ def load_scenario(path: str) -> Scenario:
 # --- geometry snapshots -----------------------------------------------------
 
 
+# run() takes max(1, _BLOCK_SAT_STEPS // M) steps per position array: enough
+# steps to share numpy's per-call cost, few enough to stay in cache (and to
+# keep peak memory where one snapshot per step had it).
+_BLOCK_SAT_STEPS = 2048
+
+
 def _link_delays(a: np.ndarray, b: np.ndarray, cfg: ConstellationConfig) -> np.ndarray:
     """One-way delays of the links between unit vectors a and b."""
     return link_length_delay(central_angles(a, b), cfg.altitude_km, cfg.consts)[1]
 
 
-def _edge_delays(topo: Topology, pos: np.ndarray) -> list[float]:
-    """Per-edge one-way delay at one snapshot, indexed by ``ring_table`` edge id:
-    edge i*(k+1)+L joins satellite i to its +1 neighbour on layer L."""
+def _edge_delays(topo: Topology, pos: np.ndarray) -> list:
+    """Per-edge one-way delays indexed by ``ring_table`` edge id, where edge
+    i*(k+1)+L joins satellite i to its +1 neighbour on layer L: a list for
+    one (M, 3) snapshot, a list of lists for a (B, M, 3) block."""
     cfg = topo.config
-    tails = pos.repeat(cfg.k + 1, axis=0)
-    return _link_delays(tails, pos[ring_table(cfg)[0][:, 0::2].ravel()], cfg).tolist()
+    tails = pos.repeat(cfg.k + 1, axis=-2)
+    heads = pos[..., ring_table(cfg)[0][:, 0::2].ravel(), :]
+    return _link_delays(tails, heads, cfg).tolist()
 
 
 def _ground_leg_delay(r: float, cfg: ConstellationConfig) -> float:
@@ -268,32 +279,35 @@ def link_delay_trace(
 def run(scenario: Scenario) -> tuple[list[TraceRecord], dict]:
     """Per step and experiment: associate, route, price both paths, record.
 
-    Each step takes one position snapshot; association, coverage flags,
-    ground legs, the F-Rosette path and the oracle all read from it.
+    Snapshots come in blocks (see :func:`_snapshots`), so per step only the
+    oracle's Dijkstra and the records are Python work. The F-Rosette route
+    of each (source, destination) satellite pair is found once per run,
+    kept as its ``ring_table`` edge ids, and priced at each step by summing
+    that step's edge delays in path order.
     """
     cfg = scenario.config
     topo = build(cfg)
-    state = orbit_state(cfg)
     adj = topo.adjacency(ids=True)
     radius = _coverage_radius(cfg)
+    routes: dict[tuple[int, int], list[int]] = {}
     records: list[TraceRecord] = []
     last_pair: dict[str, tuple[SatAddress, SatAddress]] = {}
 
-    for t in _step_times(scenario.start_s, scenario.end_s, scenario.step_s):
-        pos = state.unit_positions(t)
-        delays = _edge_delays(topo, pos)
+    for t, delays, served in _snapshots(scenario, topo):
         for src_name, dst_name in scenario.experiments:
             exp = f"{src_name}->{dst_name}"
-            src_g = ground_unit(scenario.endpoints[src_name], t, cfg)
-            dst_g = ground_unit(scenario.endpoints[dst_name], t, cfg)
-            si, di = int(np.argmax(pos @ src_g)), int(np.argmax(pos @ dst_g))
+            (si, src_r, src_leg), (di, dst_r, dst_leg) = served[src_name], served[dst_name]
             src_sat, dst_sat = topo.nodes[si], topo.nodes[di]
-            src_r, dst_r = central_angles(pos[[si, di]], np.stack([src_g, dst_g])).tolist()
             flag = "coverage_violation" if src_r > radius or dst_r > radius else ""
 
-            fro_path = shortest_path(src_sat, dst_sat, topo)
-            legs = _ground_leg_delay(src_r, cfg) + _ground_leg_delay(dst_r, cfg)
-            fro_delay = legs + _path_delay(pos, [sat_id(a, cfg.n) for a in fro_path], cfg)
+            route = routes.get((si, di))
+            if route is None:
+                route = routes[si, di] = _route_edges(src_sat, dst_sat, topo, adj)
+            fro_space = 0.0
+            for e in route:  # in path order, as _path_delay and the oracle sum
+                fro_space += delays[e]
+            legs = src_leg + dst_leg
+            fro_delay = legs + fro_space
             oracle_path, oracle_space = _min_delay_path(adj, delays, si, di)
             oracle_delay = legs + oracle_space
 
@@ -304,7 +318,7 @@ def run(scenario: Scenario) -> tuple[list[TraceRecord], dict]:
                 TraceRecord(
                     t=t,
                     experiment=exp,
-                    frosette_hops=len(fro_path) - 1,
+                    frosette_hops=len(route),
                     frosette_delay_s=fro_delay,
                     oracle_hops=len(oracle_path) - 1,
                     oracle_delay_s=oracle_delay,
@@ -316,6 +330,47 @@ def run(scenario: Scenario) -> tuple[list[TraceRecord], dict]:
                 )
             )
     return records, summarize(records, scenario)
+
+
+def _snapshots(scenario: Scenario, topo: Topology):
+    """Per step of the window: (t, edge delays, {endpoint name: (serving
+    satellite id, its central angle from the endpoint, ground-leg delay)}).
+
+    Steps are taken in blocks of max(1, 2048 // M): one (B, M, 3) position
+    array per block, from which a few numpy calls give every edge delay,
+    association and ground-leg angle of its B steps.
+    """
+    cfg = scenario.config
+    state = orbit_state(cfg)
+    names = dict.fromkeys(name for pair in scenario.experiments for name in pair)
+    times = _step_times(scenario.start_s, scenario.end_s, scenario.step_s)
+    size = max(1, _BLOCK_SAT_STEPS // cfg.n_sats)
+    for lo in range(0, len(times), size):
+        block = times[lo:lo + size]
+        pos = state.unit_positions(np.array(block)[:, None])
+        served = {name: _serving(pos, scenario.endpoints[name], block, cfg) for name in names}
+        for b, (t, delays) in enumerate(zip(block, _edge_delays(topo, pos))):
+            yield t, delays, {name: steps[b] for name, steps in served.items()}
+
+
+def _serving(
+    pos: np.ndarray, p: LatLon, block: list[float], cfg: ConstellationConfig
+) -> list[tuple[int, float, float]]:
+    """Per step of a (B, M, 3) block: the id of the satellite nearest to p
+    (the smallest on ties, as :func:`associate`), its central angle from p
+    and the ground-leg delay across that angle."""
+    ground = np.array([ground_unit(p, t, cfg) for t in block])
+    ids = np.argmax(pos @ ground[:, :, None], axis=1)[:, 0]
+    ranges = central_angles(pos[np.arange(len(block)), ids], ground).tolist()
+    return [(i, r, _ground_leg_delay(r, cfg)) for i, r in zip(ids.tolist(), ranges)]
+
+
+def _route_edges(
+    src: SatAddress, dst: SatAddress, topo: Topology, adj: list
+) -> list[int]:
+    """The F-Rosette route from src to dst as ``ring_table`` edge ids, in path order."""
+    path = _ids(shortest_path(src, dst, topo), topo.config)
+    return [dict(adj[a])[b] for a, b in zip(path, path[1:])]
 
 
 def _percentile(sorted_vals: list[float], q: float) -> float:

@@ -268,6 +268,19 @@ def test_stability_report_dominates_random_probes():
     assert min_altitude_stability(cfg) == rep.h_min_km
 
 
+@pytest.mark.parametrize(
+    "n, m, k", [(5, 1, 0), (7, 3, 0), (8, 6, 1), (9, 4, 2), (16, 2, 1), (16, 8, 1)]
+)
+@pytest.mark.parametrize("incl_deg", [40.0, 70.0])
+def test_stability_report_closed_form_is_the_layer0_range(n, m, k, incl_deg):
+    # the full link angle between layer-0 neighbours at time coupling 1
+    cfg = make_config(n, m, k, incl_deg=incl_deg)
+    rep = stability_report(cfg)
+    assert rep.r_max_closed_form_rad == pytest.approx(
+        constellation._max_layer0_range(cfg), abs=1e-9
+    )
+
+
 def test_ground_to_space_rtt():
     c = make_config(8, 1, 0).consts
     assert ground_to_space_rtt(c.light_speed_km_s / 2.0, c) == pytest.approx(1.0)

@@ -6,24 +6,33 @@ import math
 import random
 
 import networkx as nx
+import numpy as np
 import pytest
 
-from frosette.constellation import Topology, address_to_elements, build
+from frosette.constellation import Topology, address_to_elements, build, orbit_state, sat_id
 from frosette.errors import ConfigError, ParseError, RangeError
 from frosette.geom import (
     LatLon,
+    central_angles,
     great_circle_range,
+    ground_unit,
     link_length_delay,
     sat_position_eci,
     slant_range_km,
     subpoint,
 )
 from frosette.geocell import locate_point
-from frosette.georouting import coverage_check, serving_coord
+from frosette.georouting import _coverage_radius, coverage_check, serving_coord
 from frosette.routing import shortest_path
 from frosette.sim import (
     Scenario,
     TRACE_COLUMNS,
+    TraceRecord,
+    _edge_delays,
+    _ground_leg_delay,
+    _min_delay_path,
+    _path_delay,
+    _step_times,
     associate,
     delay_oracle,
     link_delay_trace,
@@ -392,3 +401,85 @@ def test_oracle_index_built_once_per_run_and_never_by_associate(monkeypatch):
     records, _ = run(scn)
     assert len(records) == 3
     assert calls == [{"ids": True}]
+
+
+def _per_step_run(scenario):
+    """The one-snapshot-per-step loop that the block loop replaced, kept as written."""
+    cfg = scenario.config
+    topo = build(cfg)
+    state = orbit_state(cfg)
+    adj = topo.adjacency(ids=True)
+    radius = _coverage_radius(cfg)
+    records: list[TraceRecord] = []
+    last_pair = {}
+
+    for t in _step_times(scenario.start_s, scenario.end_s, scenario.step_s):
+        pos = state.unit_positions(t)
+        delays = _edge_delays(topo, pos)
+        for src_name, dst_name in scenario.experiments:
+            exp = f"{src_name}->{dst_name}"
+            src_g = ground_unit(scenario.endpoints[src_name], t, cfg)
+            dst_g = ground_unit(scenario.endpoints[dst_name], t, cfg)
+            si, di = int(np.argmax(pos @ src_g)), int(np.argmax(pos @ dst_g))
+            src_sat, dst_sat = topo.nodes[si], topo.nodes[di]
+            src_r, dst_r = central_angles(pos[[si, di]], np.stack([src_g, dst_g])).tolist()
+            flag = "coverage_violation" if src_r > radius or dst_r > radius else ""
+
+            fro_path = shortest_path(src_sat, dst_sat, topo)
+            legs = _ground_leg_delay(src_r, cfg) + _ground_leg_delay(dst_r, cfg)
+            fro_delay = legs + _path_delay(pos, [sat_id(a, cfg.n) for a in fro_path], cfg)
+            oracle_path, oracle_space = _min_delay_path(adj, delays, si, di)
+            oracle_delay = legs + oracle_space
+
+            pair = (src_sat, dst_sat)
+            handoff = exp in last_pair and last_pair[exp] != pair
+            last_pair[exp] = pair
+            records.append(
+                TraceRecord(
+                    t=t,
+                    experiment=exp,
+                    frosette_hops=len(fro_path) - 1,
+                    frosette_delay_s=fro_delay,
+                    oracle_hops=len(oracle_path) - 1,
+                    oracle_delay_s=oracle_delay,
+                    stretch=fro_delay / oracle_delay,
+                    src_sat=src_sat,
+                    dst_sat=dst_sat,
+                    handoff=handoff,
+                    flag=flag,
+                )
+            )
+    return records, summarize(records, scenario)
+
+
+def _block_scenario(n, m, k, steps, step_s=30.0):
+    # a->b and a->c share an endpoint; c->c is served by one satellite at both ends
+    doc = _scenario_doc()
+    doc["config"].update(n=n, m=m, k=k, min_elevation_deg=35.0)
+    doc["window"] = {"start_s": 1234.5, "end_s": 1234.5 + (steps - 1) * step_s, "step_s": step_s}
+    doc["endpoints"]["c"] = {"lat_deg": -33.9, "lon_deg": 151.2}
+    doc["experiments"] = [
+        {"src": "a", "dst": "b"}, {"src": "a", "dst": "c"}, {"src": "c", "dst": "c"},
+    ]
+    return scenario_from_dict(doc)
+
+
+@pytest.mark.parametrize("n, m, k", [(8, 6, 1), (5, 3, 2), (4, 1, 3)])
+@pytest.mark.parametrize(
+    "blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (3, 2)],
+    ids=["1", "B-1", "B", "B+1", "3B+2"],
+)
+def test_block_loop_equals_the_per_step_loop(n, m, k, blocks, extra):
+    steps = blocks * (2048 // n ** (k + 1)) + extra  # B steps per block
+    scn = _block_scenario(n, m, k, steps)
+    records, summary = run(scn)
+    assert len(records) == 3 * steps
+    assert (records, summary) == _per_step_run(scn)
+
+
+def test_block_loop_equals_the_per_step_loop_one_step_per_block():
+    # 65,536 satellites: a block is a single step
+    scn = _block_scenario(16, 8, 3, 3)
+    records, summary = run(scn)
+    assert len(records) == 9
+    assert (records, summary) == _per_step_run(scn)
