@@ -9,10 +9,11 @@ inconsistent configurations) and for a failed `verify` run.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import sys
+
+import numpy as np
 
 from . import verify as verify_checks
 from .addressing import format_cell_id, parse_cell_id, parse_sat_address
@@ -65,26 +66,27 @@ _ROW_CHUNK = 2048
 def _stream_topology(topo, fh) -> None:
     """Topology JSON written in chunks, never materialized as one string.
 
-    Each address is rendered once, into a list indexed by satellite id; edges
-    are read off ``ring_table`` 2,048 satellites at a time.
+    Each level appends a digit and "." (the last a closing quote) to every name,
+    giving an object array of quoted names by id; digits and dots need no JSON
+    escaping. Each 2,048-satellite chunk of edges is one ``[a, b, L]`` string
+    column per layer, built by object-array concatenation.
     """
     cfg = topo.config
-    addrs = itertools.product(range(cfg.n), repeat=cfg.k + 1)
-    name = [json.dumps(format_address(a)) for a in addrs]
+    name = ['"']
+    for level in range(cfg.k + 1):
+        tails = [str(d) + ('"' if level == cfg.k else ".") for d in range(cfg.n)]
+        name = [a + tail for a in name for tail in tails]
+    name = np.array(name, dtype=object)
     up = ring_table(cfg)[0][:, 0::2]
     fh.write('{"config": ')
     json.dump(config_to_dict(cfg), fh)
-    fh.write(', "nodes": [')
-    fh.write(", ".join(name))
-    fh.write('], "edges": [')
+    fh.write(', "nodes": [' + ", ".join(name.tolist()) + '], "edges": [')
     for start in range(0, len(up), _ROW_CHUNK):
-        if start:
-            fh.write(", ")
-        fh.write(", ".join([
-            f"[{name[i]}, {name[j]}, {layer}]"
-            for i, row in enumerate(up[start:start + _ROW_CHUNK].tolist(), start)
-            for layer, j in enumerate(row)
-        ]))
+        rows = slice(start, start + _ROW_CHUNK)
+        head = "[" + name[rows] + ", "
+        cols = [head + name[j] + f", {layer}]" for layer, j in enumerate(up[rows].T)]
+        fh.write(", " if start else "")
+        fh.write(", ".join(np.column_stack(cols).ravel().tolist()))
     fh.write("]}\n")
 
 

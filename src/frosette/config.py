@@ -56,6 +56,9 @@ class ConstellationConfig:
             raise ConfigError(
                 f"min_elevation_rad must be in [0, pi/2), got {self.min_elevation_rad}"
             )
+        for name in ("period_s", "omega_earth_rad_s", "orbit_radius_km"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"derived {name} is not finite: {getattr(self, name)}")
 
     @property
     def rho(self) -> int:
@@ -82,20 +85,27 @@ class ConstellationConfig:
         return replace(self, altitude_km=altitude_km)
 
 
+def _json_number(key: str, val, kind: type = float):
+    """val as kind. An int field takes a JSON integer only (8.0 is not one), a
+    float field any JSON number; a bool or a string is neither."""
+    if isinstance(val, bool) or not isinstance(val, int if kind is int else (int, float)):
+        what = "integer" if kind is int else "number"
+        raise ConfigError(f"{key} must be a JSON {what}, got {val!r}")
+    return kind(val)
+
+
 def config_from_dict(doc: dict) -> ConstellationConfig:
     """Build a config from a JSON-style document (angles in degrees)."""
     try:
-        n = int(doc["n"])
-        m = int(doc["m"])
-        k = int(doc["k"])
-        altitude_km = float(doc["altitude_km"])
-        inclination_rad = math.radians(float(doc["inclination_deg"]))
-        min_elevation_rad = math.radians(float(doc.get("min_elevation_deg", 0.0)))
-        constants = doc.get("constants")
-        overrides = {key: float(val) for key, val in constants.items()} if constants else {}
+        n, m, k = [_json_number(key, doc[key], int) for key in ("n", "m", "k")]
+        altitude_km = _json_number("altitude_km", doc["altitude_km"])
+        inclination_deg = _json_number("inclination_deg", doc["inclination_deg"])
+        min_elevation_deg = _json_number("min_elevation_deg", doc.get("min_elevation_deg", 0.0))
+        constants = doc.get("constants") or {}
+        overrides = {key: _json_number(f"constant {key}", val) for key, val in constants.items()}
     except KeyError as exc:
         raise ConfigError(f"missing config field: {exc.args[0]}") from None
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad config value: {exc}") from None
     consts = DEFAULT_CONSTANTS
     if overrides:
@@ -116,8 +126,8 @@ def config_from_dict(doc: dict) -> ConstellationConfig:
         m=m,
         k=k,
         altitude_km=altitude_km,
-        inclination_rad=inclination_rad,
-        min_elevation_rad=min_elevation_rad,
+        inclination_rad=math.radians(inclination_deg),
+        min_elevation_rad=math.radians(min_elevation_deg),
         consts=consts,
     )
 

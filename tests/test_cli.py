@@ -5,14 +5,19 @@ reasonable; stdout/stderr are captured and parsed back as JSON.  Usage
 errors raised before a handler runs (bad flags, wrong mode combinations)
 surface as SystemExit(1); errors inside a handler return the exit code.
 """
+import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import frosette
 from frosette import constellation, geocell
 from frosette.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, _emit, _stream_topology, main
 from frosette.config import config_to_dict
@@ -143,15 +148,62 @@ def _stream_topology_per_item(topo, fh) -> None:
     fh.write("]}\n")
 
 
-@pytest.mark.parametrize("n,k", [(5, 0), (4, 1), (6, 2), (9, 3)])
+@pytest.mark.parametrize("n,k", [(5, 0), (4, 1), (6, 2), (9, 3), (12, 2), (16, 1)])
 def test_stream_topology_matches_per_item_writer(n, k):
-    # (9, 3) has 26,244 edges: several 8k chunks and a partial last one
+    # (9, 3) has 26,244 edges: several 8k chunks and a partial last one;
+    # (12, 2) and (16, 1) mix one- and two-digit names
     topo = build(make_config(n, 1, k))
     got, want = io.StringIO(), io.StringIO()
     _stream_topology(topo, got)
     _stream_topology_per_item(topo, want)
     assert got.getvalue() == want.getvalue()
     assert json.loads(got.getvalue()) == topology_to_dict(topo)
+
+
+def test_generate_output_at_n16_k3_keeps_its_bytes(tmp_path, capsys):
+    # sha256 of this file as the previous (f-string per edge) writer wrote it
+    want = "252484cd466930b42ed3c0feaa09285c9ea151100b466c00322bce03c557012b"
+    path, out = tmp_path / "config.json", tmp_path / "topology.json"
+    doc = {"n": 16, "m": 8, "k": 3, "altitude_km": 1100.0, "inclination_deg": 70.0}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["generate", "--config", str(path), "--output", str(out)]) == EXIT_OK
+    assert _json_out(capsys)["edges"] == 4 * 65536
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == want
+
+
+@pytest.mark.parametrize("field,value", [("n", 8.5), ("n", True), ("altitude_km", "1260")])
+def test_generate_rejects_mistyped_config_fields(tmp_path, capsys, field, value):
+    path, out = tmp_path / "config.json", tmp_path / "topology.json"
+    path.write_text(json.dumps(dict(ROUTING_CONFIG, **{field: value})), encoding="utf-8")
+    assert main(["generate", "--config", str(path), "--output", str(out)]) == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert json.loads(captured.err) == {
+        "error": "ConfigError",
+        "detail": f"{field} must be a JSON {'integer' if field == 'n' else 'number'}, "
+        f"got {value!r}",
+    }
+
+
+def test_non_finite_derived_constants_exit_2(tmp_path, capsys):
+    # omega = 2 pi / sidereal_day_s overflows to inf for a subnormal day
+    path = tmp_path / "config.json"
+    doc = dict(GEO_CONFIG, constants={"sidereal_day_s": 1e-310})
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    route = ["route", "--config", str(path), "--geo", "--from-lat", "10", "--from-lon",
+             "20", "--to-lat", "-30", "--to-lon", "40"]
+    tables = tmp_path / "tables.fra0"
+    generate = ["generate", "--config", str(path), "--output", str(tmp_path / "t.json"),
+                "--tables", str(tables)]
+    for argv in (route, generate):
+        assert main(argv) == EXIT_DOMAIN
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert json.loads(out.err) == {
+            "error": "ConfigError",
+            "detail": "derived omega_earth_rad_s is not finite: inf",
+        }
+    assert not tables.exists()
 
 
 @pytest.mark.parametrize("text", ['{"n": 8,', "", "\udcff", "\ufeff{}"])
@@ -506,6 +558,15 @@ def test_verify(capsys):
     lines = out.strip().splitlines()
     assert all(line.startswith("PASS ") for line in lines[:-1])
     assert lines[-1].endswith("checks passed")
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=str(Path(frosette.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "frosette", "verify"], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1].endswith("checks passed")
 
 
 # --- parser surface ----------------------------------------------------------------

@@ -209,6 +209,39 @@ def test_config_rejects_bad_constants(constants):
         config_from_dict(doc)
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [("n", 8.5), ("n", 8.0), ("n", True), ("n", "8"), ("m", 6.9), ("k", 1.2), ("k", None),
+     ("altitude_km", "1260"), ("altitude_km", True), ("inclination_deg", [70.0]),
+     ("min_elevation_deg", "0"), ("constants", {"earth_radius_km": "6371"}),
+     ("constants", {"light_speed_km_s": True}),
+     pytest.param("altitude_km", 10 ** 400, id="altitude_km-int-beyond-float")],
+)
+def test_config_rejects_mistyped_fields(field, value):
+    doc = dict(config_to_dict(make_config(8, 6, 1)), **{field: value})
+    with pytest.raises(ConfigError):
+        config_from_dict(doc)
+
+
+def test_config_takes_json_ints_for_float_fields():
+    doc = dict(config_to_dict(make_config(8, 6, 1)), altitude_km=1200, inclination_deg=70)
+    cfg = config_from_dict(doc)
+    assert cfg == make_config(8, 6, 1) and isinstance(cfg.altitude_km, float)
+
+
+@pytest.mark.parametrize(
+    "fields,derived",
+    [
+        ({"constants": {"sidereal_day_s": 1e-310}}, "omega_earth_rad_s"),
+        ({"altitude_km": 1.7e308, "constants": {"earth_radius_km": 1.7e308}}, "orbit_radius_km"),
+    ],
+)
+def test_config_rejects_non_finite_derived_constants(fields, derived):
+    doc = dict(config_to_dict(make_config(8, 6, 1)), **fields)
+    with pytest.raises(ConfigError, match=f"derived {derived} is not finite"):
+        config_from_dict(doc)
+
+
 def test_config_constants_round_trip():
     doc = dict(
         config_to_dict(make_config(8, 6, 1)),
