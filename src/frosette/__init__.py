@@ -3,7 +3,7 @@
 The package is organized by concern:
 
 - :mod:`frosette.config` — configuration and physical constants
-- :mod:`frosette.geom` — orbits, sub-points, ranges, visibility
+- :mod:`frosette.geom` — orbits, sub-points, ranges, coverage
 - :mod:`frosette.constellation` — recursive structure and inter-satellite links
 - :mod:`frosette.addressing` — 128-bit satellite/ground address embedding
 - :mod:`frosette.geocell` — trajectory-bounded hierarchical ground cells

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .config import ConstellationConfig
-from .constellation import SatAddress
+from .constellation import SatAddress, validate_address
 from .constellation import format_address as format_sat_address
 from .errors import ConfigError, LayoutError, ParseError, RangeError
 from .geocell import CellId, _validate_digits
@@ -86,17 +86,11 @@ def parse_sat_address(text: str, cfg: ConstellationConfig) -> SatAddress:
     digits: list[int] = []
     pos = 0
     for part in text.split("."):
-        if not part or not part.isdigit():
+        if not (part.isascii() and part.isdigit()):  # int() rejects '²', which isdigit() passes
             raise ParseError(f"expected a decimal digit group, got {part!r}", position=pos)
         digits.append(int(part))
         pos += len(part) + 1
-    if len(digits) != cfg.k + 1:
-        raise RangeError(
-            f"satellite address has {len(digits)} digits, config needs {cfg.k + 1}"
-        )
-    for i, d in enumerate(digits):
-        if not (0 <= d < cfg.n):
-            raise RangeError(f"digit {d} at layer {i} out of range [0, {cfg.n})")
+    validate_address(tuple(digits), cfg)
     return tuple(digits)
 
 
@@ -111,7 +105,7 @@ def parse_cell_id(text: str, cfg: ConstellationConfig) -> CellId:
     pos = 0
     for group in text.split("/"):
         halves = group.split(",")
-        if len(halves) != 2 or not all(h.isdigit() for h in halves):
+        if len(halves) != 2 or not all(h.isascii() and h.isdigit() for h in halves):
             raise ParseError(f"expected 'row,col', got {group!r}", position=pos)
         digits.append((int(halves[0]), int(halves[1])))
         pos += len(group) + 1
@@ -163,13 +157,8 @@ def encode(addr, layout: BitLayout, *, prefix: int = 0, suffix: int = 0) -> int:
     value = addr.prefix
     if isinstance(addr, SatAddress128):
         value = value << 1  # flag 0
-        if len(addr.digits) != layout.k + 1:
-            raise RangeError(
-                f"satellite address has {len(addr.digits)} digits, layout needs {layout.k + 1}"
-            )
-        for i, d in enumerate(addr.digits):
-            if not (0 <= d < layout.n):
-                raise RangeError(f"digit {d} at layer {i} out of range [0, {layout.n})")
+        validate_address(addr.digits, layout)
+        for d in addr.digits:
             value = (value << layout.sat_digit_bits) | d
         _check_width("suffix", addr.suffix, layout.sat_suffix_bits)
         return (value << layout.sat_suffix_bits) | addr.suffix
@@ -205,9 +194,7 @@ def decode(bits: int, layout: BitLayout, cfg: ConstellationConfig | None = None)
             digits.append(payload & ((1 << layout.sat_digit_bits) - 1))
             payload >>= layout.sat_digit_bits
         digits.reverse()
-        for i, d in enumerate(digits):
-            if d >= layout.n:
-                raise RangeError(f"decoded digit {d} at layer {i} exceeds {layout.n - 1}")
+        validate_address(tuple(digits), layout)
         return SatAddress128(prefix, tuple(digits), suffix)
     suffix = bits & ((1 << layout.suffix_bits) - 1)
     payload = bits >> layout.suffix_bits

@@ -39,10 +39,14 @@ EXIT_USAGE = 1
 EXIT_DOMAIN = 2
 
 
+def _error(kind: str, detail, code: int) -> int:
+    """Write the one JSON error object to stderr; return the exit code."""
+    sys.stderr.write(json.dumps({"error": kind, "detail": str(detail)}) + "\n")
+    return code
+
+
 def _usage_error(message: str) -> None:
-    json.dump({"error": "usage", "detail": message}, sys.stderr)
-    sys.stderr.write("\n")
-    raise SystemExit(EXIT_USAGE)
+    raise SystemExit(_error("usage", message, EXIT_USAGE))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -153,7 +157,7 @@ def _cmd_route(args) -> int:
     topo = build(cfg)
     src = parse_sat_address(args.src, cfg)
     dst = parse_sat_address(args.dst, cfg)
-    path = shortest_path(src, dst, topo, rule=args.rule)
+    path = shortest_path(src, dst, topo)
     hops = path_hops(path, cfg)
     _emit(
         {
@@ -261,7 +265,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--config", required=True)
     p.add_argument("--from", dest="src", help="source satellite address, e.g. 0.3")
     p.add_argument("--to", dest="dst", help="destination satellite address")
-    p.add_argument("--rule", choices=("optimal", "literal"), default="optimal")
     p.add_argument("--geo", action="store_true", help="route by ground coordinates")
     p.add_argument("--from-lat", type=float, help="source latitude, degrees")
     p.add_argument("--from-lon", type=float, help="source longitude, degrees")
@@ -306,17 +309,11 @@ def main(argv=None) -> int:
     try:
         return args.handler(args)
     except (ParseError, RangeError) as exc:
-        json.dump({"error": type(exc).__name__, "detail": str(exc)}, sys.stderr)
-        sys.stderr.write("\n")
-        return EXIT_USAGE
+        return _error(type(exc).__name__, exc, EXIT_USAGE)
     except FrosetteError as exc:
-        json.dump({"error": type(exc).__name__, "detail": str(exc)}, sys.stderr)
-        sys.stderr.write("\n")
-        return EXIT_DOMAIN
+        return _error(type(exc).__name__, exc, EXIT_DOMAIN)
     except OSError as exc:
-        json.dump({"error": "io", "detail": str(exc)}, sys.stderr)
-        sys.stderr.write("\n")
-        return EXIT_USAGE
+        return _error("io", exc, EXIT_USAGE)
 
 
 if __name__ == "__main__":

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 from .errors import ConfigError, ParseError
 
@@ -57,8 +57,13 @@ class ConstellationConfig:
                 f"min_elevation_rad must be in [0, pi/2), got {self.min_elevation_rad}"
             )
         for name in ("period_s", "omega_earth_rad_s", "orbit_radius_km"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"derived {name} is not finite: {getattr(self, name)}")
+            try:
+                value = getattr(self, name)
+            except OverflowError:  # an N - m beyond the float range
+                raise ConfigError(f"derived {name} overflows a float") from None
+            if not 0.0 < value < math.inf:  # a period can underflow to 0
+                what = "zero" if value == 0 else "not finite"
+                raise ConfigError(f"derived {name} is {what}: {value}")
 
     @property
     def rho(self) -> int:
@@ -81,16 +86,13 @@ class ConstellationConfig:
     def orbit_radius_km(self) -> float:
         return self.consts.earth_radius_km + self.altitude_km
 
-    def with_altitude(self, altitude_km: float) -> "ConstellationConfig":
-        return replace(self, altitude_km=altitude_km)
 
-
-def _json_number(key: str, val, kind: type = float):
-    """val as kind. An int field takes a JSON integer only (8.0 is not one), a
-    float field any JSON number; a bool or a string is neither."""
+def _json_number(key: str, val, kind: type = float, error: type = ConfigError):
+    """val as kind, else an ``error``. An int field takes a JSON integer only
+    (8.0 is not one), a float field any JSON number; a bool or a string is neither."""
     if isinstance(val, bool) or not isinstance(val, int if kind is int else (int, float)):
         what = "integer" if kind is int else "number"
-        raise ConfigError(f"{key} must be a JSON {what}, got {val!r}")
+        raise error(f"{key} must be a JSON {what}, got {val!r}")
     return kind(val)
 
 
@@ -142,12 +144,7 @@ def config_to_dict(cfg: ConstellationConfig) -> dict:
         "min_elevation_deg": math.degrees(cfg.min_elevation_rad),
     }
     if cfg.consts != DEFAULT_CONSTANTS:
-        doc["constants"] = {
-            "earth_radius_km": cfg.consts.earth_radius_km,
-            "sidereal_day_s": cfg.consts.sidereal_day_s,
-            "light_speed_km_s": cfg.consts.light_speed_km_s,
-            "atmosphere_margin_km": cfg.consts.atmosphere_margin_km,
-        }
+        doc["constants"] = asdict(cfg.consts)
     return doc
 
 

@@ -24,10 +24,12 @@ MAX_SATELLITES = 1 << 22
 
 def check_size(cfg: ConstellationConfig) -> None:
     """Raise DomainError, before anything is allocated, above MAX_SATELLITES."""
-    if cfg.n_sats > MAX_SATELLITES:
-        raise DomainError(
-            f"N^(k+1) = {cfg.n_sats} satellites exceeds the limit of {MAX_SATELLITES}"
-        )
+    # past these bounds N^(k+1) >= 2^(k+1) is too large, and may have too many digits to print
+    small = cfg.k < MAX_SATELLITES.bit_length() and cfg.n < 1 << 64
+    if not small or cfg.n_sats > MAX_SATELLITES:
+        count = f" = {cfg.n_sats}" if small else ""
+        raise DomainError(f"N^(k+1){count} with N={cfg.n}, k={cfg.k} "
+                          f"exceeds the limit of {MAX_SATELLITES}")
 
 
 def sat_id(addr: SatAddress, n: int) -> int:
@@ -39,10 +41,9 @@ def sat_id(addr: SatAddress, n: int) -> int:
 
 
 def validate_address(addr: SatAddress, cfg: ConstellationConfig) -> None:
+    """RangeError unless addr has k+1 digits in [0, N); cfg may also be a BitLayout."""
     if len(addr) != cfg.k + 1:
-        raise RangeError(
-            f"address {addr} has {len(addr)} digits, expected {cfg.k + 1}"
-        )
+        raise RangeError(f"address {addr} has {len(addr)} digits, expected {cfg.k + 1}")
     for digit in addr:
         if not (0 <= digit < cfg.n):
             raise RangeError(f"digit {digit} out of range [0, {cfg.n}) in {addr}")
@@ -51,9 +52,9 @@ def validate_address(addr: SatAddress, cfg: ConstellationConfig) -> None:
 def ring_table(cfg: ConstellationConfig) -> tuple[np.ndarray, np.ndarray]:
     """(nbr, edge): the ring links of every satellite id, as read-only (M, 2(k+1)) arrays.
 
-    ``nbr[i]`` holds i's neighbours in ``neighbors()`` order (layers ascending,
-    +1 before -1); ``edge[i]`` the matching edge ids, where edge i*(k+1)+L,
-    entry i*(k+1)+L of ``Topology.edges``, joins i to its +1 neighbour on layer L.
+    ``nbr[i]`` holds i's neighbours, layers ascending and +1 before -1 in each;
+    ``edge[i]`` the matching edge ids, where edge i*(k+1)+L, entry i*(k+1)+L of
+    ``Topology.edges``, joins i to its +1 neighbour on layer L.
     Built once per (N, k), which is all it depends on, and shared by every
     config with those two.
     """
@@ -97,15 +98,9 @@ class Topology:
         nbr, edge = ring_table(self.config)
         return [list(zip(a, e)) for a, e in zip(nbr.tolist(), edge.tolist())]
 
-    def adjacency(self, ids: bool = False):
-        """node -> [(layer, direction, neighbor)], layers ascending, +1 first; with
-        ids=True, per satellite id [(neighbor id, edge id)] from :func:`ring_table`."""
-        if ids:
-            return self._id_adjacency
-        return {addr: neighbors(addr, self.config) for addr in self.nodes}
-
-    def has_edge(self, a: SatAddress, b: SatAddress) -> bool:
-        return b in {nb for _, _, nb in neighbors(a, self.config)}
+    def adjacency(self) -> list[list[tuple[int, int]]]:
+        """Per satellite id, [(neighbour id, edge id)] in :func:`ring_table` row order."""
+        return self._id_adjacency
 
 
 def build(cfg: ConstellationConfig) -> Topology:
@@ -118,18 +113,6 @@ def ring_neighbor(addr: SatAddress, layer: int, direction: int, n: int) -> SatAd
     digits = list(addr)
     digits[layer] = (digits[layer] + direction) % n
     return tuple(digits)
-
-
-def neighbors(
-    addr: SatAddress, cfg: ConstellationConfig
-) -> list[tuple[int, int, SatAddress]]:
-    """The 2(k+1) ring neighbors of addr as (layer, direction, address)."""
-    validate_address(addr, cfg)
-    out = []
-    for layer in range(cfg.k + 1):
-        for direction in (+1, -1):
-            out.append((layer, direction, ring_neighbor(addr, layer, direction, cfg.n)))
-    return out
 
 
 def _orbit_angles(ids, cfg: ConstellationConfig):
@@ -262,15 +245,16 @@ def stability_report(cfg: ConstellationConfig) -> StabilityReport:
     """Numeric worst-case link range and the altitude floors it implies.
 
     r_max is maximized over layer-0 edges across a full period plus the fixed
-    intra-orbit arcs (wrap edges included). The closed-form layer-0 range
+    intra-orbit arcs (wrap edges included); above the stability floor, (Re + h)
+    cos(r_max/2) > Re + atmosphere margin. The closed-form layer-0 range
     (``geom.closed_form_sin2`` at offset 1 and time coupling 1) is also
     reported for comparison, but never used for the result.
     """
     r_max = max(_max_layer0_range(cfg), *(_intra_orbit_arcs(cfg) or [0.0]))
     if r_max >= math.pi:
         raise InfeasibleError("worst-case link spans a half circle or more")
-    re = cfg.consts.earth_radius_km
-    h_stab = (1.0 / math.cos(r_max / 2.0) - 1.0) * re
+    re, cos_half = cfg.consts.earth_radius_km, math.cos(r_max / 2.0)
+    h_stab = (1.0 / cos_half - 1.0) * re + cfg.consts.atmosphere_margin_km / cos_half
     h_cov = min_altitude_coverage(cfg)
     s_closed = closed_form_sin2(cfg, 1, 1.0)  # layer-0 neighbours, time coupling 1
     return StabilityReport(

@@ -32,7 +32,7 @@ import numpy as np
 
 from .config import TWO_PI, ConstellationConfig
 from .constellation import address_to_elements, check_size
-from .errors import ConfigError, ParseError, RangeError
+from .errors import ConfigError, DomainError, ParseError, RangeError
 from .geom import LatLon, check_latlon, subpoint_lons, wrap_angle, wrap_lon
 
 ALPHA0_BISECT_TOL_RAD = 1e-10
@@ -99,8 +99,16 @@ def _require_lattice(cfg: ConstellationConfig) -> None:
         )
 
 
+def _span(cfg: ConstellationConfig) -> int:
+    """N^k, the deepest level's cells per level-0 cell side; DomainError past
+    2^1000, where the cell pitch 2*pi/N^k leaves the float range."""
+    if cfg.k * (cfg.n.bit_length() - 1) > 1000 or (span := cfg.n**cfg.k).bit_length() > 1000:
+        raise DomainError(f"N^k with N={cfg.n}, k={cfg.k} exceeds 2^1000")
+    return span
+
+
 def cell_count(cfg: ConstellationConfig) -> int:
-    return cfg.rho**2 * cfg.n ** (2 * cfg.k)
+    return cfg.rho**2 * _span(cfg) ** 2
 
 
 def subdivide(parent: CellId, cfg: ConstellationConfig) -> list[CellId]:
@@ -334,19 +342,6 @@ def load_tables(path: str) -> Alpha0Table:
     return Alpha0Table(n=n, m=m, k=k, inclination_rad=incl, values=values)
 
 
-def tables_to_dict(table: Alpha0Table) -> dict:
-    return {
-        "n": table.n,
-        "m": table.m,
-        "k": table.k,
-        "inclination_deg": math.degrees(table.inclination_rad),
-        "levels": [
-            {"level": lvl, "alpha0_rad": [float(v) for v in rows]}
-            for lvl, rows in enumerate(table.tables_by_level())
-        ],
-    }
-
-
 # --- cell <-> location ----------------------------------------------------
 
 
@@ -457,8 +452,7 @@ def locate_point(
     """
     check_latlon(p)
     _require_lattice(cfg)
-    rho, n, k = cfg.rho, cfg.n, cfg.k
-    span = n**k
+    rho, n, k, span = cfg.rho, cfg.n, cfg.k, _span(cfg)
     gamma, alpha, _ = _ascending_branch(p, cfg)
     u = math.fmod(gamma + rho * alpha, TWO_PI * rho)
     if u < 0.0:

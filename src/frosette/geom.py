@@ -50,12 +50,7 @@ class LatLon:
 
 def wrap_lon(lon: float) -> float:
     """Normalize a longitude into [-pi, pi)."""
-    lon = math.fmod(lon + math.pi, TWO_PI)
-    if lon < 0.0:
-        lon += TWO_PI
-    if lon >= TWO_PI:  # adding 2*pi to a tiny negative can round back up to 2*pi
-        lon = 0.0
-    return lon - math.pi
+    return wrap_angle(lon + math.pi) - math.pi
 
 
 def wrap_lons(lon: np.ndarray) -> np.ndarray:
@@ -66,15 +61,16 @@ def wrap_lons(lon: np.ndarray) -> np.ndarray:
     return lon - math.pi
 
 
-def check_finite(*values: float) -> None:
-    """Raise RangeError unless every coordinate or time is a finite number."""
-    if not all(math.isfinite(v) for v in values):
-        raise RangeError(f"coordinates and times must be finite, got {values}")
+def check_times(cfg: ConstellationConfig, *times: float) -> None:
+    """RangeError unless each time's orbital phase 2*pi*t/T, and so the time, is finite."""
+    if not all(math.isfinite(TWO_PI * t / cfg.period_s) for t in times):
+        raise RangeError(f"times must have a finite orbital phase 2*pi*t/T, got {times}")
 
 
-def check_latlon(p: LatLon, *times: float) -> None:
-    """check_finite on p and times; RangeError for |latitude| > 90 deg (longitudes wrap)."""
-    check_finite(p.lat_rad, p.lon_rad, *times)
+def check_latlon(p: LatLon) -> None:
+    """RangeError unless p is finite with |latitude| <= 90 deg (longitudes wrap)."""
+    if not (math.isfinite(p.lat_rad) and math.isfinite(p.lon_rad)):
+        raise RangeError(f"coordinates must be finite, got {p}")
     if abs(p.lat_rad) > math.pi / 2:
         raise RangeError(f"latitude {math.degrees(p.lat_rad)} deg is outside [-90, 90]")
 
@@ -274,16 +270,3 @@ def min_satellites(coverage_rad: float) -> int:
     x = 2.0 + 2.0 / (q - 1.0)
     return max(4, math.ceil(x - 1e-12))
 
-
-def visibility_ok(
-    r: float, altitude_km: float, consts: PhysicalConstants
-) -> bool:
-    """True iff a link spanning range r clears the earth plus margin."""
-    re = consts.earth_radius_km
-    return (altitude_km + re) * math.cos(r / 2.0) > re + consts.atmosphere_margin_km
-
-
-def elevation_angle(r: float, altitude_km: float, consts: PhysicalConstants) -> float:
-    """Elevation of a satellite seen across central angle r from the ground."""
-    ratio = consts.earth_radius_km / (consts.earth_radius_km + altitude_km)
-    return math.atan2(math.cos(r) - ratio, math.sin(r))

@@ -26,7 +26,7 @@ from .constellation import (
 )
 from .errors import DomainError
 from .geocell import Alpha0Table, CellId, GeoCoord, cell_center, geocoord_to_latlon
-from .geom import LatLon, central_angles, check_finite, check_latlon, coverage_range
+from .geom import LatLon, central_angles, check_latlon, check_times, coverage_range
 from .geom import ground_unit, wrap_angle
 
 MOTION_CONSTANCY_TOL_RAD = 1e-9
@@ -58,7 +58,7 @@ class GeoRouteResult:
 def serving_coord(addr: SatAddress, t: float, cfg: ConstellationConfig) -> GeoCoord:
     """The (alpha, gamma) a satellite maintains locally: linear drift from epoch."""
     validate_address(addr, cfg)
-    check_finite(t)
+    check_times(cfg, t)
     el = address_to_elements(addr, cfg)
     alpha = wrap_angle(el.raan_rad - cfg.omega_earth_rad_s * t)
     gamma = wrap_angle(el.phase0_rad + TWO_PI * t / cfg.period_s)
@@ -110,7 +110,8 @@ def _ranges(sats: list[SatAddress], ground, t: float, cfg: ConstellationConfig):
 def coverage_check(sat: SatAddress, target: LatLon, t: float, cfg: ConstellationConfig) -> bool:
     """True when the satellite's footprint (at its min elevation) reaches target."""
     validate_address(sat, cfg)
-    check_latlon(target, t)
+    check_latlon(target)
+    check_times(cfg, t)
     return bool(_ranges([sat], ground_unit(target, t, cfg), t, cfg)[0] <= _coverage_radius(cfg))
 
 
@@ -131,7 +132,7 @@ def geo_route(
     great-circle distance to the target, at most N-1 steps per ring.
     """
     validate_address(src_serving, cfg)
-    check_finite(t)
+    check_times(cfg, t)
     center = cell_center(dst_cell, tables)
     ground = ground_unit(geocoord_to_latlon(center, cfg), t, cfg)
     radius = _coverage_radius(cfg)

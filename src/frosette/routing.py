@@ -28,25 +28,11 @@ from .errors import DomainError
 Path = list[SatAddress]
 
 
-def ring_step(s_digit: int, d_digit: int, n: int, rule: str = "optimal") -> tuple[int, int]:
-    """Direction (+1/-1) and hop count to correct one ring digit.
-
-    The optimal rule takes the shorter arc and resolves the exact-half tie
-    counter-clockwise. rule="literal" keeps the sign convention
-    ((s-d) mod N <= N/2 goes clockwise) that picks the longer arc for some
-    inputs; it exists for comparison, not for use.
-    """
-    cw = (d_digit - s_digit) % n
-    ccw = (s_digit - d_digit) % n
-    if rule == "literal":
-        return (1, cw) if ccw <= n / 2 else (-1, ccw)
-    if rule != "optimal":
-        raise ValueError(f"unknown rule {rule!r}")
-    if cw == 0:
-        return (1, 0)
-    if cw < ccw:
-        return (1, cw)
-    return (-1, ccw)
+def ring_step(s_digit: int, d_digit: int, n: int) -> tuple[int, int]:
+    """Direction (+1/-1) and hop count to correct one ring digit: the shorter
+    arc, with the exact-half tie going counter-clockwise."""
+    cw, ccw = (d_digit - s_digit) % n, (s_digit - d_digit) % n
+    return (1, cw) if cw < ccw or cw == 0 else (-1, ccw)
 
 
 def shortest_path(
@@ -54,7 +40,6 @@ def shortest_path(
     dst: SatAddress,
     topo: Topology,
     permutation: tuple[int, ...] | None = None,
-    rule: str = "optimal",
 ) -> Path:
     """Hop-optimal path correcting digits in the given layer order."""
     cfg = topo.config
@@ -66,7 +51,7 @@ def shortest_path(
     path = [src]
     cur = src
     for layer in layers:
-        direction, dist = ring_step(cur[layer], dst[layer], cfg.n, rule=rule)
+        direction, dist = ring_step(cur[layer], dst[layer], cfg.n)
         for _ in range(dist):
             cur = ring_neighbor(cur, layer, direction, cfg.n)
             path.append(cur)
@@ -274,7 +259,7 @@ def disjoint_paths(src: SatAddress, dst: SatAddress, topo: Topology) -> Multipat
     except the endpoints is split into an in-node 2x and an out-node 2x+1 with
     capacity one, and the source's first hops are restricted to layers where
     the digits differ. Saturation yields exactly two paths per differing
-    layer, labeled and ordered by their first hop as ``neighbors()`` orders
+    layer, labeled and ordered by their first hop as a ``ring_table`` row orders
     it (layer ascending, clockwise before counter-clockwise).
 
     The network is implicit over integer ids. A satellite carrying flow has

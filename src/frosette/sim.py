@@ -22,13 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ConstellationConfig, config_from_dict, config_to_dict, load_json
+from .config import ConstellationConfig, _json_number, config_from_dict, config_to_dict, load_json
 from .constellation import (
     SatAddress, Topology, build, format_address, orbit_state, ring_table, sat_id,
     validate_address,
 )
-from .errors import ConfigError, ParseError, RangeError
-from .geom import LatLon, central_angles, check_finite, check_latlon, ground_unit
+from .errors import ConfigError, DomainError, ParseError, RangeError
+from .geom import LatLon, central_angles, check_latlon, check_times, ground_unit
 from .geom import link_length_delay, slant_range_km
 from .georouting import _coverage_radius
 from .routing import shortest_path
@@ -99,28 +99,34 @@ class TraceRecord:
         ]
 
 
+def _number(doc: dict, key: str, kind: type = float):
+    """doc[key] by ``config_from_dict``'s rule for JSON numbers, else a ParseError."""
+    return _json_number(key, doc[key], kind, ParseError)
+
+
 def scenario_from_dict(data: dict) -> Scenario:
-    """Scenario from a JSON-style document; malformed or non-finite values
-    raise ParseError, inconsistent ones ConfigError."""
+    """Scenario from a JSON-style document; malformed or non-finite values (the seed
+    a JSON integer, the rest JSON numbers, each window time with a finite orbital
+    phase 2*pi*t/T) raise ParseError, inconsistent ones ConfigError."""
     try:
         cfg = config_from_dict(data["config"])
         window = data["window"]
+        start_s, end_s, step_s = [_number(window, k) for k in ("start_s", "end_s", "step_s")]
         endpoints = {
-            name: LatLon(math.radians(ep["lat_deg"]), math.radians(ep["lon_deg"]))
+            name: LatLon(math.radians(_number(ep, "lat_deg")), math.radians(_number(ep, "lon_deg")))
             for name, ep in data["endpoints"].items()
         }
         experiments = tuple((e["src"], e["dst"]) for e in data["experiments"])
-        seed = int(os.environ.get("FROSETTE_SEED", data.get("seed", 0)))
-        start_s = float(window["start_s"])
-        end_s = float(window["end_s"])
-        step_s = float(window["step_s"])
+        seed = _number(data, "seed", int) if "seed" in data else 0
+        seed = int(os.environ.get("FROSETTE_SEED", seed))  # the environment overrides it
     except KeyError as exc:
         raise ParseError(f"scenario is missing key {exc.args[0]!r}") from exc
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad scenario value: {exc}") from None
-    for name, value in (("start_s", start_s), ("end_s", end_s), ("step_s", step_s)):
-        if not math.isfinite(value):
-            raise ParseError(f"window {name} must be finite, got {value}")
+    try:
+        check_times(cfg, start_s, end_s, step_s)
+    except RangeError as exc:
+        raise ParseError(f"window: {exc}") from None
     for name, p in endpoints.items():
         try:
             check_latlon(p)
@@ -210,10 +216,18 @@ def _min_delay_path(
     return path, dist[dst]
 
 
+# The most sample instants one window may have. It bounds the window's list of
+# Python floats (32 bytes each: 32 MB) and the records a run keeps per experiment.
+MAX_STEPS = 1 << 20
+
+
 def _step_times(start: float, end: float, step: float) -> list[float]:
-    """Sample instants start + i*step through end (no accumulated rounding)."""
-    steps = int(math.floor((end - start) / step + 1e-9)) + 1
-    return [start + i * step for i in range(steps)]
+    """Sample instants start + i*step through end (no accumulated rounding);
+    DomainError, before anything is allocated, above MAX_STEPS."""
+    steps = (end - start) / step + 1e-9
+    if not steps < MAX_STEPS:  # a NaN or infinite count fails too
+        raise DomainError(f"a window of ({start}, {end}, {step}) exceeds {MAX_STEPS} steps")
+    return [start + i * step for i in range(int(math.floor(steps)) + 1)]
 
 
 def _ids(addrs: list[SatAddress], cfg: ConstellationConfig) -> list[int]:
@@ -225,8 +239,9 @@ def _ids(addrs: list[SatAddress], cfg: ConstellationConfig) -> list[int]:
 
 def associate(p: LatLon, t: float, topo: Topology) -> SatAddress:
     """Physically nearest satellite; ties break to the smallest address."""
-    check_latlon(p, t)
     cfg = topo.config
+    check_latlon(p)
+    check_times(cfg, t)
     dots = orbit_state(cfg).unit_positions(t) @ ground_unit(p, t, cfg)
     return topo.nodes[int(np.argmax(dots))]
 
@@ -235,19 +250,19 @@ def delay_oracle(
     topo: Topology, t: float, src: SatAddress, dst: SatAddress
 ) -> tuple[list[SatAddress], float]:
     """Exact minimum-propagation-delay satellite path at the time-t snapshot."""
-    check_finite(t)  # NaN delays would leave dst unreached
+    check_times(topo.config, t)  # NaN delays would leave dst unreached
     if src == dst:
         return [src], 0.0
     delays = _edge_delays(topo, orbit_state(topo.config).unit_positions(t))
-    adj = topo.adjacency(ids=True)
+    adj = topo.adjacency()
     path, delay = _min_delay_path(adj, delays, *_ids([src, dst], topo.config))
     return [topo.nodes[i] for i in path], delay
 
 
 def path_delay(path: list[SatAddress], t: float, topo: Topology) -> float:
     """In-space propagation delay of a node sequence at the time-t snapshot."""
-    check_finite(t)
     cfg = topo.config
+    check_times(cfg, t)
     return _path_delay(orbit_state(cfg).unit_positions(t), _ids(path, cfg), cfg)
 
 
@@ -260,16 +275,16 @@ def link_delay_trace(
 
     Samples fall at start + i*step, the same instants :func:`run` uses.
     """
-    a, b = edge
-    if not topo.has_edge(a, b):
-        raise RangeError(f"{a} -- {b} is not a topology edge")
+    cfg = topo.config
+    a, b = ids = _ids(list(edge), cfg)
+    if b not in ring_table(cfg)[0][a]:
+        raise RangeError(f"{edge[0]} -- {edge[1]} is not a topology edge")
     start, end, step = window
-    check_finite(start, end, step)
+    check_times(cfg, start, end, step)
     if step <= 0 or end < start:
         raise ConfigError("window must be non-empty with positive step")
-    cfg = topo.config
     times = _step_times(start, end, step)
-    pos = orbit_state(cfg).unit_positions(np.array(times)[:, None], _ids([a, b], cfg))
+    pos = orbit_state(cfg).unit_positions(np.array(times)[:, None], ids)
     return list(zip(times, _link_delays(pos[:, 0], pos[:, 1], cfg).tolist()))
 
 
@@ -287,7 +302,7 @@ def run(scenario: Scenario) -> tuple[list[TraceRecord], dict]:
     """
     cfg = scenario.config
     topo = build(cfg)
-    adj = topo.adjacency(ids=True)
+    adj = topo.adjacency()
     radius = _coverage_radius(cfg)
     routes: dict[tuple[int, int], list[int]] = {}
     records: list[TraceRecord] = []

@@ -23,6 +23,16 @@ def make_config(n, m, k, incl_deg=70.0, altitude_km=1200.0, elev_deg=25.0):
     )
 
 
+def ring_graph(topo):
+    """node -> neighbour addresses, read from ``topo.edges``: the graph that
+    BFS and networkx oracles search."""
+    adj = {node: [] for node in topo.nodes}
+    for a, b, _layer in topo.edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    return adj
+
+
 @pytest.fixture(scope="session")
 def cfg_8_1():
     """64-satellite workhorse for routing tests."""

@@ -239,15 +239,6 @@ def test_route_reference_example(cfg_path, capsys):
     assert {h["layer"] for h in doc["hops"]} == {0, 1}
 
 
-def test_route_literal_rule(cfg_path, capsys):
-    assert (
-        main(["route", "--config", cfg_path, "--from", "0.0", "--to", "3.0", "--rule", "literal"])
-        == EXIT_OK
-    )
-    doc = _json_out(capsys)
-    assert doc["hop_count"] == 5  # the literal convention takes the long way round
-
-
 def test_route_bad_address(cfg_path, capsys):
     assert main(["route", "--config", cfg_path, "--from", "0.9", "--to", "1.1"]) == EXIT_USAGE
     assert _json_err(capsys)["error"] == "RangeError"
@@ -547,6 +538,115 @@ def test_simulate_bad_scenario(tmp_path, capsys):
     rc = main(["simulate", "--scenario", str(scn_path), "--trace", str(tmp_path / "t.csv")])
     assert rc == EXIT_USAGE
     assert _json_err(capsys)["error"] == "ParseError"
+
+
+def _simulate(tmp_path, capsys, **fields):
+    """Run simulate on the test_simulate scenario with fields replaced; (exit, stdout, stderr)."""
+    scenario = {
+        "config": ROUTING_CONFIG,
+        "window": {"start_s": 0.0, "end_s": 40.0, "step_s": 20.0},
+        "endpoints": {"bj": {"lat_deg": 39.9, "lon_deg": 116.4},
+                      "ny": {"lat_deg": 40.7, "lon_deg": -74.0}},
+        "experiments": [{"src": "bj", "dst": "ny"}],
+        **fields,
+    }
+    scn_path = tmp_path / "scenario.json"
+    scn_path.write_text(json.dumps(scenario), encoding="utf-8")
+    rc = main(["simulate", "--scenario", str(scn_path), "--trace", str(tmp_path / "t.csv")])
+    out = capsys.readouterr()
+    return rc, out.out, out.err
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"window": {"start_s": 10**400, "end_s": 40.0, "step_s": 20.0}},
+        {"window": {"start_s": 0.0, "end_s": 40.0, "step_s": "10"}},
+        {"seed": 2.7},
+        {"endpoints": {"bj": {"lat_deg": True, "lon_deg": 116.4},
+                       "ny": {"lat_deg": 40.7, "lon_deg": -74.0}}},
+    ],
+    ids=["start_s-400-digits", "step_s-string", "seed-float", "lat_deg-bool"],
+)
+def test_simulate_scenario_type_rule(tmp_path, capsys, fields):
+    # the seed is a JSON integer, the window and endpoints JSON numbers
+    rc, out, err = _simulate(tmp_path, capsys, **fields)
+    assert (rc, out) == (EXIT_USAGE, "")
+    assert json.loads(err)["error"] == "ParseError"
+
+
+@pytest.mark.parametrize(
+    "window,error",
+    [
+        # 2*pi*t/T overflows: the orbital phase of the window is not finite
+        ({"start_s": 1e308, "end_s": 1e308, "step_s": 10.0}, "ParseError"),
+        ({"start_s": 0.0, "end_s": 1e308, "step_s": 1e-310}, "ParseError"),
+        # a finite phase but an infinite step count
+        ({"start_s": 0.0, "end_s": 1e300, "step_s": 1e-300}, "DomainError"),
+    ],
+)
+def test_simulate_windows_beyond_float_range_exit_with_json(tmp_path, capsys, window, error):
+    rc, out, err = _simulate(tmp_path, capsys, window=window)
+    assert (rc, out) == (EXIT_DOMAIN if error == "DomainError" else EXIT_USAGE, "")
+    assert json.loads(err)["error"] == error
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate"],
+        ["route", "--from", "0.0", "--to", "1.1"],
+        ["fib", "--owner", "0.0"],
+        ["cells", "--count"],
+    ],
+)
+def test_config_whose_n_overflows_a_float_exits_2(tmp_path, capsys, argv):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(ROUTING_CONFIG, n=10**400)), encoding="utf-8")
+    assert main([argv[0], "--config", str(path), *argv[1:]]) == EXIT_DOMAIN
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert json.loads(out.err) == {
+        "error": "ConfigError", "detail": "derived period_s overflows a float"
+    }
+
+
+def test_route_at_a_huge_k_names_n_and_k(tmp_path, capsys):
+    # N^(k+1) has far more than the 4,300 digits an int may print
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(ROUTING_CONFIG, k=1000000)), encoding="utf-8")
+    assert main(["route", "--config", str(path), "--from", "0.0", "--to", "1.1"]) == EXIT_DOMAIN
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert json.loads(out.err) == {
+        "error": "DomainError",
+        "detail": "N^(k+1) with N=8, k=1000000 exceeds the limit of 4194304",
+    }
+
+
+@pytest.mark.parametrize("mode", [["--count"], ["--locate", "10", "20"]])
+def test_cells_at_a_huge_k_exit_2(tmp_path, capsys, mode):
+    # N^k = 8^1000000 is far past the float range of the cell pitch 2*pi/N^k
+    path = tmp_path / "cells.json"
+    path.write_text(json.dumps(dict(CELLS_CONFIG, k=1000000)), encoding="utf-8")
+    assert main(["cells", "--config", str(path), *mode]) == EXIT_DOMAIN
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert json.loads(out.err) == {
+        "error": "DomainError", "detail": "N^k with N=8, k=1000000 exceeds 2^1000"
+    }
+
+
+def test_route_geo_at_a_time_whose_phase_overflows_exits_1(tmp_path, capsys):
+    path = tmp_path / "geo.json"
+    path.write_text(json.dumps(GEO_CONFIG), encoding="utf-8")
+    argv = ["route", "--config", str(path), "--geo"]
+    for flag, value in dict(GEO_FLAGS, **{"--time": "1e308"}).items():
+        argv += [flag, value]
+    assert main(argv) == EXIT_USAGE
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert json.loads(out.err)["error"] == "RangeError"
 
 
 # --- verify -----------------------------------------------------------------------

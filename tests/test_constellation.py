@@ -2,6 +2,7 @@
 import json
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from frosette.constellation import (
     ground_to_space_rtt,
     min_altitude_coverage,
     min_altitude_stability,
-    neighbors,
     orbit_state,
     ring_neighbor,
     ring_table,
@@ -61,17 +61,19 @@ def test_build_counts_and_degrees(n, k):
 
 @pytest.mark.parametrize("n,k", [(5, 0), (4, 1), (3, 2), (4, 3)])
 def test_ring_table_is_neighbors_and_edge_ids(n, k):
-    # row i of the table is neighbors() of node i by id, and edge id e names
-    # topo.edges[e] from both of its ends
+    # row i of the table is node i's ring neighbours by id, layers ascending
+    # and +1 before -1, and edge id e names topo.edges[e] from both of its ends
     cfg = make_config(n, 1, k)
     topo = build(cfg)
     nbr, edge = ring_table(cfg)
     assert nbr.shape == edge.shape == (cfg.n_sats, 2 * (k + 1))
     for i, node in enumerate(topo.nodes):
-        assert [topo.nodes[j] for j in nbr[i]] == [nb for _l, _d, nb in neighbors(node, cfg)]
+        assert [topo.nodes[j] for j in nbr[i]] == [
+            ring_neighbor(node, layer, d, n) for layer in range(k + 1) for d in (1, -1)
+        ]
     for e, (a, b, layer) in enumerate(topo.edges):
         assert (edge[sat_id(a, n), 2 * layer], edge[sat_id(b, n), 2 * layer + 1]) == (e, e)
-    assert topo.adjacency(ids=True) == [
+    assert topo.adjacency() == [
         list(zip(row, ids)) for row, ids in zip(nbr.tolist(), edge.tolist())
     ]
     # the table depends on N and k only
@@ -98,14 +100,12 @@ def test_ring_neighbor_and_adjacency():
     cfg = make_config(8, 6, 1)
     assert ring_neighbor((7, 3), 0, +1, 8) == (0, 3)
     assert ring_neighbor((0, 0), 1, -1, 8) == (0, 7)
-    nbrs = neighbors((2, 5), cfg)
-    assert len(nbrs) == 4
-    # layers ascending, +1 before -1 within a layer
-    assert [(layer, d) for layer, d, _ in nbrs] == [(0, 1), (0, -1), (1, 1), (1, -1)]
-    assert {nb for _, _, nb in nbrs} == {(3, 5), (1, 5), (2, 6), (2, 4)}
     topo = build(cfg)
-    assert topo.has_edge((2, 5), (3, 5))
-    assert not topo.has_edge((2, 5), (4, 5))
+    # layers ascending, +1 before -1 within a layer
+    row = ring_table(cfg)[0][sat_id((2, 5), 8)]
+    assert [topo.nodes[j] for j in row] == [(3, 5), (1, 5), (2, 6), (2, 4)]
+    assert ((2, 5), (3, 5), 0) in topo.edges
+    assert not any({a, b} == {(2, 5), (4, 5)} for a, b, _layer in topo.edges)
 
 
 def test_validate_address():
@@ -299,6 +299,20 @@ def test_stability_report_dominates_random_probes():
     )
     assert rep.h_min_km == max(rep.h_stability_km, rep.h_coverage_km)
     assert min_altitude_stability(cfg) == rep.h_min_km
+
+
+def test_stability_floor_honours_atmosphere_margin():
+    # a link across r_max clears the earth plus the margin when
+    # (Re + h) cos(r_max/2) > Re + margin; a zero margin leaves the floor's bits
+    cfg = make_config(8, 6, 1)
+    base = stability_report(cfg)
+    lifted = stability_report(replace(cfg, consts=replace(cfg.consts, atmosphere_margin_km=80.0)))
+    re, half = cfg.consts.earth_radius_km, math.cos(base.r_max_rad / 2.0)
+    assert base.h_stability_km == (1.0 / half - 1.0) * re
+    assert lifted.r_max_rad == base.r_max_rad
+    assert lifted.h_stability_km == pytest.approx(base.h_stability_km + 80.0 / half, rel=1e-12)
+    assert (re + lifted.h_stability_km) * half == pytest.approx(re + 80.0, rel=1e-12)
+    assert lifted.h_min_km == max(lifted.h_stability_km, lifted.h_coverage_km)
 
 
 @pytest.mark.parametrize(

@@ -32,7 +32,6 @@ from frosette.geocell import (
     locate_point,
     save_tables,
     subdivide,
-    tables_to_dict,
     validate_cell,
 )
 from frosette.geom import LatLon, great_circle_range, subpoint
@@ -268,14 +267,6 @@ def test_fra0_rejects_corruption(tmp_path, tables_cells):
             fh.write(blob)
         with pytest.raises(ParseError):
             load_tables(path)
-
-
-def test_tables_to_dict(tables_cells):
-    doc = tables_to_dict(tables_cells)
-    assert doc["n"] == 8 and doc["m"] == 6 and doc["k"] == 1
-    assert doc["inclination_deg"] == pytest.approx(45.0)
-    assert [lv["level"] for lv in doc["levels"]] == [0, 1]
-    assert len(doc["levels"][1]["alpha0_rad"]) == tables_cells.n_rows
 
 
 # --- point location ----------------------------------------------------------------

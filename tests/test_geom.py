@@ -18,7 +18,6 @@ from frosette.geom import (
     OrbitalElements,
     central_angles,
     coverage_range,
-    elevation_angle,
     great_circle_range,
     link_length_delay,
     link_range_closed_form,
@@ -27,7 +26,6 @@ from frosette.geom import (
     slant_range_km,
     subpoint,
     subpoint_lons,
-    visibility_ok,
     wrap_angle,
     wrap_lon,
     wrap_lons,
@@ -238,6 +236,13 @@ def test_slant_range():
     assert slant_range_km(math.pi / 2, 550.0, C) == pytest.approx(want)
 
 
+def elevation_angle(r: float, altitude_km: float, consts) -> float:
+    """Elevation of a satellite seen across central angle r from the ground:
+    the oracle for coverage_range, which inverts it."""
+    ratio = consts.earth_radius_km / (consts.earth_radius_km + altitude_km)
+    return math.atan2(math.cos(r) - ratio, math.sin(r))
+
+
 @pytest.mark.parametrize("h,elev_deg", [(550.0, 0.0), (550.0, 25.0), (1200.0, 40.0), (35786.0, 5.0)])
 def test_coverage_range_defining_equation(h, elev_deg):
     elev = math.radians(elev_deg)
@@ -263,13 +268,6 @@ def test_elevation_angle_limits():
     assert elevation_angle(0.0, h, C) == pytest.approx(math.pi / 2)
     horizon = math.acos(C.earth_radius_km / (C.earth_radius_km + h))
     assert elevation_angle(horizon, h, C) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_visibility_ok_grazing():
-    h = 1000.0
-    graze = 2 * math.acos(C.earth_radius_km / (C.earth_radius_km + h))
-    assert visibility_ok(graze - 1e-6, h, C)
-    assert not visibility_ok(graze + 1e-6, h, C)
 
 
 # --- minimum ring size ----------------------------------------------------------

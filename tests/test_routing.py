@@ -33,7 +33,7 @@ from frosette.routing import (
     ring_step,
     shortest_path,
 )
-from conftest import make_config
+from conftest import make_config, ring_graph
 
 
 # --- single-ring steps -----------------------------------------------------------
@@ -62,19 +62,6 @@ def test_ring_step_matches_brute_force(n):
             assert cur == d
 
 
-def test_ring_step_literal_rule():
-    # the literal convention keeps its sign rule even when the arc is longer
-    assert ring_step(0, 3, 8, rule="literal") == (-1, 5)
-    assert ring_step(0, 5, 8, rule="literal") == (1, 5)
-    assert ring_step(0, 4, 8, rule="literal") == (1, 4)
-    for s, d in itertools.product(range(8), repeat=2):
-        _, lit = ring_step(s, d, 8, rule="literal")
-        _, opt = ring_step(s, d, 8)
-        assert lit >= opt
-    with pytest.raises(ValueError):
-        ring_step(0, 1, 8, rule="fastest")
-
-
 @given(st.integers(3, 64), st.integers(0, 63), st.integers(0, 63))
 def test_ring_step_distance_bound(n, s, d):
     s, d = s % n, d % n
@@ -86,7 +73,7 @@ def test_ring_step_distance_bound(n, s, d):
 
 
 def _bfs_all(topo):
-    adj = {node: [nb for _l, _d, nb in nbrs] for node, nbrs in topo.adjacency().items()}
+    adj = ring_graph(topo)
 
     def dists(src):
         dist = {src: 0}

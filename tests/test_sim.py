@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from frosette.constellation import Topology, address_to_elements, build, orbit_state, sat_id
-from frosette.errors import ConfigError, ParseError, RangeError
+from frosette.errors import ConfigError, DomainError, ParseError, RangeError
 from frosette.geom import (
     LatLon,
     central_angles,
@@ -25,6 +25,7 @@ from frosette.geocell import locate_point
 from frosette.georouting import _coverage_radius, coverage_check, serving_coord
 from frosette.routing import shortest_path
 from frosette.sim import (
+    MAX_STEPS,
     Scenario,
     TRACE_COLUMNS,
     TraceRecord,
@@ -43,7 +44,7 @@ from frosette.sim import (
     summarize,
     write_trace_csv,
 )
-from conftest import make_config
+from conftest import make_config, ring_graph
 
 
 def _scenario_doc():
@@ -213,13 +214,14 @@ def test_delay_oracle_matches_networkx():
     rng = random.Random(1618)
     for n, m, k in [(8, 6, 1), (4, 2, 2), (3, 1, 3)]:
         topo = build(make_config(n, m, k))
+        graph = ring_graph(topo)
         for _ in range(8):
             src = tuple(rng.randrange(n) for _ in range(k + 1))
             dst = tuple(rng.randrange(n) for _ in range(k + 1))
             t = rng.uniform(0.0, 5000.0)
             path, delay = delay_oracle(topo, t, src, dst)
             assert path[0] == src and path[-1] == dst
-            assert all(topo.has_edge(a, b) for a, b in zip(path, path[1:]))
+            assert all(b in graph[a] for a, b in zip(path, path[1:]))
             assert delay == pytest.approx(_nx_min_delay(topo, t, src, dst), rel=1e-9)
             assert delay == pytest.approx(path_delay(path, t, topo), rel=1e-9)
         same = (1,) * (k + 1)
@@ -242,6 +244,13 @@ def test_path_delay_sums_hop_delays(topo_8_1, cfg_8_1):
 
 
 # --- link delay traces -------------------------------------------------------------------
+
+
+def test_step_times_refuse_more_than_max_steps_before_allocating():
+    assert len(_step_times(0.0, MAX_STEPS - 1.0, 1.0)) == MAX_STEPS
+    for end, step in ((float(MAX_STEPS), 1.0), (1e300, 1e-300), (1e308, 1e-310)):
+        with pytest.raises(DomainError, match="steps"):
+            _step_times(0.0, end, step)
 
 
 def test_link_delay_trace_window_and_errors(topo_8_1, cfg_8_1):
@@ -400,7 +409,7 @@ def test_oracle_index_built_once_per_run_and_never_by_associate(monkeypatch):
     assert calls == []
     records, _ = run(scn)
     assert len(records) == 3
-    assert calls == [{"ids": True}]
+    assert calls == [{}]
 
 
 def _per_step_run(scenario):
@@ -408,7 +417,7 @@ def _per_step_run(scenario):
     cfg = scenario.config
     topo = build(cfg)
     state = orbit_state(cfg)
-    adj = topo.adjacency(ids=True)
+    adj = topo.adjacency()
     radius = _coverage_radius(cfg)
     records: list[TraceRecord] = []
     last_pair = {}
