@@ -80,15 +80,24 @@ def bit_widths(cfg: ConstellationConfig) -> BitLayout:
 # --- text forms -------------------------------------------------------------
 
 
+def _decimal(part: str, error: str, pos: int) -> int:
+    """part as an int when it is ASCII digits that int() converts, else a
+    ParseError: isdigit() passes '²', and int() refuses over 4,300 digits."""
+    if part.isascii() and part.isdigit():
+        try:
+            return int(part)
+        except ValueError:
+            pass
+    raise ParseError(error, position=pos)
+
+
 def parse_sat_address(text: str, cfg: ConstellationConfig) -> SatAddress:
     if not text:
         raise ParseError("empty satellite address", position=0)
     digits: list[int] = []
     pos = 0
     for part in text.split("."):
-        if not (part.isascii() and part.isdigit()):  # int() rejects '²', which isdigit() passes
-            raise ParseError(f"expected a decimal digit group, got {part!r}", position=pos)
-        digits.append(int(part))
+        digits.append(_decimal(part, f"expected a decimal digit group, got {part!r}", pos))
         pos += len(part) + 1
     validate_address(tuple(digits), cfg)
     return tuple(digits)
@@ -104,10 +113,10 @@ def parse_cell_id(text: str, cfg: ConstellationConfig) -> CellId:
     digits: list[tuple[int, int]] = []
     pos = 0
     for group in text.split("/"):
-        halves = group.split(",")
-        if len(halves) != 2 or not all(h.isascii() and h.isdigit() for h in halves):
-            raise ParseError(f"expected 'row,col', got {group!r}", position=pos)
-        digits.append((int(halves[0]), int(halves[1])))
+        error, halves = f"expected 'row,col', got {group!r}", group.split(",")
+        if len(halves) != 2:
+            raise ParseError(error, position=pos)
+        digits.append((_decimal(halves[0], error, pos), _decimal(halves[1], error, pos)))
         pos += len(group) + 1
     cell = CellId(tuple(digits))
     _validate_digits(cell, cfg.n, cfg.rho, cfg.k)

@@ -1,7 +1,7 @@
 """Time-driven emulation: association, delay-optimal oracle, stretch traces.
 
 Every delay is computed from satellite geometry at the query instant; the
-oracle runs an exact minimum-delay search over the same snapshot, so the
+oracle finds the exact minimum-delay path over the same snapshot, so the
 stretch column measures only the routing scheme's detour, never modeling
 slack. Ground legs are charged identically to both routes.
 
@@ -10,12 +10,12 @@ points enter as inertial vectors (``geom.ground_unit``), and every range,
 coverage test and link delay is ``geom.central_angles`` of the two.
 :func:`run` takes its snapshots in blocks of about 2,048 satellite-steps,
 one position array per block, and prices the F-Rosette route of each
-satellite pair, found once per run, from the step's edge delays.
+satellite pair, found once per run, from the step's edge delays. The
+oracle is a min-plus fixpoint on the torus of digit tuples (:func:`_min_delays`).
 """
 from __future__ import annotations
 
 import csv
-import heapq
 import math
 import os
 from dataclasses import dataclass
@@ -152,8 +152,10 @@ def load_scenario(path: str) -> Scenario:
 
 # run() takes max(1, _BLOCK_SAT_STEPS // M) steps per position array: enough
 # steps to share numpy's per-call cost, few enough to stay in cache (and to
-# keep peak memory where one snapshot per step had it).
+# keep peak memory where one snapshot per step had it). Its oracle runs on
+# max(1, _GROUP_SAT_STEPS // M) steps at once, to share each round's calls.
 _BLOCK_SAT_STEPS = 2048
+_GROUP_SAT_STEPS = 16384
 
 
 def _link_delays(a: np.ndarray, b: np.ndarray, cfg: ConstellationConfig) -> np.ndarray:
@@ -161,14 +163,14 @@ def _link_delays(a: np.ndarray, b: np.ndarray, cfg: ConstellationConfig) -> np.n
     return link_length_delay(central_angles(a, b), cfg.altitude_km, cfg.consts)[1]
 
 
-def _edge_delays(topo: Topology, pos: np.ndarray) -> list:
+def _edge_delays(topo: Topology, pos: np.ndarray) -> np.ndarray:
     """Per-edge one-way delays indexed by ``ring_table`` edge id, where edge
-    i*(k+1)+L joins satellite i to its +1 neighbour on layer L: a list for
-    one (M, 3) snapshot, a list of lists for a (B, M, 3) block."""
+    i*(k+1)+L joins satellite i to its +1 neighbour on layer L: (E,) for one
+    (M, 3) snapshot, (B, E) for a (B, M, 3) block."""
     cfg = topo.config
     tails = pos.repeat(cfg.k + 1, axis=-2)
     heads = pos[..., ring_table(cfg)[0][:, 0::2].ravel(), :]
-    return _link_delays(tails, heads, cfg).tolist()
+    return _link_delays(tails, heads, cfg)
 
 
 def _ground_leg_delay(r: float, cfg: ConstellationConfig) -> float:
@@ -177,8 +179,6 @@ def _ground_leg_delay(r: float, cfg: ConstellationConfig) -> float:
 
 
 def _path_delay(pos: np.ndarray, rows: list[int], cfg: ConstellationConfig) -> float:
-    if len(rows) < 2:
-        return 0.0
     hops = _link_delays(pos[rows[:-1]], pos[rows[1:]], cfg)
     total = 0.0
     for d in hops.tolist():  # in path order, as the oracle accumulates
@@ -186,34 +186,40 @@ def _path_delay(pos: np.ndarray, rows: list[int], cfg: ConstellationConfig) -> f
     return total
 
 
-def _min_delay_path(
-    adj: list, delays: list[float], src: int, dst: int
-) -> tuple[list[int], float]:
-    """Dijkstra over node indices; ties break to the smaller index."""
-    dist = [math.inf] * len(adj)
-    prev = [-1] * len(adj)
-    done = [False] * len(adj)
-    dist[src] = 0.0
-    heap = [(0.0, src)]
-    pop, push = heapq.heappop, heapq.heappush
-    while heap:
-        d, node = pop(heap)
-        if done[node]:
-            continue
-        if node == dst:
+def _min_delays(delays: np.ndarray, sources: list[int], cfg: ConstellationConfig) -> np.ndarray:
+    """(G, M) minimum delays from satellite sources[g] under the edge delays
+    of row g of delays, a (G, E) array indexed by ``ring_table`` edge id.
+
+    Ids are digit tuples: on an (N, ..., N, G) array the layer-L ring
+    neighbours of every satellite are one roll along axis L. Rounds relax
+    each layer's +1 and -1 links until one changes nothing, or M rounds
+    (Bellman-Ford's bound) pass on NaN delays. The fixpoint is unique, so
+    it is Dijkstra's distances, to the bit: the same float sums."""
+    width, g = cfg.k + 1, len(sources)
+    shape = (cfg.n,) * width + (g,)  # steps innermost, so every roll moves g-long runs
+    dist = np.full(shape, np.inf)
+    dist.reshape(-1, g)[sources, np.arange(g)] = 0.0
+    up = delays.reshape(g, -1, width).T.reshape((width,) + shape)  # up[L]: layer L's +1 links
+    for _ in range(cfg.n_sats):
+        before = dist.copy()
+        for axis, w in enumerate(up):
+            np.minimum(dist, np.roll(dist + w, 1, axis), out=dist)
+            np.minimum(dist, np.roll(dist, -1, axis) + w, out=dist)
+        if np.array_equal(dist, before):
             break
-        done[node] = True
-        for nb, e in adj[node]:
-            nd = d + delays[e]
-            if nd < dist[nb]:
-                dist[nb] = nd
-                prev[nb] = node
-                push(heap, (nd, nb))
+    return dist.reshape(-1, g).T
+
+
+def _walk_back(adj: list, delays: list, dist: list, src: int, dst: int) -> list[int]:
+    """The min-delay path from src to dst in a row of :func:`_min_delays`: the
+    predecessor of v is, of the neighbours u with dist[u] + delay == dist[v],
+    the smallest (dist[u], u), the one Dijkstra pops first."""
     path = [dst]
     while path[-1] != src:
-        path.append(prev[path[-1]])
+        v = path[-1]
+        path.append(min((dist[u], u) for u, e in adj[v] if dist[u] + delays[e] == dist[v])[1])
     path.reverse()
-    return path, dist[dst]
+    return path
 
 
 # The most sample instants one window may have. It bounds the window's list of
@@ -251,12 +257,11 @@ def delay_oracle(
 ) -> tuple[list[SatAddress], float]:
     """Exact minimum-propagation-delay satellite path at the time-t snapshot."""
     check_times(topo.config, t)  # NaN delays would leave dst unreached
-    if src == dst:
-        return [src], 0.0
+    si, di = _ids([src, dst], topo.config)
     delays = _edge_delays(topo, orbit_state(topo.config).unit_positions(t))
-    adj = topo.adjacency()
-    path, delay = _min_delay_path(adj, delays, *_ids([src, dst], topo.config))
-    return [topo.nodes[i] for i in path], delay
+    dist = _min_delays(delays[None], [si], topo.config)[0].tolist()
+    path = _walk_back(topo.adjacency(), delays.tolist(), dist, si, di)
+    return [topo.nodes[i] for i in path], dist[di]
 
 
 def path_delay(path: list[SatAddress], t: float, topo: Topology) -> float:
@@ -294,11 +299,11 @@ def link_delay_trace(
 def run(scenario: Scenario) -> tuple[list[TraceRecord], dict]:
     """Per step and experiment: associate, route, price both paths, record.
 
-    Snapshots come in blocks (see :func:`_snapshots`), so per step only the
-    oracle's Dijkstra and the records are Python work. The F-Rosette route
-    of each (source, destination) satellite pair is found once per run,
-    kept as its ``ring_table`` edge ids, and priced at each step by summing
-    that step's edge delays in path order.
+    Snapshots and oracle distances come in blocks (see :func:`_snapshots`),
+    so per step only the oracle's walk back and the records are Python work.
+    The F-Rosette route of each (source, destination) satellite pair is
+    found once per run, kept as its ``ring_table`` edge ids, and priced at
+    each step by summing that step's edge delays in path order.
     """
     cfg = scenario.config
     topo = build(cfg)
@@ -308,7 +313,7 @@ def run(scenario: Scenario) -> tuple[list[TraceRecord], dict]:
     records: list[TraceRecord] = []
     last_pair: dict[str, tuple[SatAddress, SatAddress]] = {}
 
-    for t, delays, served in _snapshots(scenario, topo):
+    for t, delays, served, dists in _snapshots(scenario, topo):
         for src_name, dst_name in scenario.experiments:
             exp = f"{src_name}->{dst_name}"
             (si, src_r, src_leg), (di, dst_r, dst_leg) = served[src_name], served[dst_name]
@@ -323,8 +328,8 @@ def run(scenario: Scenario) -> tuple[list[TraceRecord], dict]:
                 fro_space += delays[e]
             legs = src_leg + dst_leg
             fro_delay = legs + fro_space
-            oracle_path, oracle_space = _min_delay_path(adj, delays, si, di)
-            oracle_delay = legs + oracle_space
+            oracle_path = _walk_back(adj, delays, dists[src_name], si, di)
+            oracle_delay = legs + dists[src_name][di]
 
             pair = (src_sat, dst_sat)
             handoff = exp in last_pair and last_pair[exp] != pair
@@ -349,23 +354,34 @@ def run(scenario: Scenario) -> tuple[list[TraceRecord], dict]:
 
 def _snapshots(scenario: Scenario, topo: Topology):
     """Per step of the window: (t, edge delays, {endpoint name: (serving
-    satellite id, its central angle from the endpoint, ground-leg delay)}).
+    satellite id, its central angle from the endpoint, ground-leg delay)},
+    {source endpoint name: minimum delays from its serving satellite}).
 
     Steps are taken in blocks of max(1, 2048 // M): one (B, M, 3) position
     array per block, from which a few numpy calls give every edge delay,
-    association and ground-leg angle of its B steps.
+    association and ground-leg angle of its B steps; :func:`_min_delays`, in
+    groups of max(1, 16384 // M) steps, every distance.
     """
     cfg = scenario.config
     state = orbit_state(cfg)
     names = dict.fromkeys(name for pair in scenario.experiments for name in pair)
+    sources = dict.fromkeys(src for src, _ in scenario.experiments)
     times = _step_times(scenario.start_s, scenario.end_s, scenario.step_s)
     size = max(1, _BLOCK_SAT_STEPS // cfg.n_sats)
-    for lo in range(0, len(times), size):
-        block = times[lo:lo + size]
-        pos = state.unit_positions(np.array(block)[:, None])
-        served = {name: _serving(pos, scenario.endpoints[name], block, cfg) for name in names}
-        for b, (t, delays) in enumerate(zip(block, _edge_delays(topo, pos))):
-            yield t, delays, {name: steps[b] for name, steps in served.items()}
+    group = max(1, _GROUP_SAT_STEPS // cfg.n_sats)
+    for lo in range(0, len(times), group):
+        steps, delays, served = times[lo:lo + group], [], {name: [] for name in names}
+        for at in range(0, len(steps), size):
+            block = steps[at:at + size]
+            pos = state.unit_positions(np.array(block)[:, None])
+            delays.append(_edge_delays(topo, pos))
+            for name in names:
+                served[name] += _serving(pos, scenario.endpoints[name], block, cfg)
+        delays = np.concatenate(delays)
+        dists = {name: _min_delays(delays, [s[0] for s in served[name]], cfg) for name in sources}
+        for b, t in enumerate(steps):  # lists a step at a time, to keep peak memory down
+            yield (t, delays[b].tolist(), {name: s[b] for name, s in served.items()},
+                   {name: d[b].tolist() for name, d in dists.items()})
 
 
 def _serving(

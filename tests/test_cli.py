@@ -368,6 +368,18 @@ def test_fib_stdout_is_byte_identical_to_golden(tmp_path, capsys, config, owner,
     assert out.err == ""
 
 
+def test_simulate_trace_and_summary_are_byte_identical_to_golden(tmp_path, capsys):
+    """README's determinism contract, byte for byte: N=8, k=1, 40 steps, two
+    experiments, with handoffs and coverage flags in the trace."""
+    trace = tmp_path / "trace.csv"
+    scenario = str(GOLDEN / "sim_n8_k1_scenario.json")
+    assert main(["simulate", "--scenario", scenario, "--trace", str(trace)]) == EXIT_OK
+    out = capsys.readouterr()
+    assert out.out == (GOLDEN / "sim_n8_k1_summary.json").read_text(encoding="utf-8")
+    assert out.err == ""
+    assert trace.read_bytes() == (GOLDEN / "sim_n8_k1_trace.csv").read_bytes()
+
+
 def test_fib_on_a_huge_ring_lists_its_entries_at_once(tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(dict(ROUTING_CONFIG, n=1 << 31, m=1, k=0)), encoding="utf-8")

@@ -218,6 +218,8 @@ FILES = {"--output": "topology.json", "--tables": "tables.fra0"}
                   None))
 @example(command=(["fib", "--owner", "0.\u00b2"], ROUTING, None))
 @example(command=(["cells", "--to-location", "1,\u00b2"], ROUTING, None))
+@example(command=(["fib", "--owner", "0." + "1" * 5000], ROUTING, None))
+@example(command=(["cells", "--to-location", "0," + "1" * 5000], ROUTING, None))
 @example(command=(["simulate"], None,
                   _scenario(window={"start_s": 1e308, "end_s": 1e308, "step_s": 10.0})))
 @example(command=(["simulate"], None,

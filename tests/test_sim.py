@@ -1,5 +1,6 @@
 """Emulation loop: association, delay oracle, traces, determinism."""
 import csv
+import heapq
 import io
 import json
 import math
@@ -9,6 +10,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
+import frosette.sim as sim_module
 from frosette.constellation import Topology, address_to_elements, build, orbit_state, sat_id
 from frosette.errors import ConfigError, DomainError, ParseError, RangeError
 from frosette.geom import (
@@ -31,7 +33,8 @@ from frosette.sim import (
     TraceRecord,
     _edge_delays,
     _ground_leg_delay,
-    _min_delay_path,
+    _min_delays,
+    _walk_back,
     _path_delay,
     _step_times,
     associate,
@@ -160,14 +163,12 @@ def test_associate_matches_brute_force(topo_8_1, cfg_8_1):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_inputs_raise(topo_8_1, bad, monkeypatch):
-    # With NaN delays Dijkstra never reaches dst and the walk back from it
-    # never ends; the stub fails the test instead of hanging it.
-    import frosette.sim as sim_module
-
+    # NaN delays leave every distance NaN, with no path to walk back; the
+    # stub proves that no search runs on a non-finite time.
     def unreachable(*args):
         raise AssertionError("search ran on a non-finite time")
 
-    monkeypatch.setattr(sim_module, "_min_delay_path", unreachable)
+    monkeypatch.setattr(sim_module, "_min_delays", unreachable)
     with pytest.raises(RangeError):
         delay_oracle(topo_8_1, bad, (0, 0), (3, 3))
     with pytest.raises(RangeError):
@@ -198,6 +199,34 @@ def test_latitudes_beyond_90_raise(topo_8_1, cfg_cells, lat_deg):
 # --- delay oracle ---------------------------------------------------------------------
 
 
+def _min_delay_path(adj, delays, src, dst):
+    """Dijkstra over node indices; ties break to the smaller index. The oracle
+    the fixpoint kernel must match bit for bit."""
+    dist = [math.inf] * len(adj)
+    prev = [-1] * len(adj)
+    done = [False] * len(adj)
+    dist[src] = 0.0
+    heap = [(0.0, src)]
+    while heap:
+        d, node = heapq.heappop(heap)
+        if done[node]:
+            continue
+        if node == dst:
+            break
+        done[node] = True
+        for nb, e in adj[node]:
+            nd = d + delays[e]
+            if nd < dist[nb]:
+                dist[nb] = nd
+                prev[nb] = node
+                heapq.heappush(heap, (nd, nb))
+    path = [dst]
+    while path[-1] != src:
+        path.append(prev[path[-1]])
+    path.reverse()
+    return path, dist[dst]
+
+
 def _nx_min_delay(topo, t, src, dst):
     cfg = topo.config
     g = nx.Graph()
@@ -226,6 +255,54 @@ def test_delay_oracle_matches_networkx():
             assert delay == pytest.approx(path_delay(path, t, topo), rel=1e-9)
         same = (1,) * (k + 1)
         assert delay_oracle(topo, 0.0, same, same) == ([same], 0.0)
+
+
+def _random_pairs(topo, rng, count):
+    n, width = topo.config.n, topo.config.k + 1
+    for _ in range(count):
+        yield (tuple(rng.randrange(n) for _ in range(width)),
+               tuple(rng.randrange(n) for _ in range(width)), rng.uniform(0.0, 20000.0))
+
+
+@pytest.mark.parametrize(
+    "n, m, k, pairs", [(8, 6, 1, 20), (5, 3, 2, 20), (4, 1, 3, 20), (16, 8, 1, 20), (16, 8, 3, 2)]
+)
+def test_delay_oracle_equals_dijkstra(n, m, k, pairs):
+    """The fixpoint kernel's paths and delays are Dijkstra's, bit for bit."""
+    topo = build(make_config(n, m, k))
+    adj = topo.adjacency()
+    for src, dst, t in _random_pairs(topo, random.Random(n * 100 + k), pairs):
+        delays = _edge_delays(topo, orbit_state(topo.config).unit_positions(t)).tolist()
+        path, delay = _min_delay_path(adj, delays, sat_id(src, n), sat_id(dst, n))
+        assert delay_oracle(topo, t, src, dst) == ([topo.nodes[i] for i in path], delay)
+
+
+@pytest.mark.parametrize("n, k", [(8, 1), (5, 2), (4, 3), (6, 0)])
+@pytest.mark.parametrize("weights", ["uniform", "small-integers"])
+def test_walk_back_follows_dijkstras_tie_rule(n, k, weights):
+    """Where many paths tie, the walk back still picks Dijkstra's: the
+    predecessor is the smallest (distance, id) among the tight neighbours."""
+    cfg = make_config(n, 1, k)
+    topo = build(cfg)
+    adj = topo.adjacency()
+    rng = random.Random(n + 10 * k)
+    edges = cfg.n_sats * (k + 1)
+    rows = [[1.0] * edges if weights == "uniform" else [float(rng.randint(1, 3)) for _ in range(edges)]
+            for _ in range(6)]
+    sources = [rng.randrange(cfg.n_sats) for _ in rows]
+    dist = _min_delays(np.array(rows), sources, cfg).tolist()
+    for delays, src, row in zip(rows, sources, dist):
+        for dst in range(cfg.n_sats):
+            path, delay = _min_delay_path(adj, delays, src, dst)
+            assert row[dst] == delay
+            assert _walk_back(adj, delays, row, src, dst) == path
+
+
+def test_min_delays_stop_on_nan_delays():
+    """NaN delays never converge: the rounds stop at Bellman-Ford's bound."""
+    cfg = make_config(4, 1, 1)
+    delays = np.full((1, cfg.n_sats * (cfg.k + 1)), np.nan)
+    assert np.isnan(_min_delays(delays, [0], cfg)[0, 1:]).all()
 
 
 def test_path_delay_sums_hop_delays(topo_8_1, cfg_8_1):
@@ -424,7 +501,7 @@ def _per_step_run(scenario):
 
     for t in _step_times(scenario.start_s, scenario.end_s, scenario.step_s):
         pos = state.unit_positions(t)
-        delays = _edge_delays(topo, pos)
+        delays = _edge_delays(topo, pos).tolist()
         for src_name, dst_name in scenario.experiments:
             exp = f"{src_name}->{dst_name}"
             src_g = ground_unit(scenario.endpoints[src_name], t, cfg)
@@ -475,11 +552,15 @@ def _block_scenario(n, m, k, steps, step_s=30.0):
 
 @pytest.mark.parametrize("n, m, k", [(8, 6, 1), (5, 3, 2), (4, 1, 3)])
 @pytest.mark.parametrize(
-    "blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (3, 2)],
-    ids=["1", "B-1", "B", "B+1", "3B+2"],
+    "sat_steps, units, extra",
+    [(sim_module._BLOCK_SAT_STEPS, units, extra) for units, extra in
+     [(0, 1), (1, -1), (1, 0), (1, 1), (3, 2)]]
+    + [(sim_module._GROUP_SAT_STEPS, 1, extra) for extra in (-1, 0, 1)],
+    ids=["1", "B-1", "B", "B+1", "3B+2", "G-1", "G", "G+1"],
 )
-def test_block_loop_equals_the_per_step_loop(n, m, k, blocks, extra):
-    steps = blocks * (2048 // n ** (k + 1)) + extra  # B steps per block
+def test_block_loop_equals_the_per_step_loop(n, m, k, sat_steps, units, extra):
+    # B steps per position block, G per oracle group
+    steps = units * max(1, sat_steps // n ** (k + 1)) + extra
     scn = _block_scenario(n, m, k, steps)
     records, summary = run(scn)
     assert len(records) == 3 * steps
