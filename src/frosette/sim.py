@@ -190,21 +190,32 @@ def _min_delays(delays: np.ndarray, sources: list[int], cfg: ConstellationConfig
     """(G, M) minimum delays from satellite sources[g] under the edge delays
     of row g of delays, a (G, E) array indexed by ``ring_table`` edge id.
 
-    Ids are digit tuples: on an (N, ..., N, G) array the layer-L ring
-    neighbours of every satellite are one roll along axis L. Rounds relax
-    each layer's +1 and -1 links until one changes nothing, or M rounds
-    (Bellman-Ford's bound) pass on NaN delays. The fixpoint is unique, so
-    it is Dijkstra's distances, to the bit: the same float sums."""
-    width, g = cfg.k + 1, len(sources)
-    shape = (cfg.n,) * width + (g,)  # steps innermost, so every roll moves g-long runs
+    Ids are digit tuples, so on an (N, ..., N, G) array a layer's ring
+    neighbours are a roll along its axis; each layer is relaxed as axis 0,
+    where slices are contiguous, by turning the digit axes one place before
+    it. Rounds relax every layer's +1 and -1 links until one changes
+    nothing, or M rounds (Bellman-Ford's bound) pass on NaN delays. The
+    fixpoint is unique, so it is Dijkstra's distances, to the bit: the same
+    float sums.
+    """
+    n, width, g = cfg.n, cfg.k + 1, len(sources)
+    shape = (n,) * width + (g,)  # steps innermost
     dist = np.full(shape, np.inf)
     dist.reshape(-1, g)[sources, np.arange(g)] = 0.0
     up = delays.reshape(g, -1, width).T.reshape((width,) + shape)  # up[L]: layer L's +1 links
+    turns = [[(axis + j) % width for axis in range(width)] + [width] for j in range(1, width + 1)]
+    up = [up[turn[0]].transpose(turn).copy() for turn in turns]
+    via = np.empty_like(dist)
     for _ in range(cfg.n_sats):
-        before = dist.copy()
-        for axis, w in enumerate(up):
-            np.minimum(dist, np.roll(dist + w, 1, axis), out=dist)
-            np.minimum(dist, np.roll(dist, -1, axis) + w, out=dist)
+        before = dist
+        for w in up:
+            dist = dist.transpose(turns[0]).copy()
+            np.add(dist[:-1], w[:-1], out=via[1:])  # via[i]: reaching i from i - 1
+            np.add(dist[-1:], w[-1:], out=via[:1])
+            np.minimum(dist, via, out=dist)
+            np.add(dist[1:], w[:-1], out=via[:-1])  # via[i]: reaching i from i + 1
+            np.add(dist[:1], w[-1:], out=via[-1:])
+            np.minimum(dist, via, out=dist)
         if np.array_equal(dist, before):
             break
     return dist.reshape(-1, g).T

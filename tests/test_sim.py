@@ -272,8 +272,10 @@ def test_delay_oracle_equals_dijkstra(n, m, k, pairs):
     topo = build(make_config(n, m, k))
     adj = topo.adjacency()
     for src, dst, t in _random_pairs(topo, random.Random(n * 100 + k), pairs):
-        delays = _edge_delays(topo, orbit_state(topo.config).unit_positions(t)).tolist()
-        path, delay = _min_delay_path(adj, delays, sat_id(src, n), sat_id(dst, n))
+        delays = _edge_delays(topo, orbit_state(topo.config).unit_positions(t))
+        si, di = sat_id(src, n), sat_id(dst, n)
+        path, delay = _min_delay_path(adj, delays.tolist(), si, di)
+        assert _min_delays(delays[None], [si], topo.config)[0, di] == delay  # before any walk
         assert delay_oracle(topo, t, src, dst) == ([topo.nodes[i] for i in path], delay)
 
 
