@@ -11,12 +11,10 @@ import numpy as np
 
 from .config import TWO_PI, ConstellationConfig, PhysicalConstants, config_to_dict
 from .errors import DomainError, InfeasibleError, RangeError
-from .geom import OrbitalElements, central_angles, closed_form_sin2, orbit_positions
+from .geom import OrbitalElements, closed_form_range, orbit_positions
 
 SatAddress = tuple[int, ...]
 
-R_MAX_TIME_SAMPLES = 4096
-R_MAX_REFINE_TOL = 1e-12
 # 64 times the paper's largest constellation (N=16, k=3). Below it the
 # integer phase m*s0*N^k + N*(id mod N^k) < N^(k+2) <= (N^(k+1))^2 fits int64.
 MAX_SATELLITES = 1 << 22
@@ -193,44 +191,6 @@ class StabilityReport:
     h_min_km: float
 
 
-def _max_layer0_range(cfg: ConstellationConfig) -> float:
-    """Numeric max over t of the inter-orbit link range, per adjacent pair."""
-    period = cfg.period_s
-    times = np.arange(R_MAX_TIME_SAMPLES)[:, None] * period / R_MAX_TIME_SAMPLES
-    state, span = orbit_state(cfg), cfg.n**cfg.k
-    best = 0.0
-    for i in range(cfg.n):
-        rows = [i * span, (i + 1) % cfg.n * span]  # (i, 0, ..., 0) and its layer-0 neighbour
-
-        def range_at(t: float) -> float:
-            p = state.unit_positions(t, rows)
-            return float(central_angles(p[0], p[1]))
-
-        p = state.unit_positions(times, rows)
-        ranges = central_angles(p[:, 0], p[:, 1])
-        s_peak = int(np.argmax(ranges))
-        peak = float(ranges[s_peak])
-        lo = (s_peak - 1) * period / R_MAX_TIME_SAMPLES
-        hi = (s_peak + 1) * period / R_MAX_TIME_SAMPLES
-        # golden-section refinement of the bracketed peak
-        gr = (math.sqrt(5.0) - 1.0) / 2.0
-        a, b = lo, hi
-        c = b - gr * (b - a)
-        d = a + gr * (b - a)
-        fc, fd = range_at(c), range_at(d)
-        while b - a > R_MAX_REFINE_TOL * period:
-            if fc > fd:
-                b, d, fd = d, c, fc
-                c = b - gr * (b - a)
-                fc = range_at(c)
-            else:
-                a, c, fc = c, d, fd
-                d = a + gr * (b - a)
-                fd = range_at(d)
-        best = max(best, peak, fc, fd)
-    return best
-
-
 def _intra_orbit_arcs(cfg: ConstellationConfig) -> list[float]:
     arcs = []
     for j in range(1, cfg.k + 1):
@@ -242,24 +202,23 @@ def _intra_orbit_arcs(cfg: ConstellationConfig) -> list[float]:
 
 
 def stability_report(cfg: ConstellationConfig) -> StabilityReport:
-    """Numeric worst-case link range and the altitude floors it implies.
+    """Worst-case link range and the altitude floors it implies.
 
-    r_max is maximized over layer-0 edges across a full period plus the fixed
-    intra-orbit arcs (wrap edges included); above the stability floor, (Re + h)
-    cos(r_max/2) > Re + atmosphere margin. The closed-form layer-0 range
-    (``geom.closed_form_sin2`` at offset 1 and time coupling 1) is also
-    reported for comparison, but never used for the result.
+    r_max is the larger of the layer-0 range, in closed form
+    (``geom.closed_form_range`` at offset 1 and time coupling 1, the peak over
+    a period), and the fixed intra-orbit arcs (wrap edges included); above the
+    stability floor, (Re + h) cos(r_max/2) > Re + atmosphere margin.
     """
-    r_max = max(_max_layer0_range(cfg), *(_intra_orbit_arcs(cfg) or [0.0]))
+    r_layer0 = closed_form_range(cfg, 1, 1.0)
+    r_max = max([r_layer0, *_intra_orbit_arcs(cfg)])
     if r_max >= math.pi:
         raise InfeasibleError("worst-case link spans a half circle or more")
     re, cos_half = cfg.consts.earth_radius_km, math.cos(r_max / 2.0)
     h_stab = (1.0 / cos_half - 1.0) * re + cfg.consts.atmosphere_margin_km / cos_half
     h_cov = min_altitude_coverage(cfg)
-    s_closed = closed_form_sin2(cfg, 1, 1.0)  # layer-0 neighbours, time coupling 1
     return StabilityReport(
         r_max_rad=r_max,
-        r_max_closed_form_rad=2.0 * math.asin(math.sqrt(max(0.0, min(1.0, s_closed)))),
+        r_max_closed_form_rad=r_layer0,
         h_stability_km=h_stab,
         h_coverage_km=h_cov,
         h_min_km=max(h_stab, h_cov),

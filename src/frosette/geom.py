@@ -19,9 +19,6 @@ import numpy as np
 from .config import TWO_PI, ConstellationConfig, PhysicalConstants
 from .errors import DomainError, InfeasibleError, RangeError
 
-BISECT_TOL_RAD = 1e-12
-BISECT_MAX_ITER = 200
-
 
 @dataclass(frozen=True)
 class OrbitalElements:
@@ -180,34 +177,34 @@ def central_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     )
 
 
-def closed_form_sin2(cfg: ConstellationConfig, d: int, coupling: float) -> float:
-    """sin^2(r/2) for base-ring satellites d apart: a four-term expansion in
-    half-inclination powers, the last term scaled by the time coupling."""
+def closed_form_range(cfg: ConstellationConfig, d: int, coupling: float) -> float:
+    """Range r between base-ring satellites d apart, from sin^2(r/2): a
+    four-term expansion in half-inclination powers, the last term scaled by
+    the time coupling (at most 1, where the range peaks)."""
     b2 = cfg.inclination_rad / 2.0
     c2, s2 = math.cos(b2) ** 2, math.sin(b2) ** 2
     m, unit = cfg.m, math.pi / cfg.n
-    return (
+    s = (
         c2 * c2 * math.sin((m + 1) * d * unit) ** 2
         + 2.0 * s2 * c2 * math.sin(m * d * unit) ** 2
         + s2 * s2 * math.sin((m - 1) * d * unit) ** 2
         + 2.0 * s2 * c2 * math.sin(d * unit) ** 2 * coupling
     )
+    if s < -1e-9 or s > 1.0 + 1e-9:
+        raise DomainError(f"closed form out of range: sin^2(r/2) = {s}")
+    return 2.0 * math.asin(math.sqrt(max(0.0, min(1.0, s))))
 
 
 def link_range_closed_form(i: int, j: int, t: float, cfg: ConstellationConfig) -> float:
     """Great-circle range between base-ring satellites i and j at time t:
-    :func:`closed_form_sin2` with the coupling cos(4*pi*t/T + 2*m*(i+j)*pi/N)."""
+    :func:`closed_form_range` with the coupling cos(4*pi*t/T + 2*m*(i+j)*pi/N)."""
     if i == j:
         raise DomainError("closed-form range requires i != j")
     n, m = cfg.n, cfg.m
     if not (0 <= i < n and 0 <= j < n):
         raise DomainError(f"satellite indices must be in [0, {n})")
     coupling = math.cos(2.0 * TWO_PI * t / cfg.period_s + 2.0 * m * (j + i) * (math.pi / n))
-    s = closed_form_sin2(cfg, j - i, coupling)
-    if s < -1e-9 or s > 1.0 + 1e-9:
-        raise DomainError(f"closed form out of range: sin^2(r/2) = {s}")
-    s = max(0.0, min(1.0, s))
-    return 2.0 * math.asin(math.sqrt(s))
+    return closed_form_range(cfg, j - i, coupling)
 
 
 def link_length_delay(r, altitude_km: float, consts: PhysicalConstants):
@@ -227,31 +224,21 @@ def slant_range_km(r: float, altitude_km: float, consts: PhysicalConstants) -> f
 def coverage_range(
     altitude_km: float, elev: float, consts: PhysicalConstants
 ) -> float:
-    """Coverage radius R (central angle) at altitude H and elevation limit.
+    """Coverage radius R (central angle) at altitude H and elevation limit:
+    R = acos(R_E/(R_E+H) * cos(elev)) - elev, the root of
+    tan(elev) = (cos R - R_E/(R_E+H)) / sin R.
 
-    Solves tan(elev) = (cos R - R_E/(R_E+H)) / sin R for the unique root in
-    (0, pi/2) by bisection.
+    Kept inside (0, pi/2): rounding puts R at 0 for H near 0 and at pi/2 for
+    H near infinity, and the nearest floats inside keep ``min_satellites``'
+    answers there (infeasible, and the floor of 4).
     """
     if altitude_km <= 0:
         raise InfeasibleError("coverage_range requires a positive altitude")
     if not (0.0 <= elev < math.pi / 2):
         raise DomainError("elevation must be in [0, pi/2)")
     ratio = consts.earth_radius_km / (consts.earth_radius_km + altitude_km)
-    te = math.tan(elev)
-
-    def g(r: float) -> float:
-        return te * math.sin(r) - math.cos(r) + ratio
-
-    lo, hi = 0.0, math.pi / 2
-    for _ in range(BISECT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if g(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo < BISECT_TOL_RAD:
-            break
-    return 0.5 * (lo + hi)
+    r = math.acos(ratio * math.cos(elev)) - elev
+    return min(max(r, math.ulp(0.0)), math.nextafter(math.pi / 2, 0.0))
 
 
 def min_satellites(coverage_rad: float) -> int:

@@ -13,7 +13,6 @@ snapshot is taken when a route ends undelivered.
 """
 from __future__ import annotations
 
-import functools
 import math
 import random
 from dataclasses import dataclass
@@ -96,11 +95,6 @@ def measure_hop_motions(cfg: ConstellationConfig) -> list[HopMotion]:
     return motions
 
 
-@functools.lru_cache(maxsize=64)
-def _coverage_radius(cfg: ConstellationConfig) -> float:
-    return coverage_range(cfg.altitude_km, cfg.min_elevation_rad, cfg.consts)
-
-
 def _ranges(sats: list[SatAddress], ground, t: float, cfg: ConstellationConfig):
     """Central angles from the satellites to an inertial ground vector at t."""
     pos = orbit_state(cfg).unit_positions(t, [sat_id(s, cfg.n) for s in sats])
@@ -112,7 +106,8 @@ def coverage_check(sat: SatAddress, target: LatLon, t: float, cfg: Constellation
     validate_address(sat, cfg)
     check_latlon(target)
     check_times(cfg, t)
-    return bool(_ranges([sat], ground_unit(target, t, cfg), t, cfg)[0] <= _coverage_radius(cfg))
+    radius = coverage_range(cfg.altitude_km, cfg.min_elevation_rad, cfg.consts)
+    return bool(_ranges([sat], ground_unit(target, t, cfg), t, cfg)[0] <= radius)
 
 
 def geo_route(
@@ -135,7 +130,7 @@ def geo_route(
     check_times(cfg, t)
     center = cell_center(dst_cell, tables)
     ground = ground_unit(geocoord_to_latlon(center, cfg), t, cfg)
-    radius = _coverage_radius(cfg)
+    radius = coverage_range(cfg.altitude_km, cfg.min_elevation_rad, cfg.consts)
     path = [src_serving]
 
     def walk(layer: int, direction: int, steps: int) -> bool:

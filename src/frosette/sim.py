@@ -28,9 +28,8 @@ from .constellation import (
     validate_address,
 )
 from .errors import ConfigError, DomainError, ParseError, RangeError
-from .geom import LatLon, central_angles, check_latlon, check_times, ground_unit
-from .geom import link_length_delay, slant_range_km
-from .georouting import _coverage_radius
+from .geom import LatLon, central_angles, check_latlon, check_times, coverage_range
+from .geom import ground_unit, link_length_delay, slant_range_km
 from .routing import shortest_path
 
 TRACE_COLUMNS = (
@@ -63,6 +62,8 @@ class Scenario:
             raise ConfigError(f"step_s must be positive, got {self.step_s}")
         if self.end_s < self.start_s:
             raise ConfigError("window is empty: end_s < start_s")
+        if not self.experiments:
+            raise ConfigError("scenario has no experiments")
         for src, dst in self.experiments:
             for name in (src, dst):
                 if name not in self.endpoints:
@@ -319,7 +320,7 @@ def run(scenario: Scenario) -> tuple[list[TraceRecord], dict]:
     cfg = scenario.config
     topo = build(cfg)
     adj = topo.adjacency()
-    radius = _coverage_radius(cfg)
+    radius = coverage_range(cfg.altitude_km, cfg.min_elevation_rad, cfg.consts)
     routes: dict[tuple[int, int], list[int]] = {}
     records: list[TraceRecord] = []
     last_pair: dict[str, tuple[SatAddress, SatAddress]] = {}

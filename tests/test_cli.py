@@ -460,16 +460,34 @@ def test_size_reference(capsys):
     rc = main(["size", "--rtt-ms", "8.41", "--elevation-deg", "25", "--base-n", "8"])
     assert rc == EXIT_OK
     doc = _json_out(capsys)
-    assert doc["k"] == 1 and doc["n_sats"] == 64
+    assert (doc["n_min"], doc["k"], doc["n_sats"]) == (64, 1, 64)
     assert doc["altitude_km"] == pytest.approx(0.00841 * 299792.458 / 2)
     assert 0 < doc["coverage_deg"] < 90
-    assert doc["n_min"] <= doc["n_sats"]
 
 
 def test_size_infeasible(capsys):
     rc = main(["size", "--rtt-ms", "1e-7", "--elevation-deg", "25", "--base-n", "8"])
     assert rc == EXIT_DOMAIN
     assert _json_err(capsys)["error"] == "InfeasibleError"
+
+
+def test_size_where_the_footprint_rounds_to_a_quarter_circle(capsys):
+    # min_satellites rejects pi/2; coverage_range keeps R inside, where the ring floors at 4
+    rc = main(["size", "--rtt-ms", "1e20", "--elevation-deg", "0", "--base-n", "8"])
+    assert rc == EXIT_OK
+    doc = _json_out(capsys)
+    assert (doc["n_min"], doc["k"], doc["n_sats"]) == (4, 0, 8)
+    assert 0 < doc["coverage_deg"] < 90
+
+
+@pytest.mark.parametrize("elevation_deg", ["0", "25"])
+def test_size_at_a_vanishing_rtt_is_infeasible(elevation_deg, capsys):
+    # the footprint rounds to 0, which coverage_range keeps just inside (0, pi/2)
+    rc = main(["size", "--rtt-ms", "1e-15", "--elevation-deg", elevation_deg, "--base-n", "8"])
+    assert rc == EXIT_DOMAIN
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert json.loads(out.err)["error"] == "InfeasibleError"
 
 
 @pytest.mark.parametrize("rtt_ms", ["nan", "inf"])
@@ -567,6 +585,13 @@ def _simulate(tmp_path, capsys, **fields):
     rc = main(["simulate", "--scenario", str(scn_path), "--trace", str(tmp_path / "t.csv")])
     out = capsys.readouterr()
     return rc, out.out, out.err
+
+
+def test_simulate_without_experiments_exits_2_before_writing_a_trace(tmp_path, capsys):
+    rc, out, err = _simulate(tmp_path, capsys, experiments=[])
+    assert (rc, out) == (EXIT_DOMAIN, "")
+    assert json.loads(err) == {"error": "ConfigError", "detail": "scenario has no experiments"}
+    assert not (tmp_path / "t.csv").exists()
 
 
 @pytest.mark.parametrize(

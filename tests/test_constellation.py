@@ -29,7 +29,7 @@ from frosette.constellation import (
     validate_address,
 )
 from frosette.errors import ConfigError, DomainError, RangeError
-from frosette.geom import great_circle_range, sat_position_eci
+from frosette.geom import central_angles, great_circle_range, sat_position_eci
 from conftest import make_config
 
 
@@ -316,16 +316,24 @@ def test_stability_floor_honours_atmosphere_margin():
 
 
 @pytest.mark.parametrize(
-    "n, m, k", [(5, 1, 0), (7, 3, 0), (8, 6, 1), (9, 4, 2), (16, 2, 1), (16, 8, 1)]
+    "n, m, k",
+    [(5, 1, 0), (7, 3, 0), (8, 6, 1), (9, 4, 2), (16, 2, 1), (16, 8, 1), (8, 0, 1), (8, 7, 1)],
 )
-@pytest.mark.parametrize("incl_deg", [40.0, 70.0])
+@pytest.mark.parametrize("incl_deg", [40.0, 70.0, 120.0])
 def test_stability_report_closed_form_is_the_layer0_range(n, m, k, incl_deg):
-    # the full link angle between layer-0 neighbours at time coupling 1
+    # every layer-0 pair (i, 0, ..., 0) and its +1 neighbour, sampled from
+    # first principles 8,192 times a period: the closed form bounds every
+    # sample and is the peak they reach
     cfg = make_config(n, m, k, incl_deg=incl_deg)
     rep = stability_report(cfg)
-    assert rep.r_max_closed_form_rad == pytest.approx(
-        constellation._max_layer0_range(cfg), abs=1e-9
-    )
+    span, samples = n**k, 8192
+    rows = [i * span for i in range(n)] + [(i + 1) % n * span for i in range(n)]
+    times = np.arange(samples)[:, None] * cfg.period_s / samples
+    p = orbit_state(cfg).unit_positions(times, rows)
+    ranges = central_angles(p[:, :n], p[:, n:])
+    assert np.all(rep.r_max_closed_form_rad >= ranges - 1e-12)
+    assert rep.r_max_closed_form_rad == pytest.approx(float(ranges.max()), abs=1e-6)
+    assert rep.r_max_rad >= rep.r_max_closed_form_rad
 
 
 def test_ground_to_space_rtt():

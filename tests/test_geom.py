@@ -283,7 +283,7 @@ def test_min_satellites_inverts_coverage_altitude():
         cfg = make_config(n, 1, k, incl_deg=70.0, elev_deg=25.0)
         h_star = min_altitude_coverage(cfg)
         r_star = coverage_range(h_star, cfg.min_elevation_rad, C)
-        # exact boundary is knife-edged under bisection noise; probe both sides
+        # exact boundary is knife-edged under rounding; probe both sides
         assert min_satellites(r_star + 1e-6) == cfg.n_sats
         assert min_satellites(r_star * 0.999) > cfg.n_sats
 

@@ -32,7 +32,6 @@ from frosette.geom import (
 )
 from frosette.georouting import (
     GeoRouteResult,
-    _coverage_radius,
     coverage_check,
     geo_route,
     measure_hop_motions,
@@ -202,7 +201,8 @@ def _old_serving_coord(addr, t, cfg):
 
 def _old_coverage_check(sat, target, t, cfg):
     el = _old_address_to_elements(sat, cfg)
-    return _old_great_circle_range(_old_subpoint(el, t, cfg.consts), target) <= _coverage_radius(cfg)
+    radius = coverage_range(cfg.altitude_km, cfg.min_elevation_rad, cfg.consts)
+    return _old_great_circle_range(_old_subpoint(el, t, cfg.consts), target) <= radius
 
 
 def _old_ring_distance_to(sat, target, t, cfg):

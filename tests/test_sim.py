@@ -16,6 +16,7 @@ from frosette.errors import ConfigError, DomainError, ParseError, RangeError
 from frosette.geom import (
     LatLon,
     central_angles,
+    coverage_range,
     great_circle_range,
     ground_unit,
     link_length_delay,
@@ -24,7 +25,7 @@ from frosette.geom import (
     subpoint,
 )
 from frosette.geocell import locate_point
-from frosette.georouting import _coverage_radius, coverage_check, serving_coord
+from frosette.georouting import coverage_check, serving_coord
 from frosette.routing import shortest_path
 from frosette.sim import (
     MAX_STEPS,
@@ -497,7 +498,7 @@ def _per_step_run(scenario):
     topo = build(cfg)
     state = orbit_state(cfg)
     adj = topo.adjacency()
-    radius = _coverage_radius(cfg)
+    radius = coverage_range(cfg.altitude_km, cfg.min_elevation_rad, cfg.consts)
     records: list[TraceRecord] = []
     last_pair = {}
 
