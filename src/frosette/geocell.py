@@ -18,9 +18,9 @@ edge is the same strip that returns from the south). One consequence is
 honest and documented: digit combinations whose implied row falls outside the
 band's reach name empty border slivers; they resolve to the nearest border
 row rather than erroring. The alpha0 tables store the alpha of each row's
-first cell corner, found by bisecting the sub-point longitude of satellite 0
-along its track; every row bisects in lockstep over numpy arrays, and each
-row stops under the same per-row tolerance rule as a scalar bisection would.
+first cell corner: the row's phase gamma = f^-1(min(d*h, (rho-1)*pi)) at the
+deepest pitch h, which is where satellite 0's track reaches the row, and
+alpha0 = -gamma/rho.
 """
 from __future__ import annotations
 
@@ -31,11 +31,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TWO_PI, ConstellationConfig
-from .constellation import address_to_elements, check_size
+from .constellation import check_size
 from .errors import ConfigError, DomainError, ParseError, RangeError
-from .geom import LatLon, check_latlon, subpoint_lons, wrap_angle, wrap_lon
+from .geom import LatLon, check_latlon, wrap_angle, wrap_lon
 
-ALPHA0_BISECT_TOL_RAD = 1e-10
 FRA0_MAGIC = b"FRA0"
 FRA0_VERSION = 1
 
@@ -234,15 +233,6 @@ class Alpha0Table:
             return float(self.values[global_row])
         return -float(self.values[-global_row])
 
-    def level_rows(self, level: int) -> np.ndarray:
-        """Northern-row anchors visible at a coarser level (strided view)."""
-        if not (0 <= level <= self.k):
-            raise RangeError(f"level must be in [0, {self.k}]")
-        return self.values[:: self.n ** (self.k - level)]
-
-    def tables_by_level(self) -> list[np.ndarray]:
-        return [self.level_rows(level) for level in range(self.k + 1)]
-
 
 def _row_representative(d: int, level: int, n: int, rho: int) -> int:
     """Centered residue of a decoded row index, clamped into the band's reach.
@@ -263,43 +253,28 @@ def _row_representative(d: int, level: int, n: int, rho: int) -> int:
 
 
 def build_alpha0_tables(cfg: ConstellationConfig) -> Alpha0Table:
-    """Precompute row anchors by tracking satellite 0's sub-point.
+    """Precompute row anchors from the row equation.
 
-    Row d's anchor sits where the track's longitude reaches d * half the cell
-    longitude pitch; the time of that crossing is found by bisection on the
-    first-principles sub-point longitude (monotone on [0, T/4] under the
-    lattice condition), then alpha0 = -omega_E * t. All rows bisect in
-    lockstep, one array of longitudes per step; each row stops on its own
-    once its bracket is narrower than ALPHA0_BISECT_TOL_RAD in alpha
-    ((hi - lo) * omega_E * rho), and a stopped row keeps its bracket.
+    Row d's anchor phase is gamma = f^-1(min(d*h, (rho-1)*pi)) at the deepest
+    pitch h = 2*pi/N^k, and alpha0 = -gamma/rho: satellite 0's track meets
+    the row there. All rows bisect f in lockstep, with the bracket and the
+    60 steps of the scalar inverse that cell_center uses.
     """
     check_size(cfg)  # about N^(k+1)/2 rows
     _require_lattice(cfg)
-    rho, span = cfg.rho, cfg.n**cfg.k
-    num = (rho - 1) * span
-    n_rows = (num + 1) // 2 + 1
-    half_pitch = math.pi / (rho * span)
-    lam_max = (rho - 1) * math.pi / (2.0 * rho)
-    el0 = address_to_elements((0,) * (cfg.k + 1), cfg)
-    omega_e = cfg.omega_earth_rad_s
-
-    target = np.minimum(np.arange(1, n_rows) * half_pitch, lam_max)
-    lo = np.zeros(n_rows - 1)
-    hi = np.full(n_rows - 1, cfg.period_s / 4.0)
-    active = np.arange(n_rows - 1)
-    for _ in range(200):
-        if not active.size:
-            break
-        lo_a, hi_a = lo[active], hi[active]
-        mid = 0.5 * (lo_a + hi_a)
-        below = subpoint_lons(el0, mid, cfg.consts) < target[active]
-        lo_a = np.where(below, mid, lo_a)
-        hi_a = np.where(below, hi_a, mid)
-        lo[active], hi[active] = lo_a, hi_a
-        active = active[(hi_a - lo_a) * omega_e * rho >= ALPHA0_BISECT_TOL_RAD]
-    values = np.empty(n_rows, dtype=np.float64)
+    rho, beta, span = cfg.rho, cfg.inclination_rad, cfg.n**cfg.k
+    n_rows = ((rho - 1) * span + 1) // 2 + 1
+    target = np.minimum(np.arange(n_rows) * (TWO_PI / span), (rho - 1) * math.pi)
+    lo = np.full(n_rows, -math.pi / 2.0)
+    hi = np.full(n_rows, math.pi / 2.0)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        f = 2.0 * rho * np.arctan2(math.cos(beta) * np.sin(mid), np.cos(mid)) - 2.0 * mid
+        below = f < target
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    values = -0.5 * (lo + hi) / rho
     values[0] = 0.0
-    values[1:] = -omega_e * (0.5 * (lo + hi))
     return Alpha0Table(
         n=cfg.n, m=cfg.m, k=cfg.k, inclination_rad=cfg.inclination_rad, values=values
     )
@@ -430,9 +405,9 @@ def _snap_floor(x_rad: float, h: float) -> int:
     The snap keeps lattice-exact inputs deterministically lower-inclusive at
     every level: coarse lattice lines are a subset of fine ones and the
     window is fixed in radians, so all levels agree on which side such a
-    point falls. The window must comfortably exceed the anchor-table
-    tolerance after amplification by the row function's slope (~2*rho^2 x),
-    hence microradians rather than the table's 1e-10.
+    point falls. The window must comfortably exceed the anchors' error
+    after amplification by the row function's slope (~2*rho^2 x), hence
+    microradians.
     """
     q = x_rad / h
     r = round(q)

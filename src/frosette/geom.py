@@ -50,14 +50,6 @@ def wrap_lon(lon: float) -> float:
     return wrap_angle(lon + math.pi) - math.pi
 
 
-def wrap_lons(lon: np.ndarray) -> np.ndarray:
-    """Array form of :func:`wrap_lon`, elementwise with the same rounding."""
-    lon = np.fmod(lon + math.pi, TWO_PI)
-    lon[lon < 0.0] += TWO_PI
-    lon[lon >= TWO_PI] = 0.0
-    return lon - math.pi
-
-
 def check_times(cfg: ConstellationConfig, *times: float) -> None:
     """RangeError unless each time's orbital phase 2*pi*t/T, and so the time, is finite."""
     if not all(math.isfinite(TWO_PI * t / cfg.period_s) for t in times):
@@ -108,36 +100,18 @@ def orbit_positions(cos_phase, sin_phase, cos_raan, sin_raan, inclination_rad, w
     Arguments broadcast: per-satellite arrays with a scalar w give (R, 3),
     with w of shape (T, 1) they give (T, R, 3).
     """
-    x, y, su = _orbit_xy(cos_phase, sin_phase, cos_raan, sin_raan, inclination_rad, w)
-    return np.stack([x, y, su * math.sin(inclination_rad)], axis=-1)
-
-
-def _orbit_xy(cos_phase, sin_phase, cos_raan, sin_raan, inclination_rad, w):
-    """The kernel's x and y, and the sine of the argument of latitude that z scales."""
     cw, sw = np.cos(w), np.sin(w)
     cu, su = cos_phase * cw - sin_phase * sw, sin_phase * cw + cos_phase * sw
-    cb = math.cos(inclination_rad)
-    return cos_raan * cu - sin_raan * su * cb, sin_raan * cu + cos_raan * su * cb, su
+    cb, sb = math.cos(inclination_rad), math.sin(inclination_rad)
+    return np.stack(
+        [cos_raan * cu - sin_raan * su * cb, sin_raan * cu + cos_raan * su * cb, su * sb],
+        axis=-1,
+    )
 
 
 def ground_unit(p: LatLon, t: float, cfg: ConstellationConfig) -> np.ndarray:
     """Inertial unit vector of a ground point at time t (the earth turns east)."""
     return LatLon(p.lat_rad, p.lon_rad + cfg.omega_earth_rad_s * t).unit_vector()
-
-
-def subpoint_lons(
-    elements: OrbitalElements, times, consts: PhysicalConstants
-) -> np.ndarray:
-    """Sub-point longitudes at each time: the array form of
-    ``subpoint(elements, t, consts).lon_rad``, with the same pole rule."""
-    t = np.asarray(times, dtype=np.float64)
-    cp, sp = math.cos(elements.phase0_rad), math.sin(elements.phase0_rad)
-    ca, sa = math.cos(elements.raan_rad), math.sin(elements.raan_rad)
-    x, y, _ = _orbit_xy(cp, sp, ca, sa, elements.inclination_rad, TWO_PI * t / elements.period_s)
-    theta = TWO_PI * t / consts.sidereal_day_s
-    lon = wrap_lons(np.arctan2(y, x) - theta)
-    lon[(np.abs(x) < 1e-15) & (np.abs(y) < 1e-15)] = 0.0
-    return lon
 
 
 def subpoint(elements: OrbitalElements, t: float, consts: PhysicalConstants) -> LatLon:

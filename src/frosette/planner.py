@@ -11,7 +11,8 @@ import math
 from dataclasses import dataclass
 
 from .config import DEFAULT_CONSTANTS, PhysicalConstants
-from .errors import ConfigError
+from .constellation import MAX_SATELLITES
+from .errors import ConfigError, DomainError
 from .geom import coverage_range, min_satellites
 
 
@@ -44,7 +45,8 @@ class SizeResult:
 
 
 def select_size(req: SizeRequest, consts: PhysicalConstants = DEFAULT_CONSTANTS) -> SizeResult:
-    """Smallest recursion depth meeting the RTT budget at the elevation mask."""
+    """Smallest recursion depth meeting the RTT budget at the elevation mask;
+    DomainError when that needs more than MAX_SATELLITES satellites."""
     altitude_km = consts.light_speed_km_s * req.rtt_target_s / 2.0
     radius = coverage_range(altitude_km, req.min_elevation_rad, consts)
     n_min = min_satellites(radius)
@@ -53,6 +55,9 @@ def select_size(req: SizeRequest, consts: PhysicalConstants = DEFAULT_CONSTANTS)
     while n_sats < n_min:
         depth += 1
         n_sats *= req.base_n
+    if n_sats > MAX_SATELLITES:
+        raise DomainError(f"{n_sats} satellites (N={req.base_n}, k={depth - 1}) "
+                          f"exceed the limit of {MAX_SATELLITES}")
     return SizeResult(
         altitude_km=altitude_km,
         coverage_rad=radius,

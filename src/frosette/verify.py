@@ -255,22 +255,18 @@ def check_cell_roundtrip() -> tuple[bool, str]:
 
 
 def check_alpha0_consistency() -> tuple[bool, str]:
+    # first principles: at t = -alpha0/omega_E satellite 0's sub-point sits on the row's longitude
     cfg = _demo(16, 8, 1, 70.0, 1200.0)
     tables = build_alpha0_tables(cfg)
-    rho = cfg.rho
-    beta = cfg.inclination_rad
-    h = TWO_PI / cfg.n**cfg.k
+    rho, span = cfg.rho, cfg.n**cfg.k
+    el0 = address_to_elements((0,) * (cfg.k + 1), cfg)
     worst = 0.0
     for d in range(tables.n_rows):
-        alpha0 = tables.alpha0_signed(d)
-        gamma = -rho * alpha0
-        f_hat = 2 * rho * math.atan2(
-            math.cos(beta) * math.sin(gamma), math.cos(gamma)
-        ) - 2 * gamma
-        target = min(d * h, (rho - 1) * math.pi)
-        worst = max(worst, abs(f_hat - target))
-    ok = worst < 1e-7
-    return ok, f"analytic row equation residual max {worst:.3e} rad over {tables.n_rows} rows"
+        t = -tables.values[d] / cfg.omega_earth_rad_s
+        target = min(d * math.pi / (rho * span), (rho - 1) * math.pi / (2.0 * rho))
+        worst = max(worst, abs(subpoint(el0, t, cfg.consts).lon_rad - target))
+    ok = worst < 1e-12
+    return ok, f"satellite 0 sub-point longitude error max {worst:.3e} rad over {tables.n_rows} rows"
 
 
 def check_encode_roundtrip() -> tuple[bool, str]:

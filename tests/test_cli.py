@@ -480,6 +480,16 @@ def test_size_where_the_footprint_rounds_to_a_quarter_circle(capsys):
     assert 0 < doc["coverage_deg"] < 90
 
 
+@pytest.mark.parametrize("rtt_ms", ["1e-9", "1e-10"])
+def test_size_beyond_the_satellite_limit_exits_2(rtt_ms, capsys):
+    # footprints this small need more than MAX_SATELLITES, where n_min is rounding noise
+    rc = main(["size", "--rtt-ms", rtt_ms, "--elevation-deg", "0", "--base-n", "8"])
+    assert rc == EXIT_DOMAIN
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert json.loads(out.err)["error"] == "DomainError"
+
+
 @pytest.mark.parametrize("elevation_deg", ["0", "25"])
 def test_size_at_a_vanishing_rtt_is_infeasible(elevation_deg, capsys):
     # the footprint rounds to 0, which coverage_range keeps just inside (0, pi/2)

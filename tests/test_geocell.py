@@ -15,10 +15,10 @@ from frosette.config import TWO_PI
 from frosette.constellation import address_to_elements
 from frosette.errors import ConfigError, ParseError, RangeError
 from frosette.geocell import (
-    ALPHA0_BISECT_TOL_RAD,
     Alpha0Table,
     CellId,
     GeoCoord,
+    _inverse_row_function,
     _row_representative,
     build_alpha0_tables,
     capacity,
@@ -166,8 +166,8 @@ def test_alpha0_values_shape(tables_cells):
 
 
 def test_alpha0_analytic_residual(tables_geo, cfg_geo):
-    # dual route: bisection anchors must satisfy the analytic row equation
-    # f(gamma_d) = d * 2pi/N^k with gamma_d = -rho * alpha0(d)
+    # anchors satisfy the analytic row equation f(gamma_d) = d * 2pi/N^k
+    # with gamma_d = -rho * alpha0(d), to rounding
     t = tables_geo
     rho, beta = t.rho, t.inclination_rad
     h = TWO_PI / t.n**t.k
@@ -178,13 +178,17 @@ def test_alpha0_analytic_residual(tables_geo, cfg_geo):
         f_hat = 2 * rho * math.atan2(math.cos(beta) * math.sin(gamma), math.cos(gamma)) - 2 * gamma
         target = min(d * h, (rho - 1) * math.pi)
         worst = max(worst, abs(f_hat - target))
-    assert worst < 1e-7, f"row-equation residual {worst:.2e} rad"
+    assert worst < 1e-12, f"row-equation residual {worst:.2e} rad"
+
+
+# bracket width in alpha at which the first-principles oracle stops
+ORACLE_TOL_RAD = 1e-10
 
 
 def _scalar_alpha0_rows(cfg, rows):
-    """Row-at-a-time bisection on the scalar sub-point, the former body of
-    build_alpha0_tables, kept as the oracle for its lockstep form; anchors of
-    the given rows only, so large tables can be sampled."""
+    """Row-at-a-time bisection of time on the scalar sub-point of satellite 0,
+    the first-principles oracle for build_alpha0_tables; anchors of the given
+    rows only, so large tables can be sampled."""
     rho, span = cfg.rho, cfg.n**cfg.k
     half_pitch = math.pi / (rho * span)
     lam_max = (rho - 1) * math.pi / (2.0 * rho)
@@ -205,7 +209,7 @@ def _scalar_alpha0_rows(cfg, rows):
                 lo_t = mid
             else:
                 hi_t = mid
-            if (hi_t - lo_t) * omega_e * rho < ALPHA0_BISECT_TOL_RAD:
+            if (hi_t - lo_t) * omega_e * rho < ORACLE_TOL_RAD:
                 break
         t_star = 0.5 * (lo_t + hi_t)
         values[d] = -omega_e * t_star
@@ -226,19 +230,19 @@ def test_alpha0_lockstep_matches_scalar_bisection(k):
         rows = sorted(set(np.linspace(1, table.n_rows - 1, 48).round().astype(int).tolist()))
         want = _scalar_alpha0_rows(cfg, rows)
         for d in rows:
-            # numpy's trig may round a near-tie comparison the other way, so
-            # rows agree to the bisection tolerance, not always bit for bit
-            assert abs(table.values[d] - want[d]) <= ALPHA0_BISECT_TOL_RAD, (n, m, k, incl, d)
+            assert abs(table.values[d] - want[d]) <= ORACLE_TOL_RAD, (n, m, k, incl, d)
 
 
-def test_alpha0_level_strides(tables_cells):
-    t = tables_cells
-    lv = t.tables_by_level()
-    assert len(lv) == t.k + 1
-    assert np.array_equal(lv[t.k], t.values)
-    assert np.array_equal(lv[0], t.values[:: t.n**t.k])
-    with pytest.raises(RangeError):
-        t.level_rows(t.k + 1)
+@pytest.mark.parametrize("n,m,k,incl", [(8, 6, 1, 45.0), (16, 8, 3, 70.0), (13, 1, 2, 35.0)])
+def test_alpha0_rows_match_the_scalar_row_inverse(n, m, k, incl):
+    # the lockstep bisection and cell_center's scalar one agree to rounding:
+    # numpy's trig may round a near-tie comparison the other way
+    cfg = make_config(n, m, k, incl_deg=incl)
+    table = build_alpha0_tables(cfg)
+    rho, h = cfg.rho, TWO_PI / cfg.n**cfg.k
+    for d in range(1, table.n_rows):
+        want = _inverse_row_function(min(d * h, (rho - 1) * math.pi), rho, cfg.inclination_rad)
+        assert abs(-rho * table.values[d] - want) <= 1e-14, (n, m, k, d)
 
 
 def test_fra0_round_trip(tmp_path, tables_cells):
