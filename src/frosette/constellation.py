@@ -11,7 +11,7 @@ import numpy as np
 
 from .config import TWO_PI, ConstellationConfig, PhysicalConstants, config_to_dict
 from .errors import DomainError, InfeasibleError, RangeError
-from .geom import OrbitalElements, closed_form_range, orbit_positions
+from .geom import OrbitalElements, closed_form_range, orbit_positions, range_terms
 
 SatAddress = tuple[int, ...]
 
@@ -113,27 +113,26 @@ def ring_neighbor(addr: SatAddress, layer: int, direction: int, n: int) -> SatAd
     return tuple(digits)
 
 
-def _orbit_angles(ids, cfg: ConstellationConfig):
-    """(RAAN, epoch phase) of satellite ids, ints or an int array.
+def _orbit_units(ids, cfg: ConstellationConfig):
+    """(Base slot s0, epoch phase) of satellite ids, ints or an int array.
 
     Digit 0 selects the base-Rosette slot (RAAN 2*pi*s0/N, phase m*RAAN);
     each deeper digit s_j adds 2*pi*s_j/N^j. The phase is summed in integer
-    units of 2*pi/N^(k+1) and reduced exactly before one conversion.
+    units of 2*pi/N^(k+1) and reduced exactly; callers convert it once.
     """
-    n, span = cfg.n, cfg.n**cfg.k
+    span = cfg.n**cfg.k
     s0 = ids // span
-    units = (cfg.m * s0 * span + n * (ids % span)) % (n * span)
-    return TWO_PI * s0 / n, TWO_PI * units / (n * span)
+    return s0, (cfg.m * s0 * span + cfg.n * (ids % span)) % cfg.n_sats
 
 
 def address_to_elements(addr: SatAddress, cfg: ConstellationConfig) -> OrbitalElements:
-    """Map a hierarchical address to its orbit (see :func:`_orbit_angles`)."""
+    """Map a hierarchical address to its orbit (see :func:`_orbit_units`)."""
     validate_address(addr, cfg)
-    raan, phase = _orbit_angles(sat_id(addr, cfg.n), cfg)
+    s0, phase = _orbit_units(sat_id(addr, cfg.n), cfg)
     return OrbitalElements(
-        raan_rad=raan,
+        raan_rad=TWO_PI * s0 / cfg.n,
         inclination_rad=cfg.inclination_rad,
-        phase0_rad=phase,
+        phase0_rad=TWO_PI * phase / cfg.n_sats,
         period_s=cfg.period_s,
         orbit_radius_km=cfg.orbit_radius_km,
     )
@@ -145,12 +144,31 @@ class OrbitState:
 
     def __init__(self, cfg: ConstellationConfig) -> None:
         check_size(cfg)
-        raan, phase = _orbit_angles(np.arange(cfg.n_sats), cfg)
+        s0, phase = _orbit_units(np.arange(cfg.n_sats), cfg)
+        raan, phase = TWO_PI * s0 / cfg.n, TWO_PI * phase / cfg.n_sats
         self.cfg = cfg
         self.cp, self.sp = np.cos(phase), np.sin(phase)
         self.ca, self.sa = np.cos(raan), np.sin(raan)
         for a in (self.cp, self.sp, self.ca, self.sa):
             a.flags.writeable = False  # shared by every caller of orbit_state
+
+    @functools.cached_property
+    def link_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(K, D*cos(phi), D*sin(phi)) of every :func:`ring_table` edge, from
+        ``geom.range_terms`` of its tail and +1 head: edge e spans
+        sin^2(r/2) = K + Dc*cos(4*pi*t/T) - Ds*sin(4*pi*t/T)."""
+        cfg, half = self.cfg, self.cfg.n_sats // 2
+        heads = ring_table(cfg)[0][:, 0::2]  # row i: the heads of i's edges
+        s0, phase = _orbit_units(np.arange(cfg.n_sats), cfg)
+        steps = np.stack([phase[heads] - phase[:, None], (s0[heads] - s0[:, None]) * cfg.n**cfg.k])
+        # each within half a turn, so no half angle passes 5*pi/6 and every sine stays accurate
+        du, draan = (steps + half) % cfg.n_sats - half
+        k, d = range_terms(du, draan, cfg.n_sats, cfg.inclination_rad)
+        phi = TWO_PI * ((phase[heads] + phase[:, None]) % cfg.n_sats) / cfg.n_sats
+        terms = tuple(a.ravel() for a in (k, d * np.cos(phi), d * np.sin(phi)))
+        for a in terms:
+            a.flags.writeable = False
+        return terms
 
     def unit_positions(self, t, rows=slice(None)) -> np.ndarray:
         """Inertial unit vectors of the given rows: (R, 3) at a scalar t,
@@ -191,26 +209,17 @@ class StabilityReport:
     h_min_km: float
 
 
-def _intra_orbit_arcs(cfg: ConstellationConfig) -> list[float]:
-    arcs = []
-    for j in range(1, cfg.k + 1):
-        step = TWO_PI / cfg.n**j
-        arcs.append(step)  # non-wrap edge
-        wrap = (cfg.n - 1) * step % TWO_PI
-        arcs.append(min(wrap, TWO_PI - wrap))  # digit N-1 -> 0 edge
-    return arcs
-
-
 def stability_report(cfg: ConstellationConfig) -> StabilityReport:
     """Worst-case link range and the altitude floors it implies.
 
     r_max is the larger of the layer-0 range, in closed form
     (``geom.closed_form_range`` at offset 1 and time coupling 1, the peak over
-    a period), and the fixed intra-orbit arcs (wrap edges included); above the
+    a period), and the longest intra-orbit arc, 2*pi/N on layer 1 (its wrap
+    edge too; layer j's arcs are at most (N-1)*2*pi/N^j); above the
     stability floor, (Re + h) cos(r_max/2) > Re + atmosphere margin.
     """
     r_layer0 = closed_form_range(cfg, 1, 1.0)
-    r_max = max([r_layer0, *_intra_orbit_arcs(cfg)])
+    r_max = max(r_layer0, TWO_PI / cfg.n if cfg.k else 0.0)
     if r_max >= math.pi:
         raise InfeasibleError("worst-case link spans a half circle or more")
     re, cos_half = cfg.consts.earth_radius_km, math.cos(r_max / 2.0)

@@ -3,11 +3,11 @@
 Circular Keplerian orbits around a spherical earth. The epoch convention used
 everywhere: at t=0 the prime meridian coincides with the inertial x-axis.
 
-Every satellite position in the package comes from one array kernel,
-:func:`orbit_positions` (fed by ``constellation.OrbitState``), and every range
-from one formula, :func:`central_angles`. The scalar :func:`sat_position_eci`
-and :func:`subpoint` are the per-satellite references that tests and
-``verify`` compare against; no production path calls them.
+Every satellite position comes from one array kernel, :func:`orbit_positions`
+(fed by ``constellation.OrbitState``), every range between positions from
+:func:`central_angles`, and every link range in closed form from
+:func:`range_terms`. The scalar :func:`sat_position_eci` and :func:`subpoint`
+are the references that tests and ``verify`` compare against.
 """
 from __future__ import annotations
 
@@ -151,19 +151,22 @@ def central_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     )
 
 
-def closed_form_range(cfg: ConstellationConfig, d: int, coupling: float) -> float:
-    """Range r between base-ring satellites d apart, from sin^2(r/2): a
-    four-term expansion in half-inclination powers, the last term scaled by
-    the time coupling (at most 1, where the range peaks)."""
-    b2 = cfg.inclination_rad / 2.0
+def range_terms(du, draan, units: int, inclination_rad: float):
+    """(K, D) of sin^2(r/2) = K + D*cos(4*pi*t/T + phi): the range r of two
+    satellites of one inclination and period, whose epoch phases differ by du
+    and RAANs by draan (ints or int arrays, in units of 2*pi/units) and sum to
+    phi. The one closed-form range expression."""
+    b2 = inclination_rad / 2.0
     c2, s2 = math.cos(b2) ** 2, math.sin(b2) ** 2
-    m, unit = cfg.m, math.pi / cfg.n
-    s = (
-        c2 * c2 * math.sin((m + 1) * d * unit) ** 2
-        + 2.0 * s2 * c2 * math.sin(m * d * unit) ** 2
-        + s2 * s2 * math.sin((m - 1) * d * unit) ** 2
-        + 2.0 * s2 * c2 * math.sin(d * unit) ** 2 * coupling
-    )
+    sq = np.sin(np.array([du + draan, du, du - draan, draan]) * (math.pi / units)) ** 2
+    return c2 * c2 * sq[0] + 2.0 * s2 * c2 * sq[1] + s2 * s2 * sq[2], 2.0 * s2 * c2 * sq[3]
+
+
+def closed_form_range(cfg: ConstellationConfig, d: int, coupling: float) -> float:
+    """Range r between base-ring satellites d apart: :func:`range_terms` with
+    the time coupling (at most 1, where the range peaks) in place of the cosine."""
+    k, amplitude = range_terms(cfg.m * d, d, cfg.n, cfg.inclination_rad)
+    s = k + amplitude * coupling
     if s < -1e-9 or s > 1.0 + 1e-9:
         raise DomainError(f"closed form out of range: sin^2(r/2) = {s}")
     return 2.0 * math.asin(math.sqrt(max(0.0, min(1.0, s))))
@@ -172,6 +175,7 @@ def closed_form_range(cfg: ConstellationConfig, d: int, coupling: float) -> floa
 def link_range_closed_form(i: int, j: int, t: float, cfg: ConstellationConfig) -> float:
     """Great-circle range between base-ring satellites i and j at time t:
     :func:`closed_form_range` with the coupling cos(4*pi*t/T + 2*m*(i+j)*pi/N)."""
+    check_times(cfg, t)
     if i == j:
         raise DomainError("closed-form range requires i != j")
     n, m = cfg.n, cfg.m

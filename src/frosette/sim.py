@@ -5,20 +5,21 @@ oracle finds the exact minimum-delay path over the same snapshot, so the
 stretch column measures only the routing scheme's detour, never modeling
 slack. Ground legs are charged identically to both routes.
 
-A snapshot is one call to the config's ``constellation.OrbitState``; ground
-points enter as inertial vectors (``geom.ground_unit``), and every range,
-coverage test and link delay is ``geom.central_angles`` of the two.
-:func:`run` takes its snapshots in blocks of about 2,048 satellite-steps,
-one position array per block, and prices the F-Rosette route of each
-satellite pair, found once per run, from the step's edge delays. The
-oracle is a min-plus fixpoint on the torus of digit tuples (:func:`_min_delays`).
+Link delays in :func:`run` and :func:`delay_oracle` come from the paper's
+closed form per edge (``OrbitState.link_terms``), with no positions. The
+serving satellites, coverage tests and ground legs, and the first-principles
+:func:`path_delay` and :func:`link_delay_trace`, take ``geom.central_angles``
+of ``constellation.OrbitState`` positions and inertial ground vectors.
+:func:`run` prices the F-Rosette route of each satellite pair, found once
+per run, from the step's edge delays. The oracle is a min-plus fixpoint on
+the torus of digit tuples (:func:`_min_delays`).
 """
 from __future__ import annotations
 
 import csv
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -31,21 +32,6 @@ from .errors import ConfigError, DomainError, ParseError, RangeError
 from .geom import LatLon, central_angles, check_latlon, check_times, coverage_range
 from .geom import ground_unit, link_length_delay, slant_range_km
 from .routing import shortest_path
-
-TRACE_COLUMNS = (
-    "t",
-    "experiment",
-    "frosette_hops",
-    "frosette_delay_s",
-    "oracle_hops",
-    "oracle_delay_s",
-    "stretch",
-    "src_sat",
-    "dst_sat",
-    "handoff",
-    "flag",
-)
-
 
 @dataclass(frozen=True)
 class Scenario:
@@ -100,6 +86,9 @@ class TraceRecord:
         ]
 
 
+TRACE_COLUMNS = tuple(f.name for f in fields(TraceRecord))  # the CSV header, in field order
+
+
 def _number(doc: dict, key: str, kind: type = float):
     """doc[key] by ``config_from_dict``'s rule for JSON numbers, else a ParseError."""
     return _json_number(key, doc[key], kind, ParseError)
@@ -151,11 +140,9 @@ def load_scenario(path: str) -> Scenario:
 # --- geometry snapshots -----------------------------------------------------
 
 
-# run() takes max(1, _BLOCK_SAT_STEPS // M) steps per position array: enough
-# steps to share numpy's per-call cost, few enough to stay in cache (and to
-# keep peak memory where one snapshot per step had it). Its oracle runs on
-# max(1, _GROUP_SAT_STEPS // M) steps at once, to share each round's calls.
-_BLOCK_SAT_STEPS = 2048
+# run() takes max(1, _GROUP_SAT_STEPS // M) steps at once, to share numpy's
+# per-call cost and each oracle round's calls; their (G, M, 3) positions
+# (384 KiB) stay in cache, and at 65,536 satellites a group is one step.
 _GROUP_SAT_STEPS = 16384
 
 
@@ -164,27 +151,19 @@ def _link_delays(a: np.ndarray, b: np.ndarray, cfg: ConstellationConfig) -> np.n
     return link_length_delay(central_angles(a, b), cfg.altitude_km, cfg.consts)[1]
 
 
-def _edge_delays(topo: Topology, pos: np.ndarray) -> np.ndarray:
-    """Per-edge one-way delays indexed by ``ring_table`` edge id, where edge
-    i*(k+1)+L joins satellite i to its +1 neighbour on layer L: (E,) for one
-    (M, 3) snapshot, (B, E) for a (B, M, 3) block."""
-    cfg = topo.config
-    tails = pos.repeat(cfg.k + 1, axis=-2)
-    heads = pos[..., ring_table(cfg)[0][:, 0::2].ravel(), :]
-    return _link_delays(tails, heads, cfg)
+def _edge_delays(cfg: ConstellationConfig, t) -> np.ndarray:
+    """One-way delays of every ``ring_table`` edge in closed form (see
+    ``OrbitState.link_terms``): (E,) at a scalar t, (T, E) for times of
+    shape (T, 1). Clamped at 0 where two satellites meet (a polar m=0 ring)."""
+    k, dc, ds = orbit_state(cfg).link_terms
+    theta, consts = 4.0 * math.pi * t / cfg.period_s, cfg.consts
+    scale = 2.0 * (consts.earth_radius_km + cfg.altitude_km) / consts.light_speed_km_s
+    return scale * np.sqrt(np.maximum(k + dc * np.cos(theta) - ds * np.sin(theta), 0.0))
 
 
 def _ground_leg_delay(r: float, cfg: ConstellationConfig) -> float:
     """Ground-to-satellite delay across central angle r."""
     return slant_range_km(r, cfg.altitude_km, cfg.consts) / cfg.consts.light_speed_km_s
-
-
-def _path_delay(pos: np.ndarray, rows: list[int], cfg: ConstellationConfig) -> float:
-    hops = _link_delays(pos[rows[:-1]], pos[rows[1:]], cfg)
-    total = 0.0
-    for d in hops.tolist():  # in path order, as the oracle accumulates
-        total += d
-    return total
 
 
 def _min_delays(delays: np.ndarray, sources: list[int], cfg: ConstellationConfig) -> np.ndarray:
@@ -270,7 +249,7 @@ def delay_oracle(
     """Exact minimum-propagation-delay satellite path at the time-t snapshot."""
     check_times(topo.config, t)  # NaN delays would leave dst unreached
     si, di = _ids([src, dst], topo.config)
-    delays = _edge_delays(topo, orbit_state(topo.config).unit_positions(t))
+    delays = _edge_delays(topo.config, t)
     dist = _min_delays(delays[None], [si], topo.config)[0].tolist()
     path = _walk_back(topo.adjacency(), delays.tolist(), dist, si, di)
     return [topo.nodes[i] for i in path], dist[di]
@@ -280,7 +259,11 @@ def path_delay(path: list[SatAddress], t: float, topo: Topology) -> float:
     """In-space propagation delay of a node sequence at the time-t snapshot."""
     cfg = topo.config
     check_times(cfg, t)
-    return _path_delay(orbit_state(cfg).unit_positions(t), _ids(path, cfg), cfg)
+    pos = orbit_state(cfg).unit_positions(t, _ids(path, cfg))
+    total = 0.0
+    for d in _link_delays(pos[:-1], pos[1:], cfg).tolist():  # in path order, as the oracle sums
+        total += d
+    return total
 
 
 def link_delay_trace(
@@ -325,7 +308,7 @@ def run(scenario: Scenario) -> tuple[list[TraceRecord], dict]:
     records: list[TraceRecord] = []
     last_pair: dict[str, tuple[SatAddress, SatAddress]] = {}
 
-    for t, delays, served, dists in _snapshots(scenario, topo):
+    for t, delays, served, dists in _snapshots(scenario):
         for src_name, dst_name in scenario.experiments:
             exp = f"{src_name}->{dst_name}"
             (si, src_r, src_leg), (di, dst_r, dst_leg) = served[src_name], served[dst_name]
@@ -336,7 +319,7 @@ def run(scenario: Scenario) -> tuple[list[TraceRecord], dict]:
             if route is None:
                 route = routes[si, di] = _route_edges(src_sat, dst_sat, topo, adj)
             fro_space = 0.0
-            for e in route:  # in path order, as _path_delay and the oracle sum
+            for e in route:  # in path order, as path_delay and the oracle sum
                 fro_space += delays[e]
             legs = src_leg + dst_leg
             fro_delay = legs + fro_space
@@ -364,32 +347,25 @@ def run(scenario: Scenario) -> tuple[list[TraceRecord], dict]:
     return records, summarize(records, scenario)
 
 
-def _snapshots(scenario: Scenario, topo: Topology):
+def _snapshots(scenario: Scenario):
     """Per step of the window: (t, edge delays, {endpoint name: (serving
     satellite id, its central angle from the endpoint, ground-leg delay)},
     {source endpoint name: minimum delays from its serving satellite}).
 
-    Steps are taken in blocks of max(1, 2048 // M): one (B, M, 3) position
-    array per block, from which a few numpy calls give every edge delay,
-    association and ground-leg angle of its B steps; :func:`_min_delays`, in
-    groups of max(1, 16384 // M) steps, every distance.
+    Per group of max(1, 16384 // M) steps, one :func:`_edge_delays` call gives
+    every edge delay, one (G, M, 3) position array every association, and
+    :func:`_min_delays` every distance.
     """
     cfg = scenario.config
-    state = orbit_state(cfg)
     names = dict.fromkeys(name for pair in scenario.experiments for name in pair)
     sources = dict.fromkeys(src for src, _ in scenario.experiments)
     times = _step_times(scenario.start_s, scenario.end_s, scenario.step_s)
-    size = max(1, _BLOCK_SAT_STEPS // cfg.n_sats)
     group = max(1, _GROUP_SAT_STEPS // cfg.n_sats)
     for lo in range(0, len(times), group):
-        steps, delays, served = times[lo:lo + group], [], {name: [] for name in names}
-        for at in range(0, len(steps), size):
-            block = steps[at:at + size]
-            pos = state.unit_positions(np.array(block)[:, None])
-            delays.append(_edge_delays(topo, pos))
-            for name in names:
-                served[name] += _serving(pos, scenario.endpoints[name], block, cfg)
-        delays = np.concatenate(delays)
+        steps = times[lo:lo + group]
+        column = np.array(steps)[:, None]
+        delays, pos = _edge_delays(cfg, column), orbit_state(cfg).unit_positions(column)
+        served = {name: _serving(pos, scenario.endpoints[name], steps, cfg) for name in names}
         dists = {name: _min_delays(delays, [s[0] for s in served[name]], cfg) for name in sources}
         for b, t in enumerate(steps):  # lists a step at a time, to keep peak memory down
             yield (t, delays[b].tolist(), {name: s[b] for name, s in served.items()},
@@ -399,7 +375,7 @@ def _snapshots(scenario: Scenario, topo: Topology):
 def _serving(
     pos: np.ndarray, p: LatLon, block: list[float], cfg: ConstellationConfig
 ) -> list[tuple[int, float, float]]:
-    """Per step of a (B, M, 3) block: the id of the satellite nearest to p
+    """Per step of (G, M, 3) positions: the id of the satellite nearest to p
     (the smallest on ties, as :func:`associate`), its central angle from p
     and the ground-leg delay across that angle."""
     ground = np.array([ground_unit(p, t, cfg) for t in block])

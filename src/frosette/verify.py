@@ -34,11 +34,12 @@ from .geocell import (
     iter_cells,
     locate_point,
 )
-from .geom import LatLon, link_range_closed_form, sat_position_eci, subpoint
+from .geom import LatLon, great_circle_range, link_length_delay, link_range_closed_form
+from .geom import sat_position_eci, subpoint
 from .georouting import measure_hop_motions
 from .planner import SizeRequest, select_size
 from .routing import build_fib, disjoint_paths, fib_lookup, hop_bound, shortest_path
-from .sim import link_delay_trace
+from .sim import _edge_delays, link_delay_trace
 
 _SEED = 12345
 
@@ -161,21 +162,31 @@ def check_multipath() -> tuple[bool, str]:
     return True, "50 all-differ pairs: 4 node-disjoint paths each"
 
 
+def _scalar_range(a, b, t: float, cfg: ConstellationConfig) -> float:
+    return great_circle_range(*(sat_position_eci(address_to_elements(x, cfg), t) for x in (a, b)))
+
+
 def check_link_closed_form() -> tuple[bool, str]:
+    """Base-ring ranges, and every edge delay (all layers, wraps too) that
+    ``run`` and ``delay_oracle`` use, in closed form against scalar positions."""
     cfg = _demo(8, 3, 0, 70.0, 1200.0)
     rng = random.Random(_SEED)
-    worst = 0.0
+    worst = worst_rel = 0.0
     for _ in range(200):
         i, j = rng.sample(range(cfg.n), 2)
         t = rng.uniform(0, cfg.rho * cfg.period_s)
-        pi = sat_position_eci(address_to_elements((i,), cfg), t)
-        pj = sat_position_eci(address_to_elements((j,), cfg), t)
-        cross = np.cross(pi, pj)
-        measured = math.atan2(float(np.sqrt(cross @ cross)), float(pi @ pj))
-        closed = link_range_closed_form(i, j, t, cfg)
-        worst = max(worst, abs(measured - closed))
-    ok = worst < 1e-9
-    return ok, f"max |closed-form - first-principles| = {worst:.3e} rad over 200 samples"
+        measured = _scalar_range((i,), (j,), t, cfg)
+        worst = max(worst, abs(measured - link_range_closed_form(i, j, t, cfg)))
+    cfg = _demo(5, 2, 2, 70.0, 1200.0)
+    nodes, heads = build(cfg).nodes, ring_table(cfg)[0][:, 0::2].ravel().tolist()
+    for t in (rng.uniform(0, cfg.rho * cfg.period_s) for _ in range(4)):
+        for e, closed in enumerate(_edge_delays(cfg, t).tolist()):
+            r = _scalar_range(nodes[e // (cfg.k + 1)], nodes[heads[e]], t, cfg)
+            measured = float(link_length_delay(r, cfg.altitude_km, cfg.consts)[1])
+            worst_rel = max(worst_rel, abs(closed - measured) / measured)
+    ok = worst < 1e-9 and worst_rel < 1e-12
+    return ok, (f"max |closed-form - first-principles| = {worst:.3e} rad over 200 base-ring "
+                f"samples, {worst_rel:.3e} relative over 4 x {len(heads)} k=2 edge delays")
 
 
 def check_subpoint_repeat() -> tuple[bool, str]:

@@ -12,7 +12,7 @@ from hypothesis import given, strategies as st
 
 from frosette.config import DEFAULT_CONSTANTS, TWO_PI
 from frosette.constellation import address_to_elements, orbit_state, sat_id
-from frosette.errors import DomainError, InfeasibleError
+from frosette.errors import DomainError, InfeasibleError, RangeError
 from frosette.geom import (
     LatLon,
     OrbitalElements,
@@ -207,6 +207,9 @@ def test_link_closed_form_symmetry_and_errors():
         link_range_closed_form(2, 2, 0.0, cfg)
     with pytest.raises(DomainError):
         link_range_closed_form(0, 8, 0.0, cfg)
+    for t in (math.nan, math.inf, 1e308):  # 2*pi*t/T overflows at 1e308
+        with pytest.raises(RangeError):
+            link_range_closed_form(1, 4, t, cfg)
 
 
 # --- chords, slant ranges, coverage --------------------------------------------

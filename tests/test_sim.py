@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 import frosette.sim as sim_module
-from frosette.constellation import Topology, address_to_elements, build, orbit_state, sat_id
+from frosette.constellation import (
+    Topology, address_to_elements, build, orbit_state, ring_table, sat_id,
+)
 from frosette.errors import ConfigError, DomainError, ParseError, RangeError
 from frosette.geom import (
     LatLon,
@@ -36,7 +38,6 @@ from frosette.sim import (
     _ground_leg_delay,
     _min_delays,
     _walk_back,
-    _path_delay,
     _step_times,
     associate,
     delay_oracle,
@@ -258,6 +259,28 @@ def test_delay_oracle_matches_networkx():
         assert delay_oracle(topo, 0.0, same, same) == ([same], 0.0)
 
 
+@pytest.mark.parametrize("n, m, k", [(16, 8, 3), (5, 3, 2), (6, 0, 1), (7, 6, 1), (9, 4, 0)])
+def test_closed_form_edge_delays_equal_the_position_path(n, m, k):
+    """Every edge's closed-form delay is the chord between the position
+    kernel's unit vectors, wrap edges included, out to t = 1e7 s."""
+    cfg = make_config(n, m, k)
+    tails = np.arange(cfg.n_sats).repeat(k + 1)
+    heads = ring_table(cfg)[0][:, 0::2].ravel()
+    times = [*np.linspace(0.0, cfg.rho * cfg.period_s, 14).tolist(), 1e7 - 0.3, 1e7 + 1234.5]
+    for t in times:
+        pos = orbit_state(cfg).unit_positions(t)
+        ranges = central_angles(pos[tails], pos[heads])
+        expected = link_length_delay(ranges, cfg.altitude_km, cfg.consts)[1]
+        np.testing.assert_allclose(_edge_delays(cfg, t), expected, rtol=1e-12, atol=0.0)
+
+
+def test_closed_form_edge_delays_are_zero_where_satellites_meet():
+    # polar m=0 orbits all cross the poles together; rounding takes sin^2(r/2) below 0 there
+    cfg = make_config(8, 0, 2, incl_deg=90.0)
+    delays = _edge_delays(cfg, np.linspace(0.0, cfg.period_s, 2001)[:, None])
+    assert np.isfinite(delays).all() and delays.min() == 0.0
+
+
 def _random_pairs(topo, rng, count):
     n, width = topo.config.n, topo.config.k + 1
     for _ in range(count):
@@ -273,7 +296,7 @@ def test_delay_oracle_equals_dijkstra(n, m, k, pairs):
     topo = build(make_config(n, m, k))
     adj = topo.adjacency()
     for src, dst, t in _random_pairs(topo, random.Random(n * 100 + k), pairs):
-        delays = _edge_delays(topo, orbit_state(topo.config).unit_positions(t))
+        delays = _edge_delays(topo.config, t)
         si, di = sat_id(src, n), sat_id(dst, n)
         path, delay = _min_delay_path(adj, delays.tolist(), si, di)
         assert _min_delays(delays[None], [si], topo.config)[0, di] == delay  # before any walk
@@ -493,7 +516,8 @@ def test_oracle_index_built_once_per_run_and_never_by_associate(monkeypatch):
 
 
 def _per_step_run(scenario):
-    """The one-snapshot-per-step loop that the block loop replaced, kept as written."""
+    """The one-snapshot-per-step loop that the block loop replaced, kept as
+    written but for its link delays, which come from the same closed form."""
     cfg = scenario.config
     topo = build(cfg)
     state = orbit_state(cfg)
@@ -504,7 +528,7 @@ def _per_step_run(scenario):
 
     for t in _step_times(scenario.start_s, scenario.end_s, scenario.step_s):
         pos = state.unit_positions(t)
-        delays = _edge_delays(topo, pos).tolist()
+        delays = _edge_delays(cfg, t).tolist()
         for src_name, dst_name in scenario.experiments:
             exp = f"{src_name}->{dst_name}"
             src_g = ground_unit(scenario.endpoints[src_name], t, cfg)
@@ -516,7 +540,11 @@ def _per_step_run(scenario):
 
             fro_path = shortest_path(src_sat, dst_sat, topo)
             legs = _ground_leg_delay(src_r, cfg) + _ground_leg_delay(dst_r, cfg)
-            fro_delay = legs + _path_delay(pos, [sat_id(a, cfg.n) for a in fro_path], cfg)
+            fro_ids = [sat_id(a, cfg.n) for a in fro_path]
+            fro_space = 0.0
+            for a, b in zip(fro_ids, fro_ids[1:]):  # in path order, as the oracle sums
+                fro_space += delays[dict(adj[a])[b]]
+            fro_delay = legs + fro_space
             oracle_path, oracle_space = _min_delay_path(adj, delays, si, di)
             oracle_delay = legs + oracle_space
 
@@ -553,16 +581,21 @@ def _block_scenario(n, m, k, steps, step_s=30.0):
     return scenario_from_dict(doc)
 
 
+# Window lengths inside one oracle group, at and around the 2,048 satellite-steps
+# of the position blocks that groups replaced.
+_FORMER_BLOCK_SAT_STEPS = 2048
+
+
 @pytest.mark.parametrize("n, m, k", [(8, 6, 1), (5, 3, 2), (4, 1, 3)])
 @pytest.mark.parametrize(
     "sat_steps, units, extra",
-    [(sim_module._BLOCK_SAT_STEPS, units, extra) for units, extra in
+    [(_FORMER_BLOCK_SAT_STEPS, units, extra) for units, extra in
      [(0, 1), (1, -1), (1, 0), (1, 1), (3, 2)]]
     + [(sim_module._GROUP_SAT_STEPS, 1, extra) for extra in (-1, 0, 1)],
     ids=["1", "B-1", "B", "B+1", "3B+2", "G-1", "G", "G+1"],
 )
 def test_block_loop_equals_the_per_step_loop(n, m, k, sat_steps, units, extra):
-    # B steps per position block, G per oracle group
+    # G steps per oracle group; B = max(1, 2048 // M) steps fall inside one
     steps = units * max(1, sat_steps // n ** (k + 1)) + extra
     scn = _block_scenario(n, m, k, steps)
     records, summary = run(scn)
@@ -571,7 +604,7 @@ def test_block_loop_equals_the_per_step_loop(n, m, k, sat_steps, units, extra):
 
 
 def test_block_loop_equals_the_per_step_loop_one_step_per_block():
-    # 65,536 satellites: a block is a single step
+    # 65,536 satellites: a group is a single step
     scn = _block_scenario(16, 8, 3, 3)
     records, summary = run(scn)
     assert len(records) == 9
