@@ -220,7 +220,8 @@ def stability_report(cfg: ConstellationConfig) -> StabilityReport:
     """
     r_layer0 = closed_form_range(cfg, 1, 1.0)
     r_max = max(r_layer0, TWO_PI / cfg.n if cfg.k else 0.0)
-    if r_max >= math.pi:
+    # within 8 ulps of antipodal (h >~ 1e11 km), rounding alone would pick the side of pi
+    if math.sin(r_max / 2.0) ** 2 >= 1.0 - 8 * 2.0**-53:
         raise InfeasibleError("worst-case link spans a half circle or more")
     re, cos_half = cfg.consts.earth_radius_km, math.cos(r_max / 2.0)
     h_stab = (1.0 / cos_half - 1.0) * re + cfg.consts.atmosphere_margin_km / cos_half

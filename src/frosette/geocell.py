@@ -257,23 +257,30 @@ def build_alpha0_tables(cfg: ConstellationConfig) -> Alpha0Table:
 
     Row d's anchor phase is gamma = f^-1(min(d*h, (rho-1)*pi)) at the deepest
     pitch h = 2*pi/N^k, and alpha0 = -gamma/rho: satellite 0's track meets
-    the row there. All rows bisect f in lockstep, with the bracket and the
-    60 steps of the scalar inverse that cell_center uses.
+    the row there. All rows run the guarded Newton of the scalar inverse that
+    cell_center uses, in lockstep; a row that stops keeps its value.
     """
     check_size(cfg)  # about N^(k+1)/2 rows
     _require_lattice(cfg)
-    rho, beta, span = cfg.rho, cfg.inclination_rad, cfg.n**cfg.k
+    rho, cb, span = cfg.rho, math.cos(cfg.inclination_rad), cfg.n**cfg.k
     n_rows = ((rho - 1) * span + 1) // 2 + 1
     target = np.minimum(np.arange(n_rows) * (TWO_PI / span), (rho - 1) * math.pi)
-    lo = np.full(n_rows, -math.pi / 2.0)
-    hi = np.full(n_rows, math.pi / 2.0)
+    lo, hi = np.full(n_rows, -math.pi / 2.0), np.full(n_rows, math.pi / 2.0)
+    gamma = np.clip(target / (2.0 * rho * cb - 2.0), lo, hi)
+    rows = np.arange(n_rows)
     for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        f = 2.0 * rho * np.arctan2(math.cos(beta) * np.sin(mid), np.cos(mid)) - 2.0 * mid
-        below = f < target
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    values = -0.5 * (lo + hi) / rho
+        g = gamma[rows]
+        c, s = np.cos(g), np.sin(g)
+        r = 2.0 * rho * np.arctan2(cb * s, c) - 2.0 * g - target[rows]
+        lo[rows] = np.where(r < 0.0, g, lo[rows])
+        hi[rows] = np.where(r < 0.0, hi[rows], g)
+        step = r / (2.0 * rho * cb / (c * c + cb * cb * s * s) - 2.0)
+        g, done = g - step, np.abs(step) <= 1e-15
+        bisect = np.where((lo[rows] <= g) & (g <= hi[rows]), g, 0.5 * (lo[rows] + hi[rows]))
+        gamma[rows] = np.where(done, np.clip(g, lo[rows], hi[rows]), bisect)
+        if (rows := rows[~done]).size == 0:
+            break
+    values = -gamma / rho
     values[0] = 0.0
     return Alpha0Table(
         n=cfg.n, m=cfg.m, k=cfg.k, inclination_rad=cfg.inclination_rad, values=values
@@ -361,15 +368,21 @@ def cell_to_location(cell: CellId, target_level: int, tables: Alpha0Table) -> Ge
 
 
 def _inverse_row_function(target: float, rho: int, beta: float) -> float:
-    # f is strictly increasing on [-pi/2, pi/2] under the lattice condition
-    lo, hi = -math.pi / 2.0, math.pi / 2.0
+    """f^-1(target) on [-pi/2, pi/2] by guarded Newton. Under the lattice condition
+    f' = 2*rho*cos(beta)/(cos^2 g + cos^2(beta) sin^2 g) - 2 > 0, so the sign of
+    f - target keeps a bracket; a Newton point outside it bisects. The stop test
+    comes first (a last step may land just outside) and clamps into the bracket."""
+    cb, lo, hi = math.cos(beta), -math.pi / 2.0, math.pi / 2.0
+    g = min(max(target / (2.0 * rho * cb - 2.0), lo), hi)
     for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if _row_function(mid, rho, beta) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        c, s = math.cos(g), math.sin(g)
+        r = 2.0 * rho * math.atan2(cb * s, c) - 2.0 * g - target
+        lo, hi = (g, hi) if r < 0.0 else (lo, g)
+        step = r / (2.0 * rho * cb / (c * c + cb * cb * s * s) - 2.0)
+        if abs(step) <= 1e-15:
+            return min(max(g - step, lo), hi)
+        g = g - step if lo <= g - step <= hi else 0.5 * (lo + hi)
+    return g
 
 
 def cell_center(cell: CellId, tables: Alpha0Table) -> GeoCoord:

@@ -8,8 +8,9 @@ quantization residue. Coverage of the cell center ends the route early.
 
 Coverage and distances to the target are central angles between positions
 from the config's ``constellation.OrbitState`` and the target's inertial
-vector, computed only for the satellites a route tests; the one full
-snapshot is taken when a route ends undelivered.
+vector, computed only for the satellites a route tests: the planned greedy
+path in one call, then the neighbours each fallback step compares; the one
+full snapshot is taken when a route ends undelivered.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from .config import TWO_PI, ConstellationConfig
 from .constellation import (
     SatAddress, address_to_elements, orbit_state, ring_neighbor, sat_id, validate_address,
 )
-from .errors import DomainError
+from .errors import ConfigError, DomainError
 from .geocell import Alpha0Table, CellId, GeoCoord, cell_center, geocoord_to_latlon
 from .geom import LatLon, central_angles, check_latlon, check_times, coverage_range
 from .geom import ground_unit, wrap_angle
@@ -48,6 +49,8 @@ class GeoRouteResult:
     delivered: bool
     fallback_hops: int
     coverage_violation: bool = False
+    # where the route ended: start, alpha, gamma, fallback or undelivered
+    phase: str | None = None
 
     @property
     def hops(self) -> int:
@@ -121,55 +124,50 @@ def geo_route(
 
     Phase 1 walks layer 0 to cancel the alpha gap, phase 2 walks layers 1..k
     to cancel the gamma gap (recomputed per layer, since layer-0 hops shift
-    gamma too). Each walk stops at its first satellite that covers the
-    target. If the greedy walk ends uncovered, one sweep over the rings,
-    deepest first, moves along whichever neighbor strictly shrinks the
+    gamma too). No range test steers these walks, so the whole greedy path is
+    planned first and its positions come from one call; the route ends at its
+    first satellite that covers the target. If none does, one sweep over the
+    rings, deepest first, moves along whichever neighbor strictly shrinks the
     great-circle distance to the target, at most N-1 steps per ring.
     """
     validate_address(src_serving, cfg)
     check_times(cfg, t)
+    built_for = (tables.n, tables.m, tables.k, tables.inclination_rad)
+    if built_for != (cfg.n, cfg.m, cfg.k, cfg.inclination_rad):
+        raise ConfigError("alpha0 tables were built for another (N, m, k, inclination)")
     center = cell_center(dst_cell, tables)
     ground = ground_unit(geocoord_to_latlon(center, cfg), t, cfg)
     radius = coverage_range(cfg.altitude_km, cfg.min_elevation_rad, cfg.consts)
-    path = [src_serving]
-
-    def walk(layer: int, direction: int, steps: int) -> bool:
-        """Append up to `steps` hops; True once one of them covers the target."""
-        cur, hops = path[-1], []
-        for _ in range(steps):
-            cur = ring_neighbor(cur, layer, direction, cfg.n)
-            hops.append(cur)
-        covered = np.flatnonzero(_ranges(hops, ground, t, cfg) <= radius)
-        path.extend(hops[: covered[0] + 1] if covered.size else hops)
-        return covered.size > 0
-
-    if _ranges(path, ground, t, cfg)[0] <= radius:
-        return GeoRouteResult(tuple(path), src_serving, True, 0)
 
     # Phase 1: inter-orbit alpha alignment.
-    here = serving_coord(src_serving, t, cfg)
-    gap = wrap_angle(center.alpha_rad - here.alpha_rad)
+    path = [src_serving]
+    gap = wrap_angle(center.alpha_rad - serving_coord(src_serving, t, cfg).alpha_rad)
     direction, span = (1, gap) if gap < math.pi else (-1, TWO_PI - gap)
-    if walk(0, direction, min(round(span / (TWO_PI / cfg.n)), cfg.n // 2)):
-        return GeoRouteResult(tuple(path), path[-1], True, 0)
+    for _ in range(min(round(span / (TWO_PI / cfg.n)), cfg.n // 2)):
+        path.append(ring_neighbor(path[-1], 0, direction, cfg.n))
+    alpha_end = len(path)
 
     # Phase 2: intra-orbit gamma alignment, finest achievable step per layer.
     for layer in range(1, cfg.k + 1):
-        here = serving_coord(path[-1], t, cfg)
-        gap = wrap_angle(center.gamma_rad - here.gamma_rad)
+        gap = wrap_angle(center.gamma_rad - serving_coord(path[-1], t, cfg).gamma_rad)
         direction, span = (1, gap) if gap < math.pi else (-1, TWO_PI - gap)
-        pitch = TWO_PI / cfg.n**layer
-        steps = round(span / pitch) % cfg.n
+        steps = round(span / (TWO_PI / cfg.n**layer)) % cfg.n
         if steps > cfg.n / 2:
             steps = cfg.n - steps
             direction = -direction
-        if walk(layer, direction, steps):
-            return GeoRouteResult(tuple(path), path[-1], True, 0)
+        for _ in range(steps):
+            path.append(ring_neighbor(path[-1], layer, direction, cfg.n))
+
+    angles = _ranges(path, ground, t, cfg)
+    covered = np.flatnonzero(angles <= radius)
+    if covered.size:
+        i = int(covered[0])
+        phase = "start" if i == 0 else "alpha" if i < alpha_end else "gamma"
+        return GeoRouteResult(tuple(path[: i + 1]), path[i], True, 0, phase=phase)
 
     # Fallback: greedy descent on true sub-point distance, one sweep.
     fallback = 0
-    cur = path[-1]
-    best = float(_ranges([cur], ground, t, cfg)[0])
+    cur, best = path[-1], float(angles[-1])
     for layer in range(cfg.k, -1, -1):
         for _ in range(cfg.n - 1):
             up, down = (ring_neighbor(cur, layer, d, cfg.n) for d in (1, -1))
@@ -181,8 +179,8 @@ def geo_route(
             path.append(cur)
             fallback += 1
             if dist <= radius:
-                return GeoRouteResult(tuple(path), cur, True, fallback)
+                return GeoRouteResult(tuple(path), cur, True, fallback, phase="fallback")
 
     snapshot = orbit_state(cfg).unit_positions(t)
     violation = not bool(np.any(central_angles(snapshot, ground) <= radius))
-    return GeoRouteResult(tuple(path), cur, False, fallback, coverage_violation=violation)
+    return GeoRouteResult(tuple(path), cur, False, fallback, violation, "undelivered")

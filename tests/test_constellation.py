@@ -28,7 +28,7 @@ from frosette.constellation import (
     topology_to_json,
     validate_address,
 )
-from frosette.errors import ConfigError, DomainError, RangeError
+from frosette.errors import ConfigError, DomainError, InfeasibleError, RangeError
 from frosette.geom import central_angles, great_circle_range, sat_position_eci
 from conftest import make_config
 
@@ -313,6 +313,28 @@ def test_stability_floor_honours_atmosphere_margin():
     assert lifted.h_stability_km == pytest.approx(base.h_stability_km + 80.0 / half, rel=1e-12)
     assert (re + lifted.h_stability_km) * half == pytest.approx(re + 80.0, rel=1e-12)
     assert lifted.h_min_km == max(lifted.h_stability_km, lifted.h_coverage_km)
+
+
+@pytest.mark.parametrize(
+    "n, m, k",
+    [(4, 2, 1), (4, 2, 2), (4, 2, 3), (6, 3, 0), (6, 3, 1), (6, 3, 2), (6, 3, 3), (12, 6, 1)],
+)
+def test_stability_report_rejects_antipodal_links(n, m, k):
+    # at 90 degrees with m = N/2, layer-0 neighbours meet antipodally; the
+    # closed-form sum rounds to either side of 1 (N=12 lands at pi - 3e-8)
+    with pytest.raises(InfeasibleError):
+        stability_report(make_config(n, m, k, incl_deg=90.0))
+
+
+def test_stability_report_antipodal_window(monkeypatch):
+    # a range within 8 ulps of sin^2(r/2) = 1 is infeasible whichever way the
+    # sum rounded; just outside it the floor is finite, if absurd
+    cfg = make_config(8, 6, 1)
+    monkeypatch.setattr(constellation, "closed_form_range", lambda *a: math.pi - 3.0e-8)
+    with pytest.raises(InfeasibleError):
+        stability_report(cfg)
+    monkeypatch.setattr(constellation, "closed_form_range", lambda *a: math.pi - 1e-6)
+    assert 1e10 < stability_report(cfg).h_min_km < math.inf
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ slivers, which decode to border anchors but are never returned by
 locate_point.
 """
 import math
+import random
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from frosette.geocell import (
     CellId,
     GeoCoord,
     _inverse_row_function,
+    _node_offset,
+    _row_function,
     _row_representative,
     build_alpha0_tables,
     capacity,
@@ -233,10 +236,60 @@ def test_alpha0_lockstep_matches_scalar_bisection(k):
             assert abs(table.values[d] - want[d]) <= ORACLE_TOL_RAD, (n, m, k, incl, d)
 
 
+def _bisected_row_inverse(target, rho, beta):
+    """The former row inverse, 60 bisection steps of f on [-pi/2, pi/2]: the
+    reference for the guarded Newton of _inverse_row_function."""
+    lo, hi = -math.pi / 2.0, math.pi / 2.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if _row_function(mid, rho, beta) < target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _row_cases(seed, beta_of):
+    """Seeded (target, rho, beta) for N in {5, 8, 12, 16}, rho = N - m over
+    m in [0, N-2], with the targets 0 and +/-(rho-1)*pi in every group."""
+    rng = random.Random(seed)
+    for n in (5, 8, 12, 16):
+        for _ in range(150):
+            rho = rng.randrange(2, n + 1)
+            beta, edge = beta_of(rng, rho), (rho - 1) * math.pi
+            for target in (0.0, edge, -edge, rng.uniform(-edge, edge), rng.uniform(-1e-3, 1e-3)):
+                yield target, rho, beta
+
+
+def test_row_inverse_newton_matches_the_bisection():
+    worst = 0.0
+    for target, rho, beta in _row_cases(31, lambda rng, rho: rng.uniform(0.0, math.acos(1.1 / rho))):
+        got = _inverse_row_function(target, rho, beta)
+        assert -math.pi / 2.0 <= got <= math.pi / 2.0
+        worst = max(worst, abs(got - _bisected_row_inverse(target, rho, beta)))
+    assert worst <= 1e-14, f"Newton and bisection differ by {worst:.2e} rad"
+
+
+def test_row_inverse_newton_near_the_lattice_limit():
+    # rho*cos(beta) = 1 + 1e-9: f is flat at 0, so gamma is known only to the
+    # rounding of f over its slope and the two inverses differ by up to ~1e-12
+    # rad. Compare residuals instead: no larger at 0 and the band edges, and
+    # elsewhere larger by no more than the rounding of two evaluations of f
+    # (each within 3 ulps of 2*rho*A(gamma)).
+    for target, rho, beta in _row_cases(32, lambda rng, rho: math.acos((1.0 + 1e-9) / rho)):
+        got, ref = _inverse_row_function(target, rho, beta), _bisected_row_inverse(target, rho, beta)
+        assert -math.pi / 2.0 <= got <= math.pi / 2.0
+        r_got = abs(_row_function(got, rho, beta) - target)
+        r_ref = abs(_row_function(ref, rho, beta) - target)
+        exact = target == 0.0 or abs(target) == (rho - 1) * math.pi
+        slack = 0.0 if exact else 6 * math.ulp(2 * rho * abs(_node_offset(got, beta)))
+        assert r_got <= r_ref + slack, (target, rho, r_got, r_ref)
+
+
 @pytest.mark.parametrize("n,m,k,incl", [(8, 6, 1, 45.0), (16, 8, 3, 70.0), (13, 1, 2, 35.0)])
 def test_alpha0_rows_match_the_scalar_row_inverse(n, m, k, incl):
-    # the lockstep bisection and cell_center's scalar one agree to rounding:
-    # numpy's trig may round a near-tie comparison the other way
+    # the lockstep Newton and cell_center's scalar one agree to rounding:
+    # numpy's trig may round a last digit, and so a stop or a step, otherwise
     cfg = make_config(n, m, k, incl_deg=incl)
     table = build_alpha0_tables(cfg)
     rho, h = cfg.rho, TWO_PI / cfg.n**cfg.k

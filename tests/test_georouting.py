@@ -7,13 +7,16 @@ first-principles sub-points before anything about delivery.
 import itertools
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from frosette.config import TWO_PI
-from frosette.constellation import address_to_elements, build, ring_neighbor, validate_address
-from frosette.errors import RangeError
+from frosette.constellation import (
+    OrbitState, address_to_elements, build, ring_neighbor, validate_address,
+)
+from frosette.errors import ConfigError, RangeError
 from frosette.geocell import (
     GeoCoord,
     build_alpha0_tables,
@@ -285,16 +288,32 @@ def _old_all_addresses(cfg):
     return itertools.product(range(cfg.n), repeat=cfg.k + 1)
 
 
+def _check_phase(res, n_layers):
+    """The phase agrees with the route's shape: no hop, layer-0 greedy hops
+    only, a last greedy hop deeper than layer 0, fallback hops, undelivered."""
+    layers = [next(j for j in range(n_layers) if a[j] != b[j]) for a, b in zip(res.path, res.path[1:])]
+    assert (res.phase == "undelivered") == (not res.delivered)
+    assert (res.phase == "start") == (res.delivered and res.hops == 0)
+    assert (res.phase == "fallback") == (res.delivered and res.fallback_hops > 0)
+    if res.phase == "alpha":
+        assert res.fallback_hops == 0 and set(layers) == {0}
+    if res.phase == "gamma":
+        assert res.fallback_hops == 0 and layers[-1] > 0
+
+
 # Partial coverage (10 degree mask) so that walks, fallback sweeps,
 # undelivered routes and (at k=1) coverage violations all occur.
-@pytest.mark.parametrize("cfg", [
+ROUTE_CFGS = [
     make_config(8, 4, 1, altitude_km=1100.0, elev_deg=10.0),
     make_config(8, 4, 2, incl_deg=60.0, altitude_km=1100.0, elev_deg=10.0),
-], ids=["k1", "k2"])
+]
+
+
+@pytest.mark.parametrize("cfg", ROUTE_CFGS, ids=["k1", "k2"])
 def test_geo_route_equals_former_scalar_route(cfg):
     topo, tables = build(cfg), build_alpha0_tables(cfg)
     rng = random.Random(7)
-    kinds = set()
+    kinds, phases = set(), set()
     for i in range(2000):
         src_p = LatLon(math.asin(2 * rng.random() - 1), rng.uniform(-math.pi, math.pi))
         dst_p = LatLon(math.asin(2 * rng.random() - 1), rng.uniform(-math.pi, math.pi))
@@ -305,6 +324,61 @@ def test_geo_route_equals_former_scalar_route(cfg):
             serving = associate(src_p, t, topo)
         cell = locate_point(dst_p, cfg, tables)
         got = geo_route(serving, cell, t, cfg, tables)
-        assert got == _old_geo_route(serving, cell, t, cfg, tables)
+        # the former route has no phase; every other field must match
+        assert replace(got, phase=None) == _old_geo_route(serving, cell, t, cfg, tables)
+        _check_phase(got, cfg.k + 1)
         kinds.add((got.delivered, got.fallback_hops > 0, got.coverage_violation))
+        phases.add(got.phase)
     assert {(True, False, False), (True, True, False), (False, True, False)} <= kinds
+    assert phases == {"start", "alpha", "gamma", "fallback", "undelivered"}
+
+
+@pytest.mark.parametrize("cfg", ROUTE_CFGS, ids=["k1", "k2"])
+def test_geo_route_takes_one_position_call_for_the_greedy_path(cfg, monkeypatch):
+    tables = build_alpha0_tables(cfg)
+    calls = []
+    real = OrbitState.unit_positions
+
+    def counted(self, t, rows=slice(None)):
+        calls.append(rows)
+        return real(self, t, rows)
+
+    monkeypatch.setattr(OrbitState, "unit_positions", counted)
+    rng = random.Random(23)
+    phases = set()
+    for _ in range(600):
+        serving = tuple(rng.randrange(cfg.n) for _ in range(cfg.k + 1))
+        dst_p = LatLon(math.asin(2 * rng.random() - 1), rng.uniform(-math.pi, math.pi))
+        t = rng.uniform(0.0, cfg.rho * cfg.period_s)
+        cell = locate_point(dst_p, cfg, tables)
+        calls.clear()
+        res = geo_route(serving, cell, t, cfg, tables)
+        phases.add(res.phase)
+        # the planned greedy path, at least as long as the greedy part walked
+        assert isinstance(calls[0], list)
+        assert len(calls[0]) >= len(res.path) - res.fallback_hops
+        if res.phase in ("start", "alpha", "gamma"):
+            assert len(calls) == 1
+            continue
+        # then one call per fallback step: both neighbours of the satellite
+        # reached; a ring ends at the step that shrinks nothing
+        probes = calls[1:] if res.delivered else calls[1:-1]
+        assert all(len(rows) == 2 for rows in probes)
+        assert res.fallback_hops <= len(probes) <= res.fallback_hops + cfg.k + 1
+        if not res.delivered:
+            assert calls[-1] == slice(None)  # the coverage snapshot
+    assert {"start", "alpha", "fallback", "undelivered"} <= phases
+
+
+def test_geo_route_rejects_tables_of_another_config(cfg_geo, tables_geo):
+    cell = locate_point(LatLon(0.3, 1.0), cfg_geo, tables_geo)
+    for other in (
+        make_config(16, 8, 1, incl_deg=55.0, altitude_km=1100.0, elev_deg=0.0),
+        make_config(16, 7, 1, altitude_km=1100.0, elev_deg=0.0),
+        make_config(16, 8, 0, altitude_km=1100.0, elev_deg=0.0),
+    ):
+        with pytest.raises(ConfigError, match="another"):
+            geo_route((0, 0), cell, 0.0, cfg_geo, build_alpha0_tables(other))
+    # altitude and elevation are not in the tables
+    lifted = make_config(16, 8, 1, altitude_km=1300.0, elev_deg=5.0)
+    assert geo_route((0, 0), cell, 0.0, lifted, tables_geo).delivered
