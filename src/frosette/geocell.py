@@ -275,7 +275,7 @@ def build_alpha0_tables(cfg: ConstellationConfig) -> Alpha0Table:
         lo[rows] = np.where(r < 0.0, g, lo[rows])
         hi[rows] = np.where(r < 0.0, hi[rows], g)
         step = r / (2.0 * rho * cb / (c * c + cb * cb * s * s) - 2.0)
-        g, done = g - step, np.abs(step) <= 1e-15
+        g, done = g - step, (np.abs(step) <= 1e-15) | (hi[rows] - lo[rows] <= np.spacing(np.abs(g)))
         bisect = np.where((lo[rows] <= g) & (g <= hi[rows]), g, 0.5 * (lo[rows] + hi[rows]))
         gamma[rows] = np.where(done, np.clip(g, lo[rows], hi[rows]), bisect)
         if (rows := rows[~done]).size == 0:
@@ -370,8 +370,9 @@ def cell_to_location(cell: CellId, target_level: int, tables: Alpha0Table) -> Ge
 def _inverse_row_function(target: float, rho: int, beta: float) -> float:
     """f^-1(target) on [-pi/2, pi/2] by guarded Newton. Under the lattice condition
     f' = 2*rho*cos(beta)/(cos^2 g + cos^2(beta) sin^2 g) - 2 > 0, so the sign of
-    f - target keeps a bracket; a Newton point outside it bisects. The stop test
-    comes first (a last step may land just outside) and clamps into the bracket."""
+    f - target keeps a bracket; a Newton point outside it bisects. A step below 1e-15,
+    or a bracket within an ulp of g (f is flat near the lattice limit), stops it; that
+    test comes first (a last step may land just outside) and clamps into the bracket."""
     cb, lo, hi = math.cos(beta), -math.pi / 2.0, math.pi / 2.0
     g = min(max(target / (2.0 * rho * cb - 2.0), lo), hi)
     for _ in range(60):
@@ -379,7 +380,7 @@ def _inverse_row_function(target: float, rho: int, beta: float) -> float:
         r = 2.0 * rho * math.atan2(cb * s, c) - 2.0 * g - target
         lo, hi = (g, hi) if r < 0.0 else (lo, g)
         step = r / (2.0 * rho * cb / (c * c + cb * cb * s * s) - 2.0)
-        if abs(step) <= 1e-15:
+        if abs(step) <= 1e-15 or hi - lo <= math.ulp(g):
             return min(max(g - step, lo), hi)
         g = g - step if lo <= g - step <= hi else 0.5 * (lo + hi)
     return g

@@ -192,11 +192,11 @@ def link_length_delay(r, altitude_km: float, consts: PhysicalConstants):
     return length, length / consts.light_speed_km_s
 
 
-def slant_range_km(r: float, altitude_km: float, consts: PhysicalConstants) -> float:
-    """Ground-to-satellite distance across central angle r (law of cosines)."""
+def slant_range_km(r, altitude_km: float, consts: PhysicalConstants):
+    """Ground-to-satellite distances across central angles r (law of cosines)."""
     re = consts.earth_radius_km
     rs = re + altitude_km
-    return math.sqrt(max(0.0, re * re + rs * rs - 2.0 * re * rs * math.cos(r)))
+    return np.sqrt(np.maximum(0.0, re * re + rs * rs - 2.0 * re * rs * np.cos(r)))
 
 
 def coverage_range(

@@ -22,7 +22,7 @@ import numpy as np
 
 from .config import TWO_PI, ConstellationConfig
 from .constellation import (
-    SatAddress, address_to_elements, orbit_state, ring_neighbor, sat_id, validate_address,
+    SatAddress, _orbit_units, orbit_state, ring_neighbor, sat_id, validate_address,
 )
 from .errors import ConfigError, DomainError
 from .geocell import Alpha0Table, CellId, GeoCoord, cell_center, geocoord_to_latlon
@@ -61,9 +61,9 @@ def serving_coord(addr: SatAddress, t: float, cfg: ConstellationConfig) -> GeoCo
     """The (alpha, gamma) a satellite maintains locally: linear drift from epoch."""
     validate_address(addr, cfg)
     check_times(cfg, t)
-    el = address_to_elements(addr, cfg)
-    alpha = wrap_angle(el.raan_rad - cfg.omega_earth_rad_s * t)
-    gamma = wrap_angle(el.phase0_rad + TWO_PI * t / cfg.period_s)
+    s0, phase = _orbit_units(sat_id(addr, cfg.n), cfg)  # address_to_elements' RAAN and phase
+    alpha = wrap_angle(TWO_PI * s0 / cfg.n - cfg.omega_earth_rad_s * t)
+    gamma = wrap_angle(TWO_PI * phase / cfg.n_sats + TWO_PI * t / cfg.period_s)
     return GeoCoord(alpha, gamma)
 
 

@@ -10,9 +10,9 @@ closed form per edge (``OrbitState.link_terms``), with no positions. The
 serving satellites, coverage tests and ground legs, and the first-principles
 :func:`path_delay` and :func:`link_delay_trace`, take ``geom.central_angles``
 of ``constellation.OrbitState`` positions and inertial ground vectors.
-:func:`run` prices the F-Rosette route of each satellite pair, found once
-per run, from the step's edge delays. The oracle is a min-plus fixpoint on
-the torus of digit tuples (:func:`_min_delays`).
+The oracle is a min-plus fixpoint on the torus of digit tuples
+(:func:`_min_delays`). :func:`run` takes serving satellites, ground legs,
+F-Rosette route prices and oracle hop counts as arrays per oracle group.
 """
 from __future__ import annotations
 
@@ -161,11 +161,6 @@ def _edge_delays(cfg: ConstellationConfig, t) -> np.ndarray:
     return scale * np.sqrt(np.maximum(k + dc * np.cos(theta) - ds * np.sin(theta), 0.0))
 
 
-def _ground_leg_delay(r: float, cfg: ConstellationConfig) -> float:
-    """Ground-to-satellite delay across central angle r."""
-    return slant_range_km(r, cfg.altitude_km, cfg.consts) / cfg.consts.light_speed_km_s
-
-
 def _min_delays(delays: np.ndarray, sources: list[int], cfg: ConstellationConfig) -> np.ndarray:
     """(G, M) minimum delays from satellite sources[g] under the edge delays
     of row g of delays, a (G, E) array indexed by ``ring_table`` edge id.
@@ -211,6 +206,25 @@ def _walk_back(adj: list, delays: list, dist: list, src: int, dst: int) -> list[
         path.append(min((dist[u], u) for u, e in adj[v] if dist[u] + delays[e] == dist[v])[1])
     path.reverse()
     return path
+
+
+def _hops_back(dist: np.ndarray, delays: np.ndarray, src: np.ndarray, dst: np.ndarray,
+               cfg: ConstellationConfig) -> np.ndarray:
+    """Hops of :func:`_walk_back`'s path from src[g] to dst[g] under row g of
+    (G, M) distances and (G, E) edge delays, walked for every row at once over
+    ``ring_table`` rows by the same rule: the smallest tight (dist[u], u)."""
+    nbr, edge = ring_table(cfg)
+    rows, v, hops = np.arange(len(dst)), np.asarray(dst), np.zeros(len(dst), dtype=int)
+    while True:
+        live = v != src[rows]  # rows still walking, and the node each is at
+        rows, v = rows[live], v[live]
+        if not rows.size:
+            return hops
+        hops[rows] += 1
+        u, at = nbr[v], rows[:, None]
+        du = dist[at, u]
+        du = np.where(du + delays[at, edge[v]] == dist[rows, v][:, None], du, np.inf)
+        v = np.where(du == du.min(axis=1, keepdims=True), u, cfg.n_sats).min(axis=1)
 
 
 # The most sample instants one window may have. It bounds the window's list of
@@ -294,66 +308,64 @@ def link_delay_trace(
 def run(scenario: Scenario) -> tuple[list[TraceRecord], dict]:
     """Per step and experiment: associate, route, price both paths, record.
 
-    Snapshots and oracle distances come in blocks (see :func:`_snapshots`),
-    so per step only the oracle's walk back and the records are Python work.
-    The F-Rosette route of each (source, destination) satellite pair is
-    found once per run, kept as its ``ring_table`` edge ids, and priced at
-    each step by summing that step's edge delays in path order.
+    Each oracle group of steps (see :func:`_snapshots`) is priced as arrays.
+    The F-Rosette route of each satellite pair is found once per run, as
+    ``ring_table`` edge ids, and sums the group's edge delays in path order;
+    :func:`_hops_back` walks every step's oracle path at once. Per step only
+    the records are Python work, from one list per column and group.
     """
     cfg = scenario.config
     topo = build(cfg)
-    adj = topo.adjacency()
+    nbr, edge = ring_table(cfg)
     radius = coverage_range(cfg.altitude_km, cfg.min_elevation_rad, cfg.consts)
-    routes: dict[tuple[int, int], list[int]] = {}
+    routes: dict[tuple[int, int], np.ndarray] = {}
     records: list[TraceRecord] = []
-    last_pair: dict[str, tuple[SatAddress, SatAddress]] = {}
+    last_pair: dict[str, tuple[int, int]] = {}
+    names = [f"{src}->{dst}" for src, dst in scenario.experiments]
 
-    for t, delays, served, dists in _snapshots(scenario):
+    for steps, delays, served, dists in _snapshots(scenario):
+        columns = []
         for src_name, dst_name in scenario.experiments:
-            exp = f"{src_name}->{dst_name}"
             (si, src_r, src_leg), (di, dst_r, dst_leg) = served[src_name], served[dst_name]
-            src_sat, dst_sat = topo.nodes[si], topo.nodes[di]
-            flag = "coverage_violation" if src_r > radius or dst_r > radius else ""
-
-            route = routes.get((si, di))
-            if route is None:
-                route = routes[si, di] = _route_edges(src_sat, dst_sat, topo, adj)
-            fro_space = 0.0
-            for e in route:  # in path order, as path_delay and the oracle sum
-                fro_space += delays[e]
+            fro_space, fro_hops = np.empty(len(steps)), np.empty(len(steps), dtype=int)
+            for s, d in set(zip(si.tolist(), di.tolist())):
+                route = routes.get((s, d))
+                if route is None:
+                    path = np.array(_ids(shortest_path(topo.nodes[s], topo.nodes[d], topo), cfg))
+                    # each hop's edge id: the entry of its head in its tail's row
+                    route = routes[s, d] = edge[path[:-1]][nbr[path[:-1]] == path[1:, None]]
+                rows = np.flatnonzero((si == s) & (di == d))
+                acc = np.zeros(len(rows))
+                for e in route.tolist():  # in path order, as path_delay and the oracle sum
+                    acc += delays[rows, e]
+                fro_space[rows], fro_hops[rows] = acc, len(route)
             legs = src_leg + dst_leg
             fro_delay = legs + fro_space
-            oracle_path = _walk_back(adj, delays, dists[src_name], si, di)
-            oracle_delay = legs + dists[src_name][di]
+            oracle_delay = legs + dists[src_name][np.arange(len(steps)), di]
+            violation = (src_r > radius) | (dst_r > radius)
+            columns.append(list(zip(*(a.tolist() for a in (  # TraceRecord's field order
+                fro_hops, fro_delay, _hops_back(dists[src_name], delays, si, di, cfg),
+                oracle_delay, fro_delay / oracle_delay, si, di, violation)))))
 
-            pair = (src_sat, dst_sat)
-            handoff = exp in last_pair and last_pair[exp] != pair
-            last_pair[exp] = pair
-            records.append(
-                TraceRecord(
-                    t=t,
-                    experiment=exp,
-                    frosette_hops=len(route),
-                    frosette_delay_s=fro_delay,
-                    oracle_hops=len(oracle_path) - 1,
-                    oracle_delay_s=oracle_delay,
-                    stretch=fro_delay / oracle_delay,
-                    src_sat=src_sat,
-                    dst_sat=dst_sat,
-                    handoff=handoff,
-                    flag=flag,
-                )
-            )
+        for b, t in enumerate(steps):
+            for exp, column in zip(names, columns):
+                *priced, si, di, violation = column[b]
+                handoff = exp in last_pair and last_pair[exp] != (si, di)
+                last_pair[exp] = (si, di)
+                flag = "coverage_violation" if violation else ""
+                records.append(
+                    TraceRecord(t, exp, *priced, topo.nodes[si], topo.nodes[di], handoff, flag))
     return records, summarize(records, scenario)
 
 
 def _snapshots(scenario: Scenario):
-    """Per step of the window: (t, edge delays, {endpoint name: (serving
-    satellite id, its central angle from the endpoint, ground-leg delay)},
-    {source endpoint name: minimum delays from its serving satellite}).
+    """Per group of max(1, 16384 // M) steps: (their times, (G, E) edge delays,
+    {endpoint: (G,) serving satellite ids, their central angles from it and
+    the ground-leg delays}, {source endpoint: (G, M) oracle distances}).
 
-    Per group of max(1, 16384 // M) steps, one :func:`_edge_delays` call gives
-    every edge delay, one (G, M, 3) position array every association, and
+    One :func:`_edge_delays` call gives every edge delay, one (G, M, 3)
+    position array and each endpoint's (G, 3) vectors every association (the
+    nearest satellite, the smallest id on ties, as :func:`associate`), and
     :func:`_min_delays` every distance.
     """
     cfg = scenario.config
@@ -365,31 +377,18 @@ def _snapshots(scenario: Scenario):
         steps = times[lo:lo + group]
         column = np.array(steps)[:, None]
         delays, pos = _edge_delays(cfg, column), orbit_state(cfg).unit_positions(column)
-        served = {name: _serving(pos, scenario.endpoints[name], steps, cfg) for name in names}
-        dists = {name: _min_delays(delays, [s[0] for s in served[name]], cfg) for name in sources}
-        for b, t in enumerate(steps):  # lists a step at a time, to keep peak memory down
-            yield (t, delays[b].tolist(), {name: s[b] for name, s in served.items()},
-                   {name: d[b].tolist() for name, d in dists.items()})
-
-
-def _serving(
-    pos: np.ndarray, p: LatLon, block: list[float], cfg: ConstellationConfig
-) -> list[tuple[int, float, float]]:
-    """Per step of (G, M, 3) positions: the id of the satellite nearest to p
-    (the smallest on ties, as :func:`associate`), its central angle from p
-    and the ground-leg delay across that angle."""
-    ground = np.array([ground_unit(p, t, cfg) for t in block])
-    ids = np.argmax(pos @ ground[:, :, None], axis=1)[:, 0]
-    ranges = central_angles(pos[np.arange(len(block)), ids], ground).tolist()
-    return [(i, r, _ground_leg_delay(r, cfg)) for i, r in zip(ids.tolist(), ranges)]
-
-
-def _route_edges(
-    src: SatAddress, dst: SatAddress, topo: Topology, adj: list
-) -> list[int]:
-    """The F-Rosette route from src to dst as ``ring_table`` edge ids, in path order."""
-    path = _ids(shortest_path(src, dst, topo), topo.config)
-    return [dict(adj[a])[b] for a, b in zip(path, path[1:])]
+        served = {}
+        for name in names:
+            p = scenario.endpoints[name]
+            lon = p.lon_rad + cfg.omega_earth_rad_s * column  # geom.ground_unit at each step
+            cl, sl = math.cos(p.lat_rad), math.sin(p.lat_rad)
+            ground = np.hstack([cl * np.cos(lon), cl * np.sin(lon), np.full_like(lon, sl)])
+            ids = np.argmax(pos @ ground[:, :, None], axis=1)[:, 0]
+            r = central_angles(pos[np.arange(len(steps)), ids], ground)
+            legs = slant_range_km(r, cfg.altitude_km, cfg.consts) / cfg.consts.light_speed_km_s
+            served[name] = ids, r, legs
+        dists = {name: _min_delays(delays, served[name][0], cfg) for name in sources}
+        yield steps, delays, served, dists
 
 
 def _percentile(sorted_vals: list[float], q: float) -> float:

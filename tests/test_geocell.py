@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import frosette.geocell as geocell_module
 from frosette.config import TWO_PI
 from frosette.constellation import address_to_elements
 from frosette.errors import ConfigError, ParseError, RangeError
@@ -284,6 +285,40 @@ def test_row_inverse_newton_near_the_lattice_limit():
         exact = target == 0.0 or abs(target) == (rho - 1) * math.pi
         slack = 0.0 if exact else 6 * math.ulp(2 * rho * abs(_node_offset(got, beta)))
         assert r_got <= r_ref + slack, (target, rho, r_got, r_ref)
+
+
+class _CountingMath:
+    """The math module, counting atan2 calls: one per row-inverse iteration."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def atan2(self, y, x):
+        self.calls += 1
+        return math.atan2(y, x)
+
+
+def test_row_inverse_stops_on_a_collapsed_bracket_near_the_lattice_limit(monkeypatch):
+    # rho*cos(beta) = 1 + 1e-9 and targets within 1e-6 of 0, where f is flat:
+    # steps stay far above 1e-15 on rounding noise, and 9 in 10 of these
+    # targets used to run to the 60-iteration cap
+    counting = _CountingMath()
+    monkeypatch.setattr(geocell_module, "math", counting)
+    rng, capped = random.Random(33), 0
+    for scale in (1e-15, 1e-12, 1e-9, 1e-6):
+        for _ in range(100):
+            rho = rng.randrange(2, 17)
+            beta, target = math.acos((1.0 + 1e-9) / rho), rng.uniform(-scale, scale)
+            counting.calls = 0
+            got = _inverse_row_function(target, rho, beta)
+            capped += counting.calls == 60
+            ref = _bisected_row_inverse(target, rho, beta)
+            assert abs(_row_function(got, rho, beta) - target) <= (
+                abs(_row_function(ref, rho, beta) - target) + 1e-15), (target, rho)
+    assert capped <= 8, f"{capped} of 400 targets ran to the iteration cap"
 
 
 @pytest.mark.parametrize("n,m,k,incl", [(8, 6, 1, 45.0), (16, 8, 3, 70.0), (13, 1, 2, 35.0)])

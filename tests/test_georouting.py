@@ -71,6 +71,18 @@ def test_serving_coord_matches_subpoint(cfg_geo):
         assert great_circle_range(via_map, direct) < 1e-9
 
 
+@pytest.mark.parametrize("m", [1, 8, 15])
+def test_serving_coord_is_the_address_to_elements_form(m):
+    # every address of N=16 k=1: the same floats as from the address's orbital elements
+    cfg = make_config(16, m, 1)
+    for t in (0.0, 1234.5, cfg.period_s, -250.25, 7.3e5, 1e9 + 0.5):
+        for addr in build(cfg).nodes:
+            el = address_to_elements(addr, cfg)
+            want = GeoCoord(wrap_angle(el.raan_rad - cfg.omega_earth_rad_s * t),
+                            wrap_angle(el.phase0_rad + TWO_PI * t / cfg.period_s))
+            assert serving_coord(addr, t, cfg) == want, (addr, t)
+
+
 def test_hop_motions_expected_values(cfg_geo):
     motions = measure_hop_motions(cfg_geo)
     assert len(motions) == cfg_geo.k + 1

@@ -35,8 +35,8 @@ from frosette.sim import (
     TRACE_COLUMNS,
     TraceRecord,
     _edge_delays,
-    _ground_leg_delay,
     _min_delays,
+    _hops_back,
     _walk_back,
     _step_times,
     associate,
@@ -324,6 +324,42 @@ def test_walk_back_follows_dijkstras_tie_rule(n, k, weights):
             assert _walk_back(adj, delays, row, src, dst) == path
 
 
+def _check_hops_back(cfg, delays, sources, dsts):
+    """_hops_back on row g to each of dsts[g], all in one call, against
+    the hop counts of Dijkstra's paths."""
+    adj = build(cfg).adjacency()
+    dist = _min_delays(delays, sources, cfg)
+    at = np.repeat(np.arange(len(sources)), [len(d) for d in dsts])
+    got = _hops_back(dist[at], delays[at], np.array(sources)[at], np.concatenate(dsts), cfg)
+    want = [len(_min_delay_path(adj, delays[g].tolist(), sources[g], dst)[0]) - 1
+            for g, row in enumerate(dsts) for dst in row]
+    assert got.tolist() == want
+
+
+@pytest.mark.parametrize("n, k", [(8, 1), (5, 2), (4, 3), (6, 0)])
+@pytest.mark.parametrize("weights", ["uniform", "small-integers"])
+def test_hops_back_follows_dijkstras_tie_rule(n, k, weights):
+    """The array walk, every row and destination at once, counts the hops of
+    the path Dijkstra takes where many paths tie."""
+    cfg = make_config(n, 1, k)
+    rng = random.Random(n + 10 * k)
+    edges = cfg.n_sats * (k + 1)
+    rows = [[1.0] * edges if weights == "uniform" else [float(rng.randint(1, 3)) for _ in range(edges)]
+            for _ in range(6)]
+    sources = [rng.randrange(cfg.n_sats) for _ in rows]
+    _check_hops_back(cfg, np.array(rows), sources, [np.arange(cfg.n_sats)] * len(rows))
+
+
+def test_hops_back_at_paper_scale():
+    # N=16, k=3: 65,536 satellites under closed-form delays at two instants
+    cfg = make_config(16, 8, 3)
+    rng = random.Random(1603)
+    delays = _edge_delays(cfg, np.array([[rng.uniform(0.0, 20000.0)] for _ in range(2)]))
+    sources = [rng.randrange(cfg.n_sats) for _ in range(2)]
+    dsts = [np.array([src] + [rng.randrange(cfg.n_sats) for _ in range(2)]) for src in sources]
+    _check_hops_back(cfg, delays, sources, dsts)
+
+
 def test_min_delays_stop_on_nan_delays():
     """NaN delays never converge: the rounds stop at Bellman-Ford's bound."""
     cfg = make_config(4, 1, 1)
@@ -457,9 +493,13 @@ def test_handoffs_counted_over_long_window():
     assert summary["experiments"]["a->b"]["handoffs"] == flips
 
 
-def _ground_leg_s(p, sat, t, cfg):
-    r = great_circle_range(subpoint(address_to_elements(sat, cfg), t, cfg.consts), p)
+def _leg_s(r, cfg):
+    """Ground-to-satellite delay across central angle r."""
     return slant_range_km(r, cfg.altitude_km, cfg.consts) / cfg.consts.light_speed_km_s
+
+
+def _ground_leg_s(p, sat, t, cfg):
+    return _leg_s(great_circle_range(subpoint(address_to_elements(sat, cfg), t, cfg.consts), p), cfg)
 
 
 # Elevations chosen so that both flag values and handoffs occur.
@@ -497,8 +537,8 @@ def test_run_records_match_the_public_functions(n, m, k, elev_deg):
         assert rec.oracle_delay_s == pytest.approx(legs + oracle_space, rel=1e-12)
 
 
-def test_oracle_index_built_once_per_run_and_never_by_associate(monkeypatch):
-    # the index is the id form of the adjacency, converted from the ring table
+def test_run_and_associate_build_no_list_index(monkeypatch):
+    # run walks the ring table's arrays; only delay_oracle converts them to lists
     calls = []
     adjacency = Topology.adjacency
 
@@ -512,7 +552,7 @@ def test_oracle_index_built_once_per_run_and_never_by_associate(monkeypatch):
     assert calls == []
     records, _ = run(scn)
     assert len(records) == 3
-    assert calls == [{}]
+    assert calls == []
 
 
 def _per_step_run(scenario):
@@ -539,7 +579,7 @@ def _per_step_run(scenario):
             flag = "coverage_violation" if src_r > radius or dst_r > radius else ""
 
             fro_path = shortest_path(src_sat, dst_sat, topo)
-            legs = _ground_leg_delay(src_r, cfg) + _ground_leg_delay(dst_r, cfg)
+            legs = _leg_s(src_r, cfg) + _leg_s(dst_r, cfg)
             fro_ids = [sat_id(a, cfg.n) for a in fro_path]
             fro_space = 0.0
             for a, b in zip(fro_ids, fro_ids[1:]):  # in path order, as the oracle sums
