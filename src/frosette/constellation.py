@@ -91,14 +91,9 @@ class Topology:
         return tuple([(a, nodes[b], layer) for a, row in zip(nodes, up)
                       for layer, b in enumerate(row)])
 
-    @functools.cached_property
-    def _id_adjacency(self) -> list[list[tuple[int, int]]]:
-        nbr, edge = ring_table(self.config)
-        return [list(zip(a, e)) for a, e in zip(nbr.tolist(), edge.tolist())]
-
-    def adjacency(self) -> list[list[tuple[int, int]]]:
-        """Per satellite id, [(neighbour id, edge id)] in :func:`ring_table` row order."""
-        return self._id_adjacency
+    def adjacency(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (nbr, edge) arrays of :func:`ring_table`, every satellite id's links."""
+        return ring_table(self.config)
 
 
 def build(cfg: ConstellationConfig) -> Topology:

@@ -11,7 +11,8 @@ serving satellites, coverage tests and ground legs, and the first-principles
 :func:`path_delay` and :func:`link_delay_trace`, take ``geom.central_angles``
 of ``constellation.OrbitState`` positions and inertial ground vectors.
 The oracle is a min-plus fixpoint on the torus of digit tuples
-(:func:`_min_delays`). :func:`run` takes serving satellites, ground legs,
+(:func:`_min_delays`), walked back over ``ring_table`` rows by one array walk
+(:func:`_walk_back`). :func:`run` takes serving satellites, ground legs,
 F-Rosette route prices and oracle hop counts as arrays per oracle group.
 """
 from __future__ import annotations
@@ -196,35 +197,30 @@ def _min_delays(delays: np.ndarray, sources: list[int], cfg: ConstellationConfig
     return dist.reshape(-1, g).T
 
 
-def _walk_back(adj: list, delays: list, dist: list, src: int, dst: int) -> list[int]:
-    """The min-delay path from src to dst in a row of :func:`_min_delays`: the
-    predecessor of v is, of the neighbours u with dist[u] + delay == dist[v],
-    the smallest (dist[u], u), the one Dijkstra pops first."""
-    path = [dst]
-    while path[-1] != src:
-        v = path[-1]
-        path.append(min((dist[u], u) for u, e in adj[v] if dist[u] + delays[e] == dist[v])[1])
-    path.reverse()
-    return path
-
-
-def _hops_back(dist: np.ndarray, delays: np.ndarray, src: np.ndarray, dst: np.ndarray,
-               cfg: ConstellationConfig) -> np.ndarray:
-    """Hops of :func:`_walk_back`'s path from src[g] to dst[g] under row g of
-    (G, M) distances and (G, E) edge delays, walked for every row at once over
-    ``ring_table`` rows by the same rule: the smallest tight (dist[u], u)."""
-    nbr, edge = ring_table(cfg)
-    rows, v, hops = np.arange(len(dst)), np.asarray(dst), np.zeros(len(dst), dtype=int)
-    while True:
+def _walk_back(dist: np.ndarray, delays: np.ndarray, src: np.ndarray, dst: np.ndarray,
+               table: tuple[np.ndarray, np.ndarray]):
+    """Walk the min-delay paths from dst[g] back to src[g] under row g of
+    (G, M) distances of :func:`_min_delays` and (G, E) edge delays, every row
+    at once over the (nbr, edge) rows of ``ring_table``: the predecessor of v
+    is, of the neighbours u with dist[u] + delay == dist[v], the smallest
+    (dist[u], u), the one Dijkstra pops first. Yields, per step, the rows
+    still walking and the node each has reached. A path has fewer than M
+    hops, so a walk that takes M raises DomainError: it circles where
+    zero-delay links (satellites that meet) tie.
+    """
+    nbr, edge = table
+    rows, v = np.arange(len(dst)), np.asarray(dst)
+    for _ in range(len(nbr)):
         live = v != src[rows]  # rows still walking, and the node each is at
         rows, v = rows[live], v[live]
         if not rows.size:
-            return hops
-        hops[rows] += 1
+            return
         u, at = nbr[v], rows[:, None]
         du = dist[at, u]
         du = np.where(du + delays[at, edge[v]] == dist[rows, v][:, None], du, np.inf)
-        v = np.where(du == du.min(axis=1, keepdims=True), u, cfg.n_sats).min(axis=1)
+        v = np.where(du == du.min(axis=1, keepdims=True), u, len(nbr)).min(axis=1)
+        yield rows, v
+    raise DomainError("ambiguous oracle path: linked satellites meet and zero-delay links tie")
 
 
 # The most sample instants one window may have. It bounds the window's list of
@@ -260,13 +256,15 @@ def associate(p: LatLon, t: float, topo: Topology) -> SatAddress:
 def delay_oracle(
     topo: Topology, t: float, src: SatAddress, dst: SatAddress
 ) -> tuple[list[SatAddress], float]:
-    """Exact minimum-propagation-delay satellite path at the time-t snapshot."""
+    """Exact minimum-propagation-delay satellite path at the time-t snapshot;
+    DomainError where zero-delay links tie on it (see :func:`_walk_back`)."""
     check_times(topo.config, t)  # NaN delays would leave dst unreached
     si, di = _ids([src, dst], topo.config)
     delays = _edge_delays(topo.config, t)
-    dist = _min_delays(delays[None], [si], topo.config)[0].tolist()
-    path = _walk_back(topo.adjacency(), delays.tolist(), dist, si, di)
-    return [topo.nodes[i] for i in path], dist[di]
+    dist = _min_delays(delays[None], [si], topo.config)
+    walk = _walk_back(dist, delays[None], np.array([si]), np.array([di]), topo.adjacency())
+    path = [di] + [v[0] for _, v in walk]
+    return [topo.nodes[i] for i in reversed(path)], float(dist[0, di])
 
 
 def path_delay(path: list[SatAddress], t: float, topo: Topology) -> float:
@@ -311,8 +309,9 @@ def run(scenario: Scenario) -> tuple[list[TraceRecord], dict]:
     Each oracle group of steps (see :func:`_snapshots`) is priced as arrays.
     The F-Rosette route of each satellite pair is found once per run, as
     ``ring_table`` edge ids, and sums the group's edge delays in path order;
-    :func:`_hops_back` walks every step's oracle path at once. Per step only
-    the records are Python work, from one list per column and group.
+    :func:`_walk_back` counts the hops of every step's oracle path at once.
+    Per step only the records are Python work, from one list per column and
+    group.
     """
     cfg = scenario.config
     topo = build(cfg)
@@ -343,8 +342,11 @@ def run(scenario: Scenario) -> tuple[list[TraceRecord], dict]:
             fro_delay = legs + fro_space
             oracle_delay = legs + dists[src_name][np.arange(len(steps)), di]
             violation = (src_r > radius) | (dst_r > radius)
+            oracle_hops = np.zeros(len(steps), dtype=int)
+            for rows, _ in _walk_back(dists[src_name], delays, si, di, (nbr, edge)):
+                oracle_hops[rows] += 1
             columns.append(list(zip(*(a.tolist() for a in (  # TraceRecord's field order
-                fro_hops, fro_delay, _hops_back(dists[src_name], delays, si, di, cfg),
+                fro_hops, fro_delay, oracle_hops,
                 oracle_delay, fro_delay / oracle_delay, si, di, violation)))))
 
         for b, t in enumerate(steps):

@@ -638,6 +638,31 @@ def test_simulate_windows_beyond_float_range_exit_with_json(tmp_path, capsys, wi
     assert json.loads(err)["error"] == error
 
 
+def test_simulate_where_satellites_meet_exits_2(tmp_path):
+    # polar m=0 orbits meet at t = 0, so zero-delay links tie on the oracle path;
+    # a subprocess with a timeout fails, instead of hanging, if the walk circles
+    scenario = {
+        "config": {"n": 8, "m": 0, "k": 2, "altitude_km": 1200.0,
+                   "inclination_deg": 90.0, "min_elevation_deg": 0.0},
+        "window": {"start_s": 0.0, "end_s": 0.0, "step_s": 10.0},
+        "endpoints": {"a": {"lat_deg": 38.38, "lon_deg": 152.04},
+                      "b": {"lat_deg": -75.36, "lon_deg": -12.38}},
+        "experiments": [{"src": "a", "dst": "b"}],
+    }
+    scn_path = tmp_path / "scenario.json"
+    scn_path.write_text(json.dumps(scenario), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(Path(frosette.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "frosette", "simulate", "--scenario", str(scn_path),
+         "--trace", str(tmp_path / "t.csv")],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (EXIT_DOMAIN, "")
+    assert len(proc.stderr.splitlines()) == 1
+    assert json.loads(proc.stderr)["error"] == "DomainError"
+    assert not (tmp_path / "t.csv").exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

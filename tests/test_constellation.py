@@ -73,9 +73,8 @@ def test_ring_table_is_neighbors_and_edge_ids(n, k):
         ]
     for e, (a, b, layer) in enumerate(topo.edges):
         assert (edge[sat_id(a, n), 2 * layer], edge[sat_id(b, n), 2 * layer + 1]) == (e, e)
-    assert topo.adjacency() == [
-        list(zip(row, ids)) for row, ids in zip(nbr.tolist(), edge.tolist())
-    ]
+    adj_nbr, adj_edge = topo.adjacency()  # the same arrays, not a copy
+    assert adj_nbr is nbr and adj_edge is edge
     # the table depends on N and k only
     assert ring_table(make_config(n, 0, k, altitude_km=900.0))[0] is nbr
 

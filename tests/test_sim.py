@@ -36,7 +36,6 @@ from frosette.sim import (
     TraceRecord,
     _edge_delays,
     _min_delays,
-    _hops_back,
     _walk_back,
     _step_times,
     associate,
@@ -201,6 +200,13 @@ def test_latitudes_beyond_90_raise(topo_8_1, cfg_cells, lat_deg):
 # --- delay oracle ---------------------------------------------------------------------
 
 
+def _adjacency_lists(cfg):
+    """Per satellite id, [(neighbour id, edge id)] in ``ring_table`` row order:
+    the graph that the reference Dijkstra searches."""
+    nbr, edge = ring_table(cfg)
+    return [list(zip(a, e)) for a, e in zip(nbr.tolist(), edge.tolist())]
+
+
 def _min_delay_path(adj, delays, src, dst):
     """Dijkstra over node indices; ties break to the smaller index. The oracle
     the fixpoint kernel must match bit for bit."""
@@ -294,7 +300,7 @@ def _random_pairs(topo, rng, count):
 def test_delay_oracle_equals_dijkstra(n, m, k, pairs):
     """The fixpoint kernel's paths and delays are Dijkstra's, bit for bit."""
     topo = build(make_config(n, m, k))
-    adj = topo.adjacency()
+    adj = _adjacency_lists(topo.config)
     for src, dst, t in _random_pairs(topo, random.Random(n * 100 + k), pairs):
         delays = _edge_delays(topo.config, t)
         si, di = sat_id(src, n), sat_id(dst, n)
@@ -303,34 +309,50 @@ def test_delay_oracle_equals_dijkstra(n, m, k, pairs):
         assert delay_oracle(topo, t, src, dst) == ([topo.nodes[i] for i in path], delay)
 
 
+def test_delay_oracle_raises_where_zero_delay_links_tie():
+    # polar m=0 orbits meet at t = 0: equal distances joined by zero-delay links
+    # would walk 0 -> 8 -> 16 -> 80 -> 16 -> ... forever; M steps end the walk
+    topo = build(make_config(8, 0, 2, incl_deg=90.0))
+    with pytest.raises(DomainError, match="ambiguous"):
+        delay_oracle(topo, 0.0, topo.nodes[148], topo.nodes[0])
+
+
 @pytest.mark.parametrize("n, k", [(8, 1), (5, 2), (4, 3), (6, 0)])
 @pytest.mark.parametrize("weights", ["uniform", "small-integers"])
 def test_walk_back_follows_dijkstras_tie_rule(n, k, weights):
     """Where many paths tie, the walk back still picks Dijkstra's: the
     predecessor is the smallest (distance, id) among the tight neighbours."""
     cfg = make_config(n, 1, k)
-    topo = build(cfg)
-    adj = topo.adjacency()
+    adj = _adjacency_lists(cfg)
     rng = random.Random(n + 10 * k)
     edges = cfg.n_sats * (k + 1)
     rows = [[1.0] * edges if weights == "uniform" else [float(rng.randint(1, 3)) for _ in range(edges)]
             for _ in range(6)]
     sources = [rng.randrange(cfg.n_sats) for _ in rows]
-    dist = _min_delays(np.array(rows), sources, cfg).tolist()
+    dist = _min_delays(np.array(rows), sources, cfg)
     for delays, src, row in zip(rows, sources, dist):
-        for dst in range(cfg.n_sats):
+        dsts = np.arange(cfg.n_sats)
+        paths = [[dst] for dst in dsts.tolist()]  # every destination's walk, all in one call
+        for at, v in _walk_back(row[None].repeat(len(dsts), 0), np.array([delays] * len(dsts)),
+                                np.full(len(dsts), src), dsts, ring_table(cfg)):
+            for g, node in zip(at.tolist(), v.tolist()):
+                paths[g].append(node)
+        for dst, walked in zip(dsts.tolist(), paths):
             path, delay = _min_delay_path(adj, delays, src, dst)
             assert row[dst] == delay
-            assert _walk_back(adj, delays, row, src, dst) == path
+            assert walked[::-1] == path
 
 
 def _check_hops_back(cfg, delays, sources, dsts):
-    """_hops_back on row g to each of dsts[g], all in one call, against
+    """The walk's hops on row g to each of dsts[g], all in one call, against
     the hop counts of Dijkstra's paths."""
-    adj = build(cfg).adjacency()
+    adj = _adjacency_lists(cfg)
     dist = _min_delays(delays, sources, cfg)
     at = np.repeat(np.arange(len(sources)), [len(d) for d in dsts])
-    got = _hops_back(dist[at], delays[at], np.array(sources)[at], np.concatenate(dsts), cfg)
+    ends = np.concatenate(dsts)
+    got = np.zeros(len(ends), dtype=int)
+    for rows, _ in _walk_back(dist[at], delays[at], np.array(sources)[at], ends, ring_table(cfg)):
+        got[rows] += 1
     want = [len(_min_delay_path(adj, delays[g].tolist(), sources[g], dst)[0]) - 1
             for g, row in enumerate(dsts) for dst in row]
     assert got.tolist() == want
@@ -538,7 +560,7 @@ def test_run_records_match_the_public_functions(n, m, k, elev_deg):
 
 
 def test_run_and_associate_build_no_list_index(monkeypatch):
-    # run walks the ring table's arrays; only delay_oracle converts them to lists
+    # run reads ring_table itself; only delay_oracle reads its links through adjacency()
     calls = []
     adjacency = Topology.adjacency
 
@@ -561,7 +583,7 @@ def _per_step_run(scenario):
     cfg = scenario.config
     topo = build(cfg)
     state = orbit_state(cfg)
-    adj = topo.adjacency()
+    adj = _adjacency_lists(cfg)
     radius = coverage_range(cfg.altitude_km, cfg.min_elevation_rad, cfg.consts)
     records: list[TraceRecord] = []
     last_pair = {}
