@@ -171,21 +171,19 @@ def encode(addr, layout: BitLayout, *, prefix: int = 0, suffix: int = 0) -> int:
             value = (value << layout.sat_digit_bits) | d
         _check_width("suffix", addr.suffix, layout.sat_suffix_bits)
         return (value << layout.sat_suffix_bits) | addr.suffix
-    if isinstance(addr, GroundAddress):
-        value = (value << 1) | 1
-        cell = addr.cell
-        if cell.level != layout.k:
-            raise RangeError(
-                f"cell level {cell.level} != layout depth {layout.k}; "
-                "the fixed-width embedding needs a full-depth cell"
-            )
-        _validate_digits(cell, layout.n, layout.n - layout.m, layout.k)
-        for (row, col), (rbits, cbits) in zip(cell.digits, layout.cell_field_bits):
-            value = (value << rbits) | row
-            value = (value << cbits) | col
-        _check_width("suffix", addr.suffix, layout.suffix_bits)
-        return (value << layout.suffix_bits) | addr.suffix
-    raise RangeError(f"cannot encode {type(addr).__name__}")
+    value = (value << 1) | 1  # flag 1: a GroundAddress
+    cell = addr.cell
+    if cell.level != layout.k:
+        raise RangeError(
+            f"cell level {cell.level} != layout depth {layout.k}; "
+            "the fixed-width embedding needs a full-depth cell"
+        )
+    _validate_digits(cell, layout.n, layout.n - layout.m, layout.k)
+    for (row, col), (rbits, cbits) in zip(cell.digits, layout.cell_field_bits):
+        value = (value << rbits) | row
+        value = (value << cbits) | col
+    _check_width("suffix", addr.suffix, layout.suffix_bits)
+    return (value << layout.suffix_bits) | addr.suffix
 
 
 def decode(bits: int, layout: BitLayout, cfg: ConstellationConfig | None = None):

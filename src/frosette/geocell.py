@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TWO_PI, ConstellationConfig
-from .constellation import check_size
+from .constellation import MAX_SATELLITES, check_size
 from .errors import ConfigError, DomainError, ParseError, RangeError
 from .geom import LatLon, check_latlon, wrap_angle, wrap_lon
 
@@ -90,11 +90,11 @@ def validate_cell(cell: CellId, cfg: ConstellationConfig) -> None:
     _validate_digits(cell, cfg.n, cfg.rho, cfg.k)
 
 
-def _require_lattice(cfg: ConstellationConfig) -> None:
-    if cfg.rho * math.cos(cfg.inclination_rad) <= 1.0:
+def _require_lattice(rho: int, inclination_rad: float) -> None:
+    if rho * math.cos(inclination_rad) <= 1.0:
         raise ConfigError(
             "geocell lattice requires (N-m)*cos(inclination) > 1; "
-            f"got (N-m)={cfg.rho}, inclination={cfg.inclination_rad:.4f} rad"
+            f"got (N-m)={rho}, inclination={inclination_rad:.4f} rad"
         )
 
 
@@ -185,7 +185,7 @@ def _ascending_branch(p: LatLon, cfg: ConstellationConfig) -> tuple[float, float
 
 def latlon_to_geocoord(p: LatLon, cfg: ConstellationConfig) -> GeoCoordSolutions:
     """Both (alpha, gamma) representations of a point; poleward inputs clamp."""
-    _require_lattice(cfg)
+    _require_lattice(cfg.rho, cfg.inclination_rad)
     gamma_a, alpha_a, clamped = _ascending_branch(p, cfg)
     asc = GeoCoord(alpha_a, wrap_angle(gamma_a))
     if abs(gamma_a) >= math.pi / 2 - 1e-15:
@@ -252,6 +252,11 @@ def _row_representative(d: int, level: int, n: int, rho: int) -> int:
     return rep
 
 
+def _row_count(rho: int, span: int) -> int:
+    """Rows of an alpha0 table: the northern rows of the deepest level, row 0 included."""
+    return ((rho - 1) * span + 1) // 2 + 1
+
+
 def build_alpha0_tables(cfg: ConstellationConfig) -> Alpha0Table:
     """Precompute row anchors from the row equation.
 
@@ -261,9 +266,9 @@ def build_alpha0_tables(cfg: ConstellationConfig) -> Alpha0Table:
     cell_center uses, in lockstep; a row that stops keeps its value.
     """
     check_size(cfg)  # about N^(k+1)/2 rows
-    _require_lattice(cfg)
+    _require_lattice(cfg.rho, cfg.inclination_rad)
     rho, cb, span = cfg.rho, math.cos(cfg.inclination_rad), cfg.n**cfg.k
-    n_rows = ((rho - 1) * span + 1) // 2 + 1
+    n_rows = _row_count(rho, span)
     target = np.minimum(np.arange(n_rows) * (TWO_PI / span), (rho - 1) * math.pi)
     lo, hi = np.full(n_rows, -math.pi / 2.0), np.full(n_rows, math.pi / 2.0)
     gamma = np.clip(target / (2.0 * rho * cb - 2.0), lo, hi)
@@ -307,6 +312,7 @@ def save_tables(path: str, table: Alpha0Table) -> int:
 
 
 def load_tables(path: str) -> Alpha0Table:
+    """Read an FRA0 file; ParseError unless :func:`build_alpha0_tables` could have written it."""
     with open(path, "rb") as fh:
         raw = fh.read()
     head_size = struct.calcsize("<4sHHHHId")
@@ -317,10 +323,22 @@ def load_tables(path: str) -> Alpha0Table:
         raise ParseError(f"bad magic {magic!r}, expected {FRA0_MAGIC!r}")
     if version != FRA0_VERSION:
         raise ParseError(f"unsupported table version {version}")
+    if n < 3 or m >= n or k >= MAX_SATELLITES.bit_length() or n ** (k + 1) > MAX_SATELLITES:
+        raise ParseError(f"no config of at most {MAX_SATELLITES} satellites has N={n}, m={m}, k={k}")
+    if not 0.0 < incl < math.pi:
+        raise ParseError(f"table inclination {incl} rad is not in (0, pi)")
+    try:
+        _require_lattice(n - m, incl)
+    except ConfigError as exc:
+        raise ParseError(f"table header: {exc}") from None
+    if count != (rows := _row_count(n - m, n**k)):
+        raise ParseError(f"table holds {count} rows; N={n}, m={m}, k={k} has {rows}")
     expected = head_size + 8 * count
     if len(raw) != expected:
         raise ParseError(f"table file size {len(raw)} != expected {expected}")
     values = np.frombuffer(raw[head_size:], dtype="<f8").copy()
+    if not np.isfinite(values).all():
+        raise ParseError("table holds a value that is not finite")
     return Alpha0Table(n=n, m=m, k=k, inclination_rad=incl, values=values)
 
 
@@ -440,7 +458,7 @@ def locate_point(
     needs only the lattice arithmetic.
     """
     check_latlon(p)
-    _require_lattice(cfg)
+    _require_lattice(cfg.rho, cfg.inclination_rad)
     rho, n, k, span = cfg.rho, cfg.n, cfg.k, _span(cfg)
     gamma, alpha, _ = _ascending_branch(p, cfg)
     u = math.fmod(gamma + rho * alpha, TWO_PI * rho)

@@ -10,8 +10,9 @@ addresses differ.
 The flow runs on integers: a satellite is its mixed-radix id, which is also
 its position in ``build``'s node order, and its arcs are scanned by ascending
 ``constellation.ring_table`` edge id, the order the topology's edge list meets
-them. That is what a dict-keyed network built from the edge list would use, so
-the augmenting paths, and the paths returned, are the ones such a network gives.
+them, from one arc table per (N, k). That is what a dict-keyed network built
+from the edge list would use, and the search pops out-nodes in the order such a
+network's does, so the augmenting paths, and the paths returned, are its own.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .config import ConstellationConfig
-from .constellation import MAX_SATELLITES, SatAddress, Topology, ring_neighbor, ring_table
+from .constellation import MAX_SATELLITES, SatAddress, Topology, _ring_table, ring_neighbor, ring_table
 from .constellation import sat_id, validate_address
 from .errors import DomainError
 
@@ -201,27 +202,19 @@ class MultipathResult:
         return self.paths[idx]
 
 
-def _arc_index(topo: Topology) -> list[tuple[int, ...]]:
+@lru_cache(maxsize=8)
+def _arc_index(n: int, k: int) -> list[tuple[int, ...]]:
     """Per satellite x, the in-node ids 2w of its 2(k+1) ring neighbours w, in arc order.
 
     Arc order is ascending ``ring_table`` edge id: the order in which the
-    topology's edge list meets x.
+    topology's edge list meets x. It depends on (N, k) alone.
     """
-    nbr, edge = ring_table(topo.config)
+    nbr, edge = _ring_table(n, k)
     rows = np.take_along_axis(nbr, np.argsort(edge, axis=1), axis=1).tolist()
     # One int object per in-node id, shared by its 2(k+1) rows: at 4,096
     # satellites the index then holds 0.6 MB instead of 1.5 MB.
     in_node = list(range(0, 2 * len(nbr), 2))
     return [tuple(map(in_node.__getitem__, row)) for row in rows]
-
-
-def _arcs(topo: Topology) -> list[tuple[int, ...]]:
-    """The topology's arc index, built on first use and kept on the instance."""
-    arcs = topo.__dict__.get("_routing_arcs")
-    if arcs is None:
-        arcs = _arc_index(topo)
-        object.__setattr__(topo, "_routing_arcs", arcs)  # Topology is frozen
-    return arcs
 
 
 def _augmenting_path(arcs, open_first, succ, pred, source, sink) -> list[int] | None:
@@ -232,23 +225,19 @@ def _augmenting_path(arcs, open_first, succ, pred, source, sink) -> list[int] | 
     queue = [source]
     for x in queue:
         v = x >> 1
-        if x & 1:
-            nxt = succ[v]
-            if nxt >= 0 and parent[x - 1] < 0:  # back through v's split arc
-                parent[x - 1] = x
-                queue.append(x - 1)
-            for y in open_first if x == source else arcs[v]:
-                if parent[y] < 0 and y != nxt:
-                    parent[y] = x
-                    if y == sink:
-                        return parent
-                    queue.append(y)
-        else:
-            # through v's split arc, or back along the flow that enters v
-            y = pred[v] if succ[v] >= 0 else x + 1
-            if parent[y] < 0:
+        nxt = succ[v]
+        # an out-node carrying flow has its reversed split arc first
+        for y in open_first if x == source else arcs[v] if nxt < 0 else (x - 1, *arcs[v]):
+            if parent[y] < 0 and y != nxt:
                 parent[y] = x
-                queue.append(y)
+                if y == sink:
+                    return parent
+                w = y >> 1
+                # in(w)'s one arc: w's split arc, or back along the flow that enters w
+                z = pred[w] if succ[w] >= 0 else y + 1
+                if parent[z] < 0:
+                    parent[z] = y
+                    queue.append(z)
     return None
 
 
@@ -270,9 +259,12 @@ def disjoint_paths(src: SatAddress, dst: SatAddress, topo: Topology) -> Multipat
     reversed split arc when the satellite carries flow, then its ring arcs in
     ascending ``ring_table`` edge-id order (:func:`_arc_index`), less the one
     carrying flow and any into src. That is the order in which a dict-of-dicts
-    network built from ``topo.edges`` inserts them, so the breadth-first
-    search finds the same augmenting paths, and returns the same paths, as
-    that network does.
+    network built from ``topo.edges`` inserts them. The breadth-first search
+    queues only out-nodes, taking an in-node's one arc as soon as it is found.
+    Every out-node but src's is entered by one arc, from an in-node, so the
+    out-nodes are queued in the order a queue of both kinds pops their
+    in-nodes. So the search finds the same augmenting paths, and returns the
+    same paths, as that network does.
     """
     cfg = topo.config
     validate_address(src, cfg)
@@ -280,7 +272,7 @@ def disjoint_paths(src: SatAddress, dst: SatAddress, topo: Topology) -> Multipat
     if src == dst:
         raise ValueError("multipath needs distinct endpoints")
     active = [j for j in range(cfg.k + 1) if src[j] != dst[j]]
-    arcs = _arcs(topo)
+    arcs = _arc_index(cfg.n, cfg.k)
     s, t = sat_id(src, cfg.n), sat_id(dst, cfg.n)
     source, sink = 2 * s + 1, 2 * t
     nbr = ring_table(cfg)[0][s].tolist()
@@ -293,22 +285,19 @@ def disjoint_paths(src: SatAddress, dst: SatAddress, topo: Topology) -> Multipat
     pred = [-1] * cfg.n_sats
     saturated = []
     while (parent := _augmenting_path(arcs, open_first, succ, pred, source, sink)) is not None:
-        y = sink
-        while y != source:
-            x = parent[y]
-            if x & 1 and y != x - 1:  # ring arc out(u) -> in(w) gains flow
-                if x == source:
-                    open_first.remove(y)
-                    saturated.append(y)
-                else:
-                    succ[x >> 1] = y
+        y = sink  # walk back in pairs: the arc out -> in(y), then the in -> out before it
+        while (x := parent[y]) != source:
+            if y != x - 1:  # ring arc out(u) -> in(w) gains flow
+                succ[x >> 1] = y
                 pred[y >> 1] = x
-            elif not x & 1 and y != x + 1:  # ring arc out(u) -> in(w) loses it
-                if succ[y >> 1] == x:
-                    succ[y >> 1] = -1
-                if pred[x >> 1] == y:
-                    pred[x >> 1] = -1
-            y = x
+            y = parent[x]
+            if y != x - 1:  # ring arc out(u) -> in(w) loses it
+                if succ[x >> 1] == y:  # unless u has just taken a new successor
+                    succ[x >> 1] = -1
+                pred[y >> 1] = -1
+        open_first.remove(y)
+        saturated.append(y)
+        pred[y >> 1] = source
 
     paths = []
     for y in sorted(saturated, key=lambda first: nbr.index(first >> 1)):

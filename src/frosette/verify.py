@@ -38,7 +38,7 @@ from .geom import LatLon, great_circle_range, link_length_delay, link_range_clos
 from .geom import sat_position_eci, subpoint
 from .georouting import measure_hop_motions
 from .planner import SizeRequest, select_size
-from .routing import build_fib, disjoint_paths, fib_lookup, hop_bound, shortest_path
+from .routing import build_fib, disjoint_paths, fib_lookup, hop_bound, path_hops, shortest_path
 from .sim import _edge_delays, link_delay_trace
 
 _SEED = 12345
@@ -142,24 +142,29 @@ def check_fib() -> tuple[bool, str]:
 
 
 def check_multipath() -> tuple[bool, str]:
-    cfg = _demo(8, 6, 1, 70.0, 1200.0)
-    topo = build(cfg)
     rng = random.Random(_SEED)
-    for _ in range(50):
-        src = tuple(rng.randrange(cfg.n) for _ in range(cfg.k + 1))
-        dst = tuple((src[j] + rng.randrange(1, cfg.n)) % cfg.n for j in range(cfg.k + 1))
-        result = disjoint_paths(src, dst, topo)
-        if len(result) != 2 * (cfg.k + 1):
-            return False, f"{src}->{dst}: {len(result)} paths"
-        interiors = [set(p[1:-1]) for p in result]
-        for i in range(len(interiors)):
-            for j in range(i + 1, len(interiors)):
-                if interiors[i] & interiors[j]:
-                    return False, f"{src}->{dst}: paths {i},{j} share {interiors[i] & interiors[j]}"
-        for p in result:
-            if p[0] != src or p[-1] != dst:
-                return False, f"{src}->{dst}: endpoint mismatch"
-    return True, "50 all-differ pairs: 4 node-disjoint paths each"
+    for k, pairs in ((1, 50), (3, 20)):
+        cfg = _demo(8, 6, k, 70.0, 1200.0)
+        topo = build(cfg)
+        for _ in range(pairs):
+            src = tuple(rng.randrange(cfg.n) for _ in range(cfg.k + 1))
+            dst = tuple((src[j] + rng.randrange(1, cfg.n)) % cfg.n for j in range(cfg.k + 1))
+            result = disjoint_paths(src, dst, topo)
+            if len(result) != 2 * (cfg.k + 1):
+                return False, f"{src}->{dst}: {len(result)} paths"
+            interiors = [set(p[1:-1]) for p in result]
+            for i in range(len(interiors)):
+                for j in range(i + 1, len(interiors)):
+                    if interiors[i] & interiors[j]:
+                        return False, f"{src}->{dst}: paths {i},{j} share {interiors[i] & interiors[j]}"
+            for p in result:
+                if p[0] != src or p[-1] != dst:
+                    return False, f"{src}->{dst}: endpoint mismatch"
+                try:
+                    path_hops(list(p), cfg)
+                except ValueError as exc:
+                    return False, f"{src}->{dst}: {exc}"
+    return True, "all-differ pairs, 2(k+1) node-disjoint paths each: 50 at N=8 k=1, 20 at k=3"
 
 
 def _scalar_range(a, b, t: float, cfg: ConstellationConfig) -> float:

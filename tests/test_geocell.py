@@ -5,6 +5,7 @@ points) — for k >= 1 most of the rho^2*N^2k id space names empty border
 slivers, which decode to border anchors but are never returned by
 locate_point.
 """
+import dataclasses
 import math
 import random
 
@@ -359,6 +360,33 @@ def test_fra0_rejects_corruption(tmp_path, tables_cells):
             fh.write(blob)
         with pytest.raises(ParseError):
             load_tables(path)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"values": lambda v: v[:2]},  # cell 0,1/14,0 would move from 0.39 to 6.25 rad
+        {"values": lambda v: np.append(v, v[-1])},
+        {"n": 2, "m": 0},  # N < 3
+        {"m": 8},  # m = N
+        {"m": 9},  # m > N
+        {"k": 7},  # 8^8 satellites exceed MAX_SATELLITES
+        {"inclination_rad": math.nan},
+        {"inclination_rad": math.inf},
+        {"inclination_rad": 0.0},
+        {"inclination_rad": math.pi},
+        {"inclination_rad": math.radians(89.0)},  # (N-m)*cos(inclination) <= 1
+        {"values": lambda v: np.append(v[:-1], math.nan)},  # the last row not finite
+        {"values": lambda v: np.append(v[:-1], -math.inf)},
+    ],
+)
+def test_fra0_rejects_headers_and_values_no_config_writes(tmp_path, tables_cells, fields):
+    values = fields.get("values", lambda v: v)(tables_cells.values)
+    table = dataclasses.replace(tables_cells, **{**fields, "values": values})
+    path = str(tmp_path / "tables.fra0")
+    save_tables(path, table)
+    with pytest.raises(ParseError):
+        load_tables(path)
 
 
 # --- point location ----------------------------------------------------------------

@@ -432,6 +432,40 @@ def test_disjoint_paths_all_differ():
         assert first_hops == [(0, 1), (0, -1), (1, 1), (1, -1)]
 
 
+def test_disjoint_paths_all_differ_at_paper_scale():
+    cfg = make_config(16, 8, 3)  # 65,536 satellites
+    topo = build(cfg)
+    rng = random.Random(1616)
+    for _ in range(2):
+        src = tuple(rng.randrange(16) for _ in range(4))
+        dst = tuple((s + rng.randrange(1, 16)) % 16 for s in src)
+        result = disjoint_paths(src, dst, topo)
+        assert len(result) == 8 and result.reason is None
+        interiors = [set(p[1:-1]) for p in result]
+        for i, j in itertools.combinations(range(8), 2):
+            assert not interiors[i] & interiors[j]
+        for p in result:
+            assert p[0] == src and p[-1] == dst
+            assert len(set(p)) == len(p)
+        # path_hops validates every hop; first hops by layer, clockwise first
+        assert [path_hops(list(p), cfg)[0] for p in result] == [
+            (j, d) for j in range(4) for d in (1, -1)
+        ]
+
+
+def test_verify_multipath_check_rejects_a_path_that_skips_the_rings(monkeypatch):
+    from frosette import verify
+
+    assert verify.check_multipath()[0]
+
+    def straight(src, dst, topo):  # 2(k+1) disjoint "paths" that jump src -> dst
+        return routing.MultipathResult(paths=((src, dst),) * 2 * len(src), reason=None)
+
+    monkeypatch.setattr(verify, "disjoint_paths", straight)
+    ok, detail = verify.check_multipath()
+    assert not ok and "not a topology hop" in detail
+
+
 def test_disjoint_paths_partial_differ():
     cfg = make_config(8, 6, 1)
     topo = build(cfg)
@@ -589,25 +623,21 @@ def test_disjoint_paths_equal_dict_maxflow_at_4096(src, dst):
     assert (result.paths, result.reason) == _dict_maxflow_paths(src, dst, topo)
 
 
-def test_arc_index_built_once_per_topology_and_only_by_disjoint_paths(monkeypatch):
-    calls = []
-    arc_index = routing._arc_index
-
-    def counted(topo):
-        calls.append(topo)
-        return arc_index(topo)
-
-    monkeypatch.setattr(routing, "_arc_index", counted)
+def test_arc_index_built_once_per_n_k_and_only_by_disjoint_paths():
+    routing._arc_index.cache_clear()
     cfg = make_config(5, 1, 2)
     topo = build(cfg)
     shortest_path((0, 0, 0), (2, 3, 4), topo)
     fib_lookup(build_fib((0, 0, 0), cfg), (2, 3, 4))
-    assert calls == []
+    assert routing._arc_index.cache_info().currsize == 0
     disjoint_paths((0, 0, 0), (2, 3, 4), topo)
     disjoint_paths((1, 1, 1), (1, 3, 0), topo)
-    assert calls == [topo]
-    # the index lives on the instance only: nothing else keeps the topology alive
-    ref = weakref.ref(topo)
-    del topo, calls[:]
+    other = build(make_config(5, 3, 2, incl_deg=50.0))  # same (N, k), another config
+    disjoint_paths((0, 0, 0), (2, 3, 4), other)
+    info = routing._arc_index.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+    # the index is keyed by (N, k) alone: it keeps no topology alive
+    refs = weakref.ref(topo), weakref.ref(other)
+    del topo, other
     gc.collect()
-    assert ref() is None
+    assert [ref() for ref in refs] == [None, None]
