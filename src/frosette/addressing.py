@@ -8,6 +8,7 @@ the config alone, so addresses never depend on time.
 """
 from __future__ import annotations
 
+import string
 from dataclasses import dataclass
 
 from .config import ConstellationConfig
@@ -18,6 +19,7 @@ from .geocell import CellId, _validate_digits
 
 PREFIX_BITS = 64
 TOTAL_BITS = 128
+_HEX_DIGITS = frozenset(string.hexdigits)
 
 
 def _ceil_log2(x: int) -> int:
@@ -149,6 +151,16 @@ def _check_width(name: str, value: int, bits: int) -> None:
         raise RangeError(f"{name} {value} does not fit in {bits} bits")
 
 
+def _field_widths(layout: BitLayout, flag: int) -> tuple[int, ...]:
+    """Widths of one family's fields, most significant first: prefix, flag,
+    payload (a digit each for satellites, flag 0; row then col per level for
+    ground cells, flag 1) and suffix. encode and decode both walk this list."""
+    payload = ([bits for pair in layout.cell_field_bits for bits in pair] if flag
+               else [layout.sat_digit_bits] * (layout.k + 1))
+    return (layout.prefix_bits, layout.flag_bits, *payload,
+            layout.suffix_bits if flag else layout.sat_suffix_bits)
+
+
 def encode(addr, layout: BitLayout, *, prefix: int = 0, suffix: int = 0) -> int:
     """Pack an address into its 128-bit value.
 
@@ -163,27 +175,24 @@ def encode(addr, layout: BitLayout, *, prefix: int = 0, suffix: int = 0) -> int:
         raise RangeError(f"cannot encode {type(addr).__name__} as an address")
 
     _check_width("prefix", addr.prefix, layout.prefix_bits)
-    value = addr.prefix
     if isinstance(addr, SatAddress128):
-        value = value << 1  # flag 0
         validate_address(addr.digits, layout)
-        for d in addr.digits:
-            value = (value << layout.sat_digit_bits) | d
-        _check_width("suffix", addr.suffix, layout.sat_suffix_bits)
-        return (value << layout.sat_suffix_bits) | addr.suffix
-    value = (value << 1) | 1  # flag 1: a GroundAddress
-    cell = addr.cell
-    if cell.level != layout.k:
-        raise RangeError(
-            f"cell level {cell.level} != layout depth {layout.k}; "
-            "the fixed-width embedding needs a full-depth cell"
-        )
-    _validate_digits(cell, layout.n, layout.n - layout.m, layout.k)
-    for (row, col), (rbits, cbits) in zip(cell.digits, layout.cell_field_bits):
-        value = (value << rbits) | row
-        value = (value << cbits) | col
-    _check_width("suffix", addr.suffix, layout.suffix_bits)
-    return (value << layout.suffix_bits) | addr.suffix
+        payload = addr.digits
+    else:
+        cell = addr.cell
+        if cell.level != layout.k:
+            raise RangeError(
+                f"cell level {cell.level} != layout depth {layout.k}; "
+                "the fixed-width embedding needs a full-depth cell"
+            )
+        _validate_digits(cell, layout.n, layout.n - layout.m, layout.k)
+        payload = [digit for pair in cell.digits for digit in pair]
+    widths = _field_widths(layout, addr.flag)
+    _check_width("suffix", addr.suffix, widths[-1])
+    value = 0
+    for field, bits in zip((addr.prefix, addr.flag, *payload, addr.suffix), widths):
+        value = (value << bits) | field
+    return value
 
 
 def decode(bits: int, layout: BitLayout, cfg: ConstellationConfig | None = None):
@@ -192,28 +201,16 @@ def decode(bits: int, layout: BitLayout, cfg: ConstellationConfig | None = None)
         raise ConfigError("layout does not match config")
     _check_width("value", bits, TOTAL_BITS)
     flag = (bits >> (TOTAL_BITS - layout.prefix_bits - 1)) & 1
-    prefix = bits >> (TOTAL_BITS - layout.prefix_bits)
+    fields = []
+    for width in reversed(_field_widths(layout, flag)):
+        fields.append(bits & ((1 << width) - 1))
+        bits >>= width
+    suffix, *payload, _, prefix = fields
+    payload.reverse()
     if flag == 0:
-        suffix = bits & ((1 << layout.sat_suffix_bits) - 1)
-        payload = bits >> layout.sat_suffix_bits
-        digits = []
-        for _ in range(layout.k + 1):
-            digits.append(payload & ((1 << layout.sat_digit_bits) - 1))
-            payload >>= layout.sat_digit_bits
-        digits.reverse()
-        validate_address(tuple(digits), layout)
-        return SatAddress128(prefix, tuple(digits), suffix)
-    suffix = bits & ((1 << layout.suffix_bits) - 1)
-    payload = bits >> layout.suffix_bits
-    pairs = []
-    for rbits, cbits in reversed(layout.cell_field_bits):
-        col = payload & ((1 << cbits) - 1)
-        payload >>= cbits
-        row = payload & ((1 << rbits) - 1)
-        payload >>= rbits
-        pairs.append((row, col))
-    pairs.reverse()
-    cell = CellId(tuple(pairs))
+        validate_address(tuple(payload), layout)
+        return SatAddress128(prefix, tuple(payload), suffix)
+    cell = CellId(tuple(zip(payload[0::2], payload[1::2])))
     _validate_digits(cell, layout.n, layout.n - layout.m, layout.k)
     return GroundAddress(prefix, cell, suffix)
 
@@ -226,18 +223,15 @@ def to_colon_hex(value: int) -> str:
 
 
 def from_colon_hex(text: str) -> int:
+    """Inverse of to_colon_hex: eight groups of 1-4 ASCII hex digits each."""
     parts = text.split(":")
     if len(parts) != 8:
         raise ParseError(f"expected 8 colon-separated groups, got {len(parts)}")
     value = 0
     pos = 0
     for part in parts:
-        if not (1 <= len(part) <= 4):
+        if not (1 <= len(part) <= 4 and set(part) <= _HEX_DIGITS):
             raise ParseError(f"bad hex group {part!r}", position=pos)
-        try:
-            group = int(part, 16)
-        except ValueError:
-            raise ParseError(f"bad hex group {part!r}", position=pos) from None
-        value = (value << 16) | group
+        value = (value << 16) | int(part, 16)
         pos += len(part) + 1
     return value

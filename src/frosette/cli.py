@@ -13,12 +13,10 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from . import verify as verify_checks
 from .addressing import format_cell_id, parse_cell_id, parse_sat_address
-from .config import config_to_dict, load_config
-from .constellation import build, format_address, ring_table
+from .config import load_config
+from .constellation import _stream_topology, build, format_address
 from .errors import DomainError, FrosetteError, ParseError, RangeError
 from .geocell import (
     build_alpha0_tables,
@@ -62,36 +60,6 @@ def _emit(doc: dict) -> None:
     except ValueError as exc:
         raise DomainError(f"result is not finite JSON: {exc}") from None
     sys.stdout.write(text + "\n")
-
-
-_ROW_CHUNK = 2048
-
-
-def _stream_topology(topo, fh) -> None:
-    """Topology JSON written in chunks, never materialized as one string.
-
-    Each level appends a digit and "." (the last a closing quote) to every name,
-    giving an object array of quoted names by id; digits and dots need no JSON
-    escaping. Each 2,048-satellite chunk of edges is one ``[a, b, L]`` string
-    column per layer, built by object-array concatenation.
-    """
-    cfg = topo.config
-    name = ['"']
-    for level in range(cfg.k + 1):
-        tails = [str(d) + ('"' if level == cfg.k else ".") for d in range(cfg.n)]
-        name = [a + tail for a in name for tail in tails]
-    name = np.array(name, dtype=object)
-    up = ring_table(cfg)[0][:, 0::2]
-    fh.write('{"config": ')
-    json.dump(config_to_dict(cfg), fh)
-    fh.write(', "nodes": [' + ", ".join(name.tolist()) + '], "edges": [')
-    for start in range(0, len(up), _ROW_CHUNK):
-        rows = slice(start, start + _ROW_CHUNK)
-        head = "[" + name[rows] + ", "
-        cols = [head + name[j] + f", {layer}]" for layer, j in enumerate(up[rows].T)]
-        fh.write(", " if start else "")
-        fh.write(", ".join(np.column_stack(cols).ravel().tolist()))
-    fh.write("]}\n")
 
 
 def _cmd_generate(args) -> int:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import functools
+import io
 import itertools
 import json
 import math
@@ -244,15 +245,45 @@ def format_address(addr: SatAddress) -> str:
     return ".".join(str(d) for d in addr)
 
 
+_ROW_CHUNK = 2048
+
+
+def _stream_topology(topo: Topology, fh) -> None:
+    """Write the topology document to fh in chunks: the one writer of its bytes.
+
+    The document is {"config", "nodes", "edges"}: every satellite's dotted
+    name by id, then every ``Topology.edges`` link as ``[a, b, layer]``, on
+    one line. Each level appends a digit and "." (the last a closing quote)
+    to every name, giving an object array of quoted names by id; digits and
+    dots need no JSON escaping. Each 2,048-satellite chunk of edges is one
+    ``[a, b, L]`` string column per layer, built by object-array concatenation.
+    """
+    cfg = topo.config
+    name = ['"']
+    for level in range(cfg.k + 1):
+        tails = [str(d) + ('"' if level == cfg.k else ".") for d in range(cfg.n)]
+        name = [a + tail for a in name for tail in tails]
+    name = np.array(name, dtype=object)
+    up = ring_table(cfg)[0][:, 0::2]
+    fh.write('{"config": ')
+    json.dump(config_to_dict(cfg), fh)
+    fh.write(', "nodes": [' + ", ".join(name.tolist()) + '], "edges": [')
+    for start in range(0, len(up), _ROW_CHUNK):
+        rows = slice(start, start + _ROW_CHUNK)
+        head = "[" + name[rows] + ", "
+        cols = [head + name[j] + f", {layer}]" for layer, j in enumerate(up[rows].T)]
+        fh.write(", " if start else "")
+        fh.write(", ".join(np.column_stack(cols).ravel().tolist()))
+    fh.write("]}\n")
+
+
 def topology_to_dict(topo: Topology) -> dict:
-    return {
-        "config": config_to_dict(topo.config),
-        "nodes": [format_address(a) for a in topo.nodes],
-        "edges": [
-            [format_address(a), format_address(b), layer] for a, b, layer in topo.edges
-        ],
-    }
+    """The topology document as :func:`_stream_topology` writes it, parsed."""
+    doc = io.StringIO()
+    _stream_topology(topo, doc)
+    return json.loads(doc.getvalue())
 
 
 def topology_to_json(topo: Topology) -> str:
+    """The topology document re-indented by two spaces."""
     return json.dumps(topology_to_dict(topo), indent=2)

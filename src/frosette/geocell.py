@@ -37,6 +37,8 @@ from .geom import LatLon, check_latlon, wrap_angle, wrap_lon
 
 FRA0_MAGIC = b"FRA0"
 FRA0_VERSION = 1
+# magic, version, N, m, k, row count, inclination (rad); the little-endian f8 rows follow
+_FRA0_HEADER = struct.Struct("<4sHHHHId")
 
 
 @dataclass(frozen=True)
@@ -294,8 +296,7 @@ def build_alpha0_tables(cfg: ConstellationConfig) -> Alpha0Table:
 
 def save_tables(path: str, table: Alpha0Table) -> int:
     """Write the FRA0 binary; returns the byte count."""
-    header = struct.pack(
-        "<4sHHHHId",
+    header = _FRA0_HEADER.pack(
         FRA0_MAGIC,
         FRA0_VERSION,
         table.n,
@@ -315,10 +316,10 @@ def load_tables(path: str) -> Alpha0Table:
     """Read an FRA0 file; ParseError unless :func:`build_alpha0_tables` could have written it."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    head_size = struct.calcsize("<4sHHHHId")
+    head_size = _FRA0_HEADER.size
     if len(raw) < head_size:
         raise ParseError(f"table file truncated: {len(raw)} bytes")
-    magic, version, n, m, k, count, incl = struct.unpack("<4sHHHHId", raw[:head_size])
+    magic, version, n, m, k, count, incl = _FRA0_HEADER.unpack_from(raw)
     if magic != FRA0_MAGIC:
         raise ParseError(f"bad magic {magic!r}, expected {FRA0_MAGIC!r}")
     if version != FRA0_VERSION:
@@ -375,10 +376,7 @@ def cell_to_location(cell: CellId, target_level: int, tables: Alpha0Table) -> Ge
     fine = rep * n ** (tables.k - target_level)
     limit = tables.n_rows - 1
     # Rows past the track's turning point saturate at the border anchor.
-    if fine >= 0:
-        alpha0 = float(tables.values[min(fine, limit)])
-    else:
-        alpha0 = -float(tables.values[min(-fine, limit)])
+    alpha0 = tables.alpha0_signed(min(max(fine, -limit), limit))
     h = TWO_PI / n**target_level
     alpha = a * h / rho + alpha0
     gamma = -rho * alpha0

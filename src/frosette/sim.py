@@ -403,25 +403,29 @@ def _percentile(sorted_vals: list[float], q: float) -> float:
     return sorted_vals[lo] * (1 - frac) + sorted_vals[hi] * frac
 
 
+def _stretch_fields(recs: list[TraceRecord]) -> dict:
+    """The records count and stretch_* fields, for one experiment or the whole run."""
+    stretches = sorted(r.stretch for r in recs)
+    return {
+        "records": len(recs),
+        "stretch_median": _percentile(stretches, 0.5),
+        "stretch_p95": _percentile(stretches, 0.95),
+        "stretch_max": stretches[-1] if stretches else math.nan,
+    }
+
+
 def summarize(records: list[TraceRecord], scenario: Scenario) -> dict:
     by_exp: dict[str, list[TraceRecord]] = {}
     for rec in records:
         by_exp.setdefault(rec.experiment, []).append(rec)
     out_exp = {}
     for exp, recs in by_exp.items():
-        stretches = sorted(r.stretch for r in recs)
         out_exp[exp] = {
-            "records": len(recs),
-            "stretch_median": _percentile(stretches, 0.5),
-            "stretch_p95": _percentile(stretches, 0.95),
-            "stretch_max": stretches[-1] if stretches else math.nan,
+            **_stretch_fields(recs),
             "handoffs": sum(r.handoff for r in recs),
-            "mean_frosette_hops": (
-                sum(r.frosette_hops for r in recs) / len(recs) if recs else math.nan
-            ),
+            "mean_frosette_hops": sum(r.frosette_hops for r in recs) / len(recs),
             "coverage_violations": sum(1 for r in recs if r.flag),
         }
-    all_stretch = sorted(r.stretch for r in records)
     return {
         "seed": scenario.seed,
         "config": config_to_dict(scenario.config),
@@ -430,10 +434,7 @@ def summarize(records: list[TraceRecord], scenario: Scenario) -> dict:
             "end_s": scenario.end_s,
             "step_s": scenario.step_s,
         },
-        "records": len(records),
-        "stretch_median": _percentile(all_stretch, 0.5),
-        "stretch_p95": _percentile(all_stretch, 0.95),
-        "stretch_max": all_stretch[-1] if all_stretch else math.nan,
+        **_stretch_fields(records),
         "experiments": out_exp,
     }
 

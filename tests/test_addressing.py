@@ -171,5 +171,42 @@ def test_colon_hex_forms():
         from_colon_hex("0000:0000")
     with pytest.raises(ParseError):
         from_colon_hex("xxxx:0000:0000:0000:0000:0000:0000:0000")
+    assert from_colon_hex("0:0:0:0:0:0:0:FfFf") == 0xFFFF
+    # int(part, 16) takes each of these; a group is 1-4 ASCII hex digits only
+    for group in ("-1", "+f", " f", "f ", "0x1", "1_0", "\uff11", "\u0661", ""):
+        with pytest.raises(ParseError) as err:
+            from_colon_hex(f"0:0:0:0:0:0:0:{group}")
+        assert err.value.position == 14
+    with pytest.raises(ParseError) as err:
+        from_colon_hex("0:-1:0:0:0:0:0:0")
+    assert err.value.position == 2
     with pytest.raises(RangeError):
         to_colon_hex(1 << 128)
+
+
+# Pinned 128-bit values: a field order or width mistake made the same way in
+# encode and decode passes every round trip above, but not these. N=16 m=8 has
+# 3-bit level-0 cell fields, and N=5 m=2 k=2 odd widths throughout.
+_N16 = make_config(16, 8, 1)
+_N5 = make_config(5, 2, 2, incl_deg=45.0)
+GOLDEN_BITS = [
+    (_N16, (3, 14), 0x0123456789ABCDEF, 0x2A, "0123:4567:89ab:cdef:1f00:0000:0000:002a"),
+    (_N16, (15, 0), 0xFEDCBA9876543210, 2**55 - 1, "fedc:ba98:7654:3210:787f:ffff:ffff:ffff"),
+    (_N16, CellId(((7, 2), (30, 0))), 0x20010DB800000001, 0x1234,
+     "2001:0db8:0000:0001:f5e0:0000:0000:1234"),
+    (_N16, CellId(((0, 5), (15, 13))), 1, 5, "0000:0000:0000:0001:8afd:0000:0000:0005"),
+    (_N5, (4, 0, 3), 0xDEADBEEFCAFEF00D, 0x155, "dead:beef:cafe:f00d:40c0:0000:0000:0155"),
+    (_N5, (1, 2, 4), 1, 2**54 - 1, "0000:0000:0000:0001:153f:ffff:ffff:ffff"),
+    (_N5, CellId(((2, 1), (8, 0), (4, 3))), 0x0123456789ABCDEF, 0x77,
+     "0123:4567:89ab:cdef:cc04:6000:0000:0077"),
+    (_N5, CellId(((0, 2), (3, 3), (6, 2))), 2**64 - 1, 0, "ffff:ffff:ffff:ffff:91b6:4000:0000:0000"),
+]
+
+
+@pytest.mark.parametrize("cfg,addr,prefix,suffix,want", GOLDEN_BITS, ids=[c[-1] for c in GOLDEN_BITS])
+def test_encode_matches_pinned_bits(cfg, addr, prefix, suffix, want):
+    layout = bit_widths(cfg)
+    assert to_colon_hex(encode(addr, layout, prefix=prefix, suffix=suffix)) == want
+    got = decode(from_colon_hex(want), layout, cfg)
+    body = got.digits if isinstance(got, SatAddress128) else got.cell
+    assert (got.prefix, body, got.suffix) == (prefix, addr, suffix)

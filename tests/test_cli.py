@@ -5,6 +5,7 @@ reasonable; stdout/stderr are captured and parsed back as JSON.  Usage
 errors raised before a handler runs (bad flags, wrong mode combinations)
 surface as SystemExit(1); errors inside a handler return the exit code.
 """
+import argparse
 import hashlib
 import io
 import json
@@ -19,9 +20,9 @@ import pytest
 
 import frosette
 from frosette import constellation, geocell
-from frosette.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, _emit, _stream_topology, main
+from frosette.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, _build_parser, _emit, main
 from frosette.config import config_to_dict
-from frosette.constellation import build, format_address, topology_to_dict
+from frosette.constellation import _stream_topology, build, format_address, topology_to_dict
 from frosette.errors import DomainError
 from conftest import make_config
 
@@ -157,7 +158,13 @@ def test_stream_topology_matches_per_item_writer(n, k):
     _stream_topology(topo, got)
     _stream_topology_per_item(topo, want)
     assert got.getvalue() == want.getvalue()
-    assert json.loads(got.getvalue()) == topology_to_dict(topo)
+    # the document as the per-item topology_to_dict built it, from the Topology itself
+    reference = {
+        "config": config_to_dict(topo.config),
+        "nodes": [format_address(a) for a in topo.nodes],
+        "edges": [[format_address(a), format_address(b), layer] for a, b, layer in topo.edges],
+    }
+    assert json.loads(got.getvalue()) == topology_to_dict(topo) == reference
 
 
 def test_generate_output_at_n16_k3_keeps_its_bytes(tmp_path, capsys):
@@ -756,3 +763,50 @@ def test_missing_subcommand(capsys):
         main([])
     assert exc.value.code == EXIT_USAGE
     assert _json_err(capsys)["error"] == "usage"
+
+
+PUBLIC_NAMES = [
+    "Alpha0Table", "BitLayout", "CellId", "ConfigError", "ConstellationConfig",
+    "DEFAULT_CONSTANTS", "DomainError", "Fib", "FibEntry", "FrosetteError", "GeoCoord",
+    "GeoRouteResult", "GroundAddress", "HopMotion", "InfeasibleError", "LatLon",
+    "LayoutError", "MultipathResult", "OrbitalElements", "ParseError", "PhysicalConstants",
+    "RangeError", "SatAddress128", "Scenario", "SizeRequest", "SizeResult", "Topology",
+    "TraceRecord", "address_to_elements", "associate", "bit_widths", "build",
+    "build_alpha0_tables", "build_fib", "cell_center", "cell_count", "cell_to_location",
+    "config_from_dict", "config_to_dict", "coverage_check", "coverage_range", "decode",
+    "disjoint_paths", "encode", "fib_lookup", "format_address", "format_cell_id",
+    "format_sat_address", "from_colon_hex", "geo_route", "geocoord_to_latlon",
+    "great_circle_range", "ground_to_space_rtt", "hop_bound", "iter_cells",
+    "latlon_to_geocoord", "link_delay_trace", "link_length_delay", "link_range_closed_form",
+    "load_config", "load_scenario", "load_tables", "locate_point", "measure_hop_motions",
+    "min_altitude_coverage", "min_altitude_stability", "min_satellites", "parse_cell_id",
+    "parse_sat_address", "path_hops", "ring_step", "save_tables", "select_size",
+    "serving_coord", "shortest_path", "stability_report", "subdivide", "subpoint",
+    "to_colon_hex", "topology_to_dict", "topology_to_json", "validate_cell",
+]
+
+SUBCOMMAND_OPTIONS = {
+    "generate": {"--config", "--output", "--tables"},
+    "route": {"--config", "--from", "--to", "--geo", "--from-lat", "--from-lon",
+              "--to-lat", "--to-lon", "--time"},
+    "fib": {"--config", "--owner"},
+    "cells": {"--config", "--count", "--locate", "--to-location", "--level"},
+    "size": {"--rtt-ms", "--elevation-deg", "--base-n"},
+    "simulate": {"--scenario", "--trace"},
+    "verify": set(),
+}
+
+
+def test_public_surface_is_pinned():
+    # a name or flag that goes, or comes, is a deliberate change: edit these lists with it
+    assert sorted(frosette.__all__) == PUBLIC_NAMES
+    for name in frosette.__all__:
+        assert getattr(frosette, name) is not None, name
+    parser = _build_parser()
+    assert {o for a in parser._actions for o in a.option_strings} == {"-h", "--help"}
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {
+        name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
+        for name, p in sub.choices.items()
+    }
+    assert options == SUBCOMMAND_OPTIONS

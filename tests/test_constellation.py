@@ -1,4 +1,5 @@
 """Topology construction, orbital element assignment, altitude sizing."""
+import hashlib
 import json
 import math
 import random
@@ -376,3 +377,13 @@ def test_topology_serialization_round_trip():
     parsed = json.loads(topology_to_json(topo))
     assert parsed == doc
     assert format_address((3, 11, 0)) == "3.11.0"
+
+
+@pytest.mark.parametrize("cfg,want", [
+    (make_config(4, 1, 1), "cc090821f22ea1cb31cf3d50c50ba4c8811edb8461c6d97e7f51fc5e9a4982e0"),
+    (make_config(5, 2, 2, incl_deg=45.0),
+     "1b15c4f1a90fa0283865d0d61d294cb3b9be0bc1cffbf24a736976cdbc1c70c6"),
+])
+def test_topology_json_bytes_are_pinned(cfg, want):
+    # sha256 of topology_to_json as the per-item topology_to_dict produced it
+    assert hashlib.sha256(topology_to_json(build(cfg)).encode()).hexdigest() == want

@@ -344,6 +344,15 @@ def test_fra0_round_trip(tmp_path, tables_cells):
     assert np.array_equal(loaded.values, tables_cells.values)
 
 
+def test_fra0_header_bytes_are_pinned(tmp_path, tables_cells):
+    # "FRA0", version 1, N=8, m=6, k=1, 5 rows, inclination pi/4: little-endian
+    # u16 fields, a u32 count and an f8, as save_tables has always written them
+    path = str(tmp_path / "tables.fra0")
+    assert save_tables(path, tables_cells) == 64
+    with open(path, "rb") as fh:
+        assert fh.read(24).hex() == "46524130010008000600010005000000182d4454fb21e93f"
+
+
 def test_fra0_rejects_corruption(tmp_path, tables_cells):
     path = str(tmp_path / "tables.fra0")
     save_tables(path, tables_cells)
