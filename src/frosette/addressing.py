@@ -23,8 +23,6 @@ _HEX_DIGITS = frozenset(string.hexdigits)
 
 
 def _ceil_log2(x: int) -> int:
-    if x < 1:
-        raise RangeError(f"cannot size a field for {x} values")
     return (x - 1).bit_length()
 
 

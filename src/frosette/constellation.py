@@ -183,8 +183,11 @@ def orbit_state(cfg: ConstellationConfig) -> OrbitState:
 
 
 def min_altitude_coverage(cfg: ConstellationConfig) -> float:
-    """Smallest altitude giving full ground coverage at the config's elevation."""
+    """Smallest altitude giving full ground coverage at the config's elevation;
+    three satellites have none (the demand diverges, as in ``geom.min_satellites``)."""
     total = cfg.n_sats
+    if total < 4:
+        raise InfeasibleError(f"coverage impossible: {total} satellites cannot cover the ground")
     demand = math.sqrt(3.0) * math.tan(math.pi / 6.0 * total / (total - 2))
     r = math.acos(1.0 / demand)
     phi = cfg.min_elevation_rad

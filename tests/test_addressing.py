@@ -22,7 +22,7 @@ from frosette.addressing import (
     to_colon_hex,
 )
 from frosette.constellation import format_address
-from frosette.errors import LayoutError, ParseError, RangeError
+from frosette.errors import ConfigError, LayoutError, ParseError, RangeError
 from frosette.geocell import CellId, capacity
 from conftest import make_config
 
@@ -161,6 +161,8 @@ def test_decode_rejects_bad_payload():
     with pytest.raises(RangeError):
         decode(bad, layout5)
     assert decode(good, layout8).digits == (7, 7)
+    with pytest.raises(ConfigError, match="layout does not match config"):
+        decode(good, layout8, cfg5)
 
 
 def test_colon_hex_forms():

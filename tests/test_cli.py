@@ -11,6 +11,7 @@ import io
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 import time
@@ -149,6 +150,16 @@ def _stream_topology_per_item(topo, fh) -> None:
     fh.write("]}\n")
 
 
+def _assert_same_text(got: str, want: str) -> None:
+    """got == want, reporting the lengths and 80 characters around the first
+    difference: pytest's own diff of two megabyte lines takes minutes."""
+    if got != want:
+        at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+        window = slice(max(0, at - 40), at + 40)
+        pytest.fail(f"lengths {len(got)} and {len(want)} first differ at {at}: "
+                    f"{got[window]!r} != {want[window]!r}")
+
+
 @pytest.mark.parametrize("n,k", [(5, 0), (4, 1), (6, 2), (9, 3), (12, 2), (16, 1)])
 def test_stream_topology_matches_per_item_writer(n, k):
     # (9, 3) has 26,244 edges: several 8k chunks and a partial last one;
@@ -157,14 +168,14 @@ def test_stream_topology_matches_per_item_writer(n, k):
     got, want = io.StringIO(), io.StringIO()
     _stream_topology(topo, got)
     _stream_topology_per_item(topo, want)
-    assert got.getvalue() == want.getvalue()
+    _assert_same_text(got.getvalue(), want.getvalue())
     # the document as the per-item topology_to_dict built it, from the Topology itself
     reference = {
         "config": config_to_dict(topo.config),
         "nodes": [format_address(a) for a in topo.nodes],
         "edges": [[format_address(a), format_address(b), layer] for a, b, layer in topo.edges],
     }
-    assert json.loads(got.getvalue()) == topology_to_dict(topo) == reference
+    _assert_same_text(json.dumps(topology_to_dict(topo)), json.dumps(reference))
 
 
 def test_generate_output_at_n16_k3_keeps_its_bytes(tmp_path, capsys):
@@ -189,6 +200,18 @@ def test_generate_rejects_mistyped_config_fields(tmp_path, capsys, field, value)
         "error": "ConfigError",
         "detail": f"{field} must be a JSON {'integer' if field == 'n' else 'number'}, "
         f"got {value!r}",
+    }
+
+
+def test_generate_rejects_an_elevation_of_90_degrees(tmp_path, capsys):
+    path, out = tmp_path / "config.json", tmp_path / "topology.json"
+    path.write_text(json.dumps(dict(ROUTING_CONFIG, min_elevation_deg=90.0)), encoding="utf-8")
+    assert main(["generate", "--config", str(path), "--output", str(out)]) == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert json.loads(captured.err) == {
+        "error": "ConfigError",
+        "detail": f"min_elevation_rad must be in [0, pi/2), got {math.pi / 2}",
     }
 
 
@@ -746,6 +769,20 @@ def test_python_dash_m_runs_the_cli():
     )
     assert proc.returncode == EXIT_OK, proc.stderr
     assert proc.stdout.strip().splitlines()[-1].endswith("checks passed")
+
+
+@pytest.mark.parametrize("module", ["frosette", "frosette.cli"])
+def test_main_modules_run_the_cli_in_process(module, monkeypatch, capsys):
+    # python -m frosette, and python -m frosette.cli, which runs the module
+    # afresh as __main__ (runpy warns if it is already imported)
+    if module == "frosette.cli":
+        monkeypatch.delitem(sys.modules, module)
+    monkeypatch.setattr(sys, "argv", [module, "size", "--rtt-ms", "8.41",
+                                      "--elevation-deg", "25", "--base-n", "8"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module(module, run_name="__main__")
+    assert exc.value.code == EXIT_OK
+    assert _json_out(capsys)["k"] == 1
 
 
 # --- parser surface ----------------------------------------------------------------

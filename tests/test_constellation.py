@@ -183,6 +183,12 @@ def test_config_validation():
         make_config(8, 1, -1)
     with pytest.raises(ConfigError):
         make_config(8, 1, 0, incl_deg=0.0)
+    with pytest.raises(ConfigError, match="min_elevation_rad must be in"):
+        make_config(8, 1, 0, elev_deg=90.0)
+    doc = config_to_dict(make_config(8, 1, 0))
+    del doc["n"]
+    with pytest.raises(ConfigError, match="missing config field: n"):
+        config_from_dict(doc)
     for altitude_km in (math.nan, math.inf, -math.inf, 0.0):
         with pytest.raises(ConfigError):
             make_config(8, 1, 0, altitude_km=altitude_km)
@@ -275,6 +281,18 @@ def test_min_altitude_coverage_elevation_monotone():
         min_altitude_coverage(make_config(8, 1, 1, elev_deg=e)) for e in (0, 10, 25, 40)
     ]
     assert hs == sorted(hs)
+
+
+@pytest.mark.parametrize("n,elev_deg,reason", [
+    (3, 0.0, "3 satellites cannot cover"),  # tan(pi/2) is finite in floats: 1.04e20 km
+    (3, 10.0, "3 satellites cannot cover"),
+    (4, 25.0, "too steep"),
+])
+def test_min_altitude_coverage_rejects_rings_too_small(n, elev_deg, reason):
+    cfg = make_config(n, 1, 0, elev_deg=elev_deg)
+    for floor in (min_altitude_coverage, min_altitude_stability):
+        with pytest.raises(InfeasibleError, match=reason):
+            floor(cfg)
 
 
 def test_stability_report_dominates_random_probes():

@@ -64,6 +64,8 @@ def test_cell_count_formula(n, m, k, want):
 def test_iter_cells_enumerates_formula():
     assert sum(1 for _ in iter_cells(CELLS_CFG)) == 256
     assert sum(1 for _ in iter_cells(CELLS_CFG, level=0)) == 4
+    with pytest.raises(RangeError):
+        next(iter_cells(CELLS_CFG, level=CELLS_CFG.k + 1))
     ids = list(iter_cells(CELLS_CFG))
     assert len(set(ids)) == len(ids)
     for cell in ids[:32]:
@@ -126,7 +128,9 @@ def test_forward_inverse_coordinate_round_trip(gamma, alpha):
 
 def test_inverse_branches_are_ascending_and_descending():
     p = LatLon(math.radians(20.0), math.radians(55.0))
-    asc, desc = latlon_to_geocoord(p, CELLS_CFG)
+    sols = latlon_to_geocoord(p, CELLS_CFG)
+    asc, desc = sols
+    assert (sols[0], sols[1]) == (asc, desc)
     assert math.cos(asc.gamma_rad) > 0  # ascending: gamma in (-pi/2, pi/2)
     assert math.cos(desc.gamma_rad) < 0  # descending: gamma in (pi/2, 3pi/2)
 

@@ -17,6 +17,7 @@ from frosette.geom import (
     LatLon,
     OrbitalElements,
     central_angles,
+    closed_form_range,
     coverage_range,
     great_circle_range,
     link_length_delay,
@@ -207,6 +208,8 @@ def test_link_closed_form_symmetry_and_errors():
         link_range_closed_form(2, 2, 0.0, cfg)
     with pytest.raises(DomainError):
         link_range_closed_form(0, 8, 0.0, cfg)
+    with pytest.raises(DomainError, match="closed form out of range"):
+        closed_form_range(make_config(8, 3, 0), 1, 2.0)  # a time coupling is a cosine, at most 1
     for t in (math.nan, math.inf, 1e308):  # 2*pi*t/T overflows at 1e308
         with pytest.raises(RangeError):
             link_range_closed_form(1, 4, t, cfg)

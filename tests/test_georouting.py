@@ -12,11 +12,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from frosette import georouting
 from frosette.config import TWO_PI
 from frosette.constellation import (
     OrbitState, address_to_elements, build, ring_neighbor, validate_address,
 )
-from frosette.errors import ConfigError, RangeError
+from frosette.errors import ConfigError, DomainError, RangeError
 from frosette.geocell import (
     GeoCoord,
     build_alpha0_tables,
@@ -93,6 +94,17 @@ def test_hop_motions_expected_values(cfg_geo):
     for layer, motion in enumerate(motions[1:], start=1):
         assert motion.delta_alpha_rad == pytest.approx(0.0, abs=1e-12)
         assert motion.delta_gamma_rad == pytest.approx(TWO_PI / cfg_geo.n**layer, abs=1e-12)
+
+
+def test_hop_motions_raise_when_a_layer_drifts(cfg_geo, monkeypatch):
+    # the layer-1 neighbour of the origin gains alpha over time
+    def drifting(addr, t, cfg):
+        coord = serving_coord(addr, t, cfg)
+        return replace(coord, alpha_rad=coord.alpha_rad + 1e-3 * t / cfg.period_s) if addr[1] else coord
+
+    monkeypatch.setattr(georouting, "serving_coord", drifting)
+    with pytest.raises(DomainError, match="hop motion on layer 1 drifts"):
+        measure_hop_motions(cfg_geo)
 
 
 def test_coverage_check(cfg_geo):

@@ -106,6 +106,18 @@ def test_shortest_path_matches_bfs(n, m, k):
         assert diameter == (k + 1) * n // 2
 
 
+@pytest.mark.parametrize("n", range(3, 10))
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_hop_bound_is_the_diameter(n, k):
+    # the torus is vertex-transitive, so the farthest node from the origin
+    # sets the all-pairs diameter; odd N gives floor(N/2) hops per ring
+    topo = build(make_config(n, 1, k))
+    origin = topo.nodes[0]
+    dist = _bfs_all(topo)(origin)
+    routed = max(len(shortest_path(origin, dst, topo)) - 1 for dst in topo.nodes)
+    assert hop_bound(topo.config) == routed == max(dist.values())
+
+
 def test_paper_scale_ring_table_bfs():
     # N=16, k=3: 65,536 satellites. The torus C_N^(k+1) is vertex-transitive,
     # so the distances from one source cover every pair.
