@@ -21,6 +21,16 @@ class PhysicalConstants:
     light_speed_km_s: float = 299792.458
     atmosphere_margin_km: float = 0.0
 
+    def __post_init__(self) -> None:
+        for key, val in vars(self).items():
+            # a zero margin is the default, and config_to_dict writes it back
+            if key == "atmosphere_margin_km":
+                ok, rule = val >= 0.0, "non-negative"
+            else:
+                ok, rule = val > 0.0, "positive"
+            if not (ok and math.isfinite(val)):
+                raise ConfigError(f"constant {key} must be finite and {rule}, got {val}")
+
 
 DEFAULT_CONSTANTS = PhysicalConstants()
 
@@ -109,20 +119,10 @@ def config_from_dict(doc: dict) -> ConstellationConfig:
         raise ConfigError(f"missing config field: {exc.args[0]}") from None
     except (AttributeError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad config value: {exc}") from None
-    consts = DEFAULT_CONSTANTS
-    if overrides:
-        bad = set(overrides) - set(PhysicalConstants.__dataclass_fields__)
-        if bad:
-            raise ConfigError(f"unknown constants override(s): {sorted(bad)}")
-        for key, val in overrides.items():
-            # a zero margin is the default, and config_to_dict writes it back
-            if key == "atmosphere_margin_km":
-                ok, rule = val >= 0.0, "non-negative"
-            else:
-                ok, rule = val > 0.0, "positive"
-            if not (ok and math.isfinite(val)):
-                raise ConfigError(f"constant {key} must be finite and {rule}, got {val}")
-        consts = replace(consts, **overrides)
+    bad = set(overrides) - set(PhysicalConstants.__dataclass_fields__)
+    if bad:
+        raise ConfigError(f"unknown constants override(s): {sorted(bad)}")
+    consts = replace(DEFAULT_CONSTANTS, **overrides) if overrides else DEFAULT_CONSTANTS
     return ConstellationConfig(
         n=n,
         m=m,

@@ -33,7 +33,7 @@ import numpy as np
 from .config import TWO_PI, ConstellationConfig
 from .constellation import MAX_SATELLITES, check_size
 from .errors import ConfigError, DomainError, ParseError, RangeError
-from .geom import LatLon, check_latlon, wrap_angle, wrap_lon
+from .geom import LatLon, wrap_angle, wrap_lon
 
 FRA0_MAGIC = b"FRA0"
 FRA0_VERSION = 1
@@ -43,10 +43,14 @@ _FRA0_HEADER = struct.Struct("<4sHHHHId")
 
 @dataclass(frozen=True)
 class GeoCoord:
-    """Ground coordinate (alpha, gamma), both in [0, 2*pi)."""
+    """Ground coordinate (alpha, gamma), both in [0, 2*pi); RangeError unless finite."""
 
     alpha_rad: float
     gamma_rad: float
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.alpha_rad) and math.isfinite(self.gamma_rad)):
+            raise RangeError(f"coordinates must be finite, got {self}")
 
 
 @dataclass(frozen=True)
@@ -446,7 +450,6 @@ def locate_point(
     The tables argument is accepted for call-site symmetry but the quantizer
     needs only the lattice arithmetic.
     """
-    check_latlon(p)
     _require_lattice(cfg.rho, cfg.inclination_rad)
     rho, n, k, span = cfg.rho, cfg.n, cfg.k, _span(cfg)
     gamma, alpha, _ = _ascending_branch(p, cfg)
@@ -459,11 +462,9 @@ def locate_point(
     b_idx = _snap_floor(w, h)
 
     d0_max = (rho - 1) // 2
-    half = rho // 2
     div = span
     a_prev, b_prev = a_idx // div, b_idx // div
-    d0 = (b_prev - a_prev + half) % rho - half
-    digits = [(d0_max - d0, a_prev)]
+    digits = [(d0_max - _row_representative(b_prev - a_prev, 0, n, rho), a_prev)]
     for _lvl in range(1, k + 1):
         div //= n
         a_cur, b_cur = a_idx // div, b_idx // div

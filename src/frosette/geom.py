@@ -31,8 +31,16 @@ class OrbitalElements:
 
 @dataclass(frozen=True)
 class LatLon:
+    """A ground point; RangeError unless finite with |latitude| <= 90 deg (longitudes wrap)."""
+
     lat_rad: float
     lon_rad: float
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.lat_rad) and math.isfinite(self.lon_rad)):
+            raise RangeError(f"coordinates must be finite, got {self}")
+        if abs(self.lat_rad) > math.pi / 2:
+            raise RangeError(f"latitude {math.degrees(self.lat_rad)} deg is outside [-90, 90]")
 
     def unit_vector(self) -> np.ndarray:
         cl = math.cos(self.lat_rad)
@@ -50,18 +58,10 @@ def wrap_lon(lon: float) -> float:
     return wrap_angle(lon + math.pi) - math.pi
 
 
-def check_times(cfg: ConstellationConfig, *times: float) -> None:
-    """RangeError unless each time's orbital phase 2*pi*t/T, and so the time, is finite."""
-    if not all(math.isfinite(TWO_PI * t / cfg.period_s) for t in times):
+def check_times(orbit: ConstellationConfig | OrbitalElements, *times: float) -> None:
+    """RangeError unless each time's orbital phase 2*pi*t/T is finite, T = orbit.period_s."""
+    if not all(math.isfinite(TWO_PI * t / orbit.period_s) for t in times):
         raise RangeError(f"times must have a finite orbital phase 2*pi*t/T, got {times}")
-
-
-def check_latlon(p: LatLon) -> None:
-    """RangeError unless p is finite with |latitude| <= 90 deg (longitudes wrap)."""
-    if not (math.isfinite(p.lat_rad) and math.isfinite(p.lon_rad)):
-        raise RangeError(f"coordinates must be finite, got {p}")
-    if abs(p.lat_rad) > math.pi / 2:
-        raise RangeError(f"latitude {math.degrees(p.lat_rad)} deg is outside [-90, 90]")
 
 
 def wrap_angle(a: float) -> float:
@@ -81,6 +81,7 @@ def sat_position_eci(elements: OrbitalElements, t: float) -> np.ndarray:
     orbit plane tilted by the inclination. The scalar, first-principles
     reference for :func:`orbit_positions`, with the same angle-sum rotation.
     """
+    check_times(elements, t)
     w = TWO_PI * t / elements.period_s
     cp, sp = math.cos(elements.phase0_rad), math.sin(elements.phase0_rad)
     cw, sw = math.cos(w), math.sin(w)
@@ -210,8 +211,8 @@ def coverage_range(
     H near infinity, and the nearest floats inside keep ``min_satellites``'
     answers there (infeasible, and the floor of 4).
     """
-    if altitude_km <= 0:
-        raise InfeasibleError("coverage_range requires a positive altitude")
+    if not 0 < altitude_km < math.inf:
+        raise InfeasibleError(f"coverage_range requires a finite altitude > 0, got {altitude_km}")
     if not (0.0 <= elev < math.pi / 2):
         raise DomainError("elevation must be in [0, pi/2)")
     ratio = consts.earth_radius_km / (consts.earth_radius_km + altitude_km)

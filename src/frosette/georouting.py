@@ -26,8 +26,7 @@ from .constellation import (
 )
 from .errors import ConfigError, DomainError
 from .geocell import Alpha0Table, CellId, GeoCoord, cell_center, geocoord_to_latlon
-from .geom import LatLon, central_angles, check_latlon, check_times, coverage_range
-from .geom import ground_unit, wrap_angle
+from .geom import LatLon, central_angles, check_times, coverage_range, ground_unit, wrap_angle
 
 MOTION_CONSTANCY_TOL_RAD = 1e-9
 MOTION_SAMPLE_TIMES = 16
@@ -107,7 +106,6 @@ def _ranges(sats: list[SatAddress], ground, t: float, cfg: ConstellationConfig):
 def coverage_check(sat: SatAddress, target: LatLon, t: float, cfg: ConstellationConfig) -> bool:
     """True when the satellite's footprint (at its min elevation) reaches target."""
     validate_address(sat, cfg)
-    check_latlon(target)
     check_times(cfg, t)
     radius = coverage_range(cfg.altitude_km, cfg.min_elevation_rad, cfg.consts)
     return bool(_ranges([sat], ground_unit(target, t, cfg), t, cfg)[0] <= radius)

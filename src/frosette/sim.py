@@ -30,7 +30,7 @@ from .constellation import (
     validate_address,
 )
 from .errors import ConfigError, DomainError, ParseError, RangeError
-from .geom import LatLon, central_angles, check_latlon, check_times, coverage_range
+from .geom import LatLon, central_angles, check_times, coverage_range
 from .geom import ground_unit, link_length_delay, slant_range_km
 from .routing import shortest_path
 
@@ -45,6 +45,7 @@ class Scenario:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        check_times(self.config, self.start_s, self.end_s, self.step_s)
         if self.step_s <= 0:
             raise ConfigError(f"step_s must be positive, got {self.step_s}")
         if self.end_s < self.start_s:
@@ -95,6 +96,14 @@ def _number(doc: dict, key: str, kind: type = float):
     return _json_number(key, doc[key], kind, ParseError)
 
 
+def _endpoint(name: str, ep: dict) -> LatLon:
+    """The LatLon of an endpoint given in degrees; out of range, a ParseError naming it."""
+    try:
+        return LatLon(math.radians(_number(ep, "lat_deg")), math.radians(_number(ep, "lon_deg")))
+    except RangeError as exc:
+        raise ParseError(f"endpoint {name!r}: {exc}") from None
+
+
 def scenario_from_dict(data: dict) -> Scenario:
     """Scenario from a JSON-style document; malformed or non-finite values (the seed
     a JSON integer, the rest JSON numbers, each window time with a finite orbital
@@ -103,10 +112,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         cfg = config_from_dict(data["config"])
         window = data["window"]
         start_s, end_s, step_s = [_number(window, k) for k in ("start_s", "end_s", "step_s")]
-        endpoints = {
-            name: LatLon(math.radians(_number(ep, "lat_deg")), math.radians(_number(ep, "lon_deg")))
-            for name, ep in data["endpoints"].items()
-        }
+        endpoints = {name: _endpoint(name, ep) for name, ep in data["endpoints"].items()}
         experiments = tuple((e["src"], e["dst"]) for e in data["experiments"])
         seed = _number(data, "seed", int) if "seed" in data else 0
         seed = int(os.environ.get("FROSETTE_SEED", seed))  # the environment overrides it
@@ -115,23 +121,17 @@ def scenario_from_dict(data: dict) -> Scenario:
     except (AttributeError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad scenario value: {exc}") from None
     try:
-        check_times(cfg, start_s, end_s, step_s)
-    except RangeError as exc:
+        return Scenario(
+            config=cfg,
+            start_s=start_s,
+            end_s=end_s,
+            step_s=step_s,
+            endpoints=endpoints,
+            experiments=experiments,
+            seed=seed,
+        )
+    except RangeError as exc:  # the only RangeError a Scenario raises is check_times'
         raise ParseError(f"window: {exc}") from None
-    for name, p in endpoints.items():
-        try:
-            check_latlon(p)
-        except RangeError as exc:
-            raise ParseError(f"endpoint {name!r}: {exc}") from None
-    return Scenario(
-        config=cfg,
-        start_s=start_s,
-        end_s=end_s,
-        step_s=step_s,
-        endpoints=endpoints,
-        experiments=experiments,
-        seed=seed,
-    )
 
 
 def load_scenario(path: str) -> Scenario:
@@ -247,7 +247,6 @@ def _ids(addrs: list[SatAddress], cfg: ConstellationConfig) -> list[int]:
 def associate(p: LatLon, t: float, topo: Topology) -> SatAddress:
     """Physically nearest satellite; ties break to the smallest address."""
     cfg = topo.config
-    check_latlon(p)
     check_times(cfg, t)
     dots = orbit_state(cfg).unit_positions(t) @ ground_unit(p, t, cfg)
     return topo.nodes[int(np.argmax(dots))]

@@ -530,6 +530,17 @@ def test_size_at_a_vanishing_rtt_is_infeasible(elevation_deg, capsys):
     assert json.loads(out.err)["error"] == "InfeasibleError"
 
 
+def test_size_whose_altitude_overflows_is_infeasible(capsys):
+    # a finite RTT whose altitude c*rtt/2 rounds to infinity has no footprint
+    rc = main(["size", "--rtt-ms", "1e308", "--elevation-deg", "25", "--base-n", "8"])
+    assert rc == EXIT_DOMAIN
+    out = capsys.readouterr()
+    assert out.out == ""
+    err = json.loads(out.err)
+    assert err["error"] == "InfeasibleError"
+    assert "finite altitude" in err["detail"]
+
+
 @pytest.mark.parametrize("rtt_ms", ["nan", "inf"])
 def test_size_rejects_non_finite_rtt(rtt_ms, capsys):
     rc = main(["size", "--rtt-ms", rtt_ms, "--elevation-deg", "25", "--base-n", "8"])

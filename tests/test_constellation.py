@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from frosette import constellation
-from frosette.config import TWO_PI, config_from_dict, config_to_dict
+from frosette.config import (
+    DEFAULT_CONSTANTS, TWO_PI, PhysicalConstants, config_from_dict, config_to_dict,
+)
 from frosette.constellation import (
     MAX_SATELLITES,
     OrbitState,
@@ -202,6 +204,7 @@ def test_config_validation():
         {"earth_radius_km": math.nan},
         {"sidereal_day_s": math.inf},
         {"light_speed_km_s": 0.0},
+        {"light_speed_km_s": -1.0},
         {"earth_radius_km": -6371.0},
         {"atmosphere_margin_km": -1.0},
         {"atmosphere_margin_km": math.nan},
@@ -213,6 +216,11 @@ def test_config_rejects_bad_constants(constants):
     doc = dict(config_to_dict(make_config(8, 6, 1)), constants=constants)
     with pytest.raises(ConfigError):
         config_from_dict(doc)
+    # numbers out of range are rejected however the constants are built
+    known = isinstance(constants, dict) and set(constants) <= set(vars(DEFAULT_CONSTANTS))
+    if known and all(isinstance(v, float) for v in constants.values()):
+        with pytest.raises(ConfigError, match="must be finite and"):
+            PhysicalConstants(**constants)
 
 
 @pytest.mark.parametrize(

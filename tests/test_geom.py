@@ -255,6 +255,9 @@ def test_coverage_range_monotone_and_errors():
     assert rs == sorted(rs)
     with pytest.raises(InfeasibleError):
         coverage_range(0.0, 0.0, C)
+    for altitude_km in (math.nan, math.inf):
+        with pytest.raises(InfeasibleError, match="finite altitude"):
+            coverage_range(altitude_km, 0.0, C)
     with pytest.raises(DomainError):
         coverage_range(500.0, math.pi / 2, C)
 

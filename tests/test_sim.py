@@ -26,7 +26,7 @@ from frosette.geom import (
     slant_range_km,
     subpoint,
 )
-from frosette.geocell import locate_point
+from frosette.geocell import GeoCoord, geocoord_to_latlon, locate_point
 from frosette.georouting import coverage_check, serving_coord
 from frosette.routing import shortest_path
 from frosette.sim import (
@@ -184,17 +184,31 @@ def test_non_finite_inputs_raise(topo_8_1, bad, monkeypatch):
         coverage_check((0, 0), LatLon(0.0, 0.0), bad, topo_8_1.config)
     with pytest.raises(RangeError):
         serving_coord((0, 0), bad, topo_8_1.config)
+    with pytest.raises(RangeError):
+        LatLon(0.3, bad)
+    with pytest.raises(RangeError):
+        geocoord_to_latlon(GeoCoord(bad, 0.0), topo_8_1.config)
+    with pytest.raises(RangeError):
+        subpoint(address_to_elements((0, 0), topo_8_1.config), bad, topo_8_1.config.consts)
 
 
 @pytest.mark.parametrize("lat_deg", [95.0, -90.5, -200.0])
 def test_latitudes_beyond_90_raise(topo_8_1, cfg_cells, lat_deg):
-    p = LatLon(math.radians(lat_deg), 0.1)
+    lat = math.radians(lat_deg)  # a LatLon checks itself when made
     with pytest.raises(RangeError, match="latitude"):
-        associate(p, 0.0, topo_8_1)
+        associate(LatLon(lat, 0.1), 0.0, topo_8_1)
     with pytest.raises(RangeError, match="latitude"):
-        coverage_check((0, 0), p, 0.0, topo_8_1.config)
+        coverage_check((0, 0), LatLon(lat, 0.1), 0.0, topo_8_1.config)
     with pytest.raises(RangeError, match="latitude"):
-        locate_point(p, cfg_cells)
+        locate_point(LatLon(lat, 0.1), cfg_cells)
+
+
+def test_scenario_built_in_python_checks_its_window_and_endpoints(cfg_8_1):
+    endpoints = {"a": LatLon(0.7, 2.0), "b": LatLon(0.7, -1.3)}
+    with pytest.raises(RangeError, match="finite orbital phase"):
+        Scenario(cfg_8_1, 0.0, math.nan, 30.0, endpoints, (("a", "b"),))
+    with pytest.raises(RangeError, match="finite"):
+        Scenario(cfg_8_1, 0.0, 60.0, 30.0, dict(endpoints, a=LatLon(math.nan, 2.0)), (("a", "b"),))
 
 
 # --- delay oracle ---------------------------------------------------------------------
