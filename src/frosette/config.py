@@ -14,6 +14,15 @@ from .errors import ConfigError, ParseError
 TWO_PI = 2.0 * math.pi
 
 
+def _json_number(key: str, val, kind: type = float, error: type = ConfigError):
+    """val as kind, else an ``error``. An int field takes a JSON integer only
+    (8.0 is not one), a float field any JSON number; a bool or a string is neither."""
+    if isinstance(val, bool) or not isinstance(val, int if kind is int else (int, float)):
+        what = "integer" if kind is int else "number"
+        raise error(f"{key} must be a JSON {what}, got {val!r}")
+    return kind(val)
+
+
 @dataclass(frozen=True)
 class PhysicalConstants:
     earth_radius_km: float = 6371.0
@@ -23,6 +32,7 @@ class PhysicalConstants:
 
     def __post_init__(self) -> None:
         for key, val in vars(self).items():
+            _json_number(f"constant {key}", val)  # the type rule config_from_dict applies
             # a zero margin is the default, and config_to_dict writes it back
             if key == "atmosphere_margin_km":
                 ok, rule = val >= 0.0, "non-negative"
@@ -55,17 +65,11 @@ class ConstellationConfig:
         if self.k < 0:
             raise ConfigError(f"k must be >= 0, got {self.k}")
         if not (0 < self.altitude_km < math.inf):
-            raise ConfigError(
-                f"altitude_km must be positive and finite, got {self.altitude_km}"
-            )
+            raise ConfigError(f"altitude_km must be positive and finite, got {self.altitude_km}")
         if not (0.0 < self.inclination_rad < math.pi):
-            raise ConfigError(
-                f"inclination_rad must be in (0, pi), got {self.inclination_rad}"
-            )
+            raise ConfigError(f"inclination_rad must be in (0, pi), got {self.inclination_rad}")
         if not (0.0 <= self.min_elevation_rad < math.pi / 2):
-            raise ConfigError(
-                f"min_elevation_rad must be in [0, pi/2), got {self.min_elevation_rad}"
-            )
+            raise ConfigError(f"min_elevation_rad must be in [0, pi/2), got {self.min_elevation_rad}")
         for name in ("period_s", "omega_earth_rad_s", "orbit_radius_km"):
             try:
                 value = getattr(self, name)
@@ -95,15 +99,6 @@ class ConstellationConfig:
     @property
     def orbit_radius_km(self) -> float:
         return self.consts.earth_radius_km + self.altitude_km
-
-
-def _json_number(key: str, val, kind: type = float, error: type = ConfigError):
-    """val as kind, else an ``error``. An int field takes a JSON integer only
-    (8.0 is not one), a float field any JSON number; a bool or a string is neither."""
-    if isinstance(val, bool) or not isinstance(val, int if kind is int else (int, float)):
-        what = "integer" if kind is int else "number"
-        raise error(f"{key} must be a JSON {what}, got {val!r}")
-    return kind(val)
 
 
 def config_from_dict(doc: dict) -> ConstellationConfig:

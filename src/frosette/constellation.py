@@ -259,7 +259,7 @@ def _stream_topology(topo: Topology, fh) -> None:
     one line. Each level appends a digit and "." (the last a closing quote)
     to every name, giving an object array of quoted names by id; digits and
     dots need no JSON escaping. Each 2,048-satellite chunk of edges is one
-    ``[a, b, L]`` string column per layer, built by object-array concatenation.
+    join over a (rows, k+1, 3) object array of pieces ``"[a, "``, b, ``", L], "``.
     """
     cfg = topo.config
     name = ['"']
@@ -271,12 +271,15 @@ def _stream_topology(topo: Topology, fh) -> None:
     fh.write('{"config": ')
     json.dump(config_to_dict(cfg), fh)
     fh.write(', "nodes": [' + ", ".join(name.tolist()) + '], "edges": [')
+    pieces = np.empty((min(_ROW_CHUNK, len(up)), cfg.k + 1, 3), dtype=object)
+    pieces[:, :, 2] = [f", {layer}], " for layer in range(cfg.k + 1)]
     for start in range(0, len(up), _ROW_CHUNK):
         rows = slice(start, start + _ROW_CHUNK)
-        head = "[" + name[rows] + ", "
-        cols = [head + name[j] + f", {layer}]" for layer, j in enumerate(up[rows].T)]
+        chunk = pieces[: len(up[rows])]
+        chunk[:, :, 0] = ("[" + name[rows] + ", ")[:, None]
+        chunk[:, :, 1] = name[up[rows]]
         fh.write(", " if start else "")
-        fh.write(", ".join(np.column_stack(cols).ravel().tolist()))
+        fh.write("".join(chunk.ravel().tolist())[:-2])
     fh.write("]}\n")
 
 

@@ -43,14 +43,12 @@ class LatLon:
             raise RangeError(f"latitude {math.degrees(self.lat_rad)} deg is outside [-90, 90]")
 
     def unit_vector(self) -> np.ndarray:
-        cl = math.cos(self.lat_rad)
-        return np.array(
-            [
-                cl * math.cos(self.lon_rad),
-                cl * math.sin(self.lon_rad),
-                math.sin(self.lat_rad),
-            ]
-        )
+        return _unit_vector(self.lat_rad, self.lon_rad)
+
+
+def _unit_vector(lat: float, lon: float) -> np.ndarray:
+    cl = math.cos(lat)
+    return np.array([cl * math.cos(lon), cl * math.sin(lon), math.sin(lat)])
 
 
 def wrap_lon(lon: float) -> float:
@@ -111,8 +109,8 @@ def orbit_positions(cos_phase, sin_phase, cos_raan, sin_raan, inclination_rad, w
 
 
 def ground_unit(p: LatLon, t: float, cfg: ConstellationConfig) -> np.ndarray:
-    """Inertial unit vector of a ground point at time t (the earth turns east)."""
-    return LatLon(p.lat_rad, p.lon_rad + cfg.omega_earth_rad_s * t).unit_vector()
+    """Inertial unit vector of a checked ground point at a checked time t (the earth turns east)."""
+    return _unit_vector(p.lat_rad, p.lon_rad + cfg.omega_earth_rad_s * t)
 
 
 def subpoint(elements: OrbitalElements, t: float, consts: PhysicalConstants) -> LatLon:

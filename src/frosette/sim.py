@@ -45,17 +45,22 @@ class Scenario:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        check_times(self.config, self.start_s, self.end_s, self.step_s)
-        if self.step_s <= 0:
-            raise ConfigError(f"step_s must be positive, got {self.step_s}")
-        if self.end_s < self.start_s:
-            raise ConfigError("window is empty: end_s < start_s")
+        _check_window(self.config, self.start_s, self.end_s, self.step_s)
         if not self.experiments:
             raise ConfigError("scenario has no experiments")
         for src, dst in self.experiments:
             for name in (src, dst):
                 if name not in self.endpoints:
                     raise ConfigError(f"experiment endpoint {name!r} is not defined")
+
+
+def _check_window(cfg: ConstellationConfig, start: float, end: float, step: float) -> None:
+    """The one rule for a sampling window: finite phases, step > 0, end >= start."""
+    check_times(cfg, start, end, step)
+    if step <= 0:
+        raise ConfigError(f"step_s must be positive, got {step}")
+    if end < start:
+        raise ConfigError("window is empty: end_s < start_s")
 
 
 @dataclass(frozen=True)
@@ -290,11 +295,8 @@ def link_delay_trace(
     a, b = ids = _ids(list(edge), cfg)
     if b not in ring_table(cfg)[0][a]:
         raise RangeError(f"{edge[0]} -- {edge[1]} is not a topology edge")
-    start, end, step = window
-    check_times(cfg, start, end, step)
-    if step <= 0 or end < start:
-        raise ConfigError("window must be non-empty with positive step")
-    times = _step_times(start, end, step)
+    _check_window(cfg, *window)
+    times = _step_times(*window)
     pos = orbit_state(cfg).unit_positions(np.array(times)[:, None], ids)
     return list(zip(times, _link_delays(pos[:, 0], pos[:, 1], cfg).tolist()))
 

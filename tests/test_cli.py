@@ -160,10 +160,11 @@ def _assert_same_text(got: str, want: str) -> None:
                     f"{got[window]!r} != {want[window]!r}")
 
 
-@pytest.mark.parametrize("n,k", [(5, 0), (4, 1), (6, 2), (9, 3), (12, 2), (16, 1)])
+@pytest.mark.parametrize("n,k", [(5, 0), (4, 1), (6, 2), (9, 3), (12, 2), (16, 1), (2048, 0)])
 def test_stream_topology_matches_per_item_writer(n, k):
     # (9, 3) has 26,244 edges: several 8k chunks and a partial last one;
-    # (12, 2) and (16, 1) mix one- and two-digit names
+    # (12, 2) and (16, 1) mix one- and two-digit names; (2048, 0) is exactly
+    # one full 2,048-row chunk of one layer, with names of one to four digits
     topo = build(make_config(n, 1, k))
     got, want = io.StringIO(), io.StringIO()
     _stream_topology(topo, got)

@@ -223,6 +223,15 @@ def test_config_rejects_bad_constants(constants):
             PhysicalConstants(**constants)
 
 
+@pytest.mark.parametrize("value", ["x", None, True, False])
+def test_constants_built_in_python_reject_values_that_are_not_numbers(value):
+    # the rule config_from_dict applies to a constants override, not a raw TypeError
+    with pytest.raises(ConfigError, match=f"constant earth_radius_km must be a JSON number, got {value!r}"):
+        PhysicalConstants(earth_radius_km=value)
+    with pytest.raises(ConfigError, match="must be a JSON number"):
+        config_from_dict(dict(config_to_dict(make_config(8, 6, 1)), constants={"earth_radius_km": value}))
+
+
 @pytest.mark.parametrize(
     "field,value",
     [("n", 8.5), ("n", 8.0), ("n", True), ("n", "8"), ("m", 6.9), ("k", 1.2), ("k", None),

@@ -211,6 +211,19 @@ def test_scenario_built_in_python_checks_its_window_and_endpoints(cfg_8_1):
         Scenario(cfg_8_1, 0.0, 60.0, 30.0, dict(endpoints, a=LatLon(math.nan, 2.0)), (("a", "b"),))
 
 
+@pytest.mark.parametrize(
+    "start,end,step,message",
+    [(0.0, 60.0, 0.0, "step_s must be positive"), (0.0, 60.0, -30.0, "step_s must be positive"),
+     (60.0, 0.0, 30.0, "window is empty")],
+)
+def test_bad_windows_raise_one_error_through_both_entry_points(topo_8_1, start, end, step, message):
+    endpoints = {"a": LatLon(0.7, 2.0), "b": LatLon(0.7, -1.3)}
+    with pytest.raises(ConfigError, match=message):
+        Scenario(topo_8_1.config, start, end, step, endpoints, (("a", "b"),))
+    with pytest.raises(ConfigError, match=message):
+        link_delay_trace(((0, 0), (0, 1)), (start, end, step), topo_8_1)
+
+
 # --- delay oracle ---------------------------------------------------------------------
 
 
