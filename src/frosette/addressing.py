@@ -145,7 +145,7 @@ class SatAddress128:
 
 
 def _check_width(name: str, value: int, bits: int) -> None:
-    if value < 0 or value >> bits:
+    if type(value) is not int or value < 0 or value >> bits:
         raise RangeError(f"{name} {value} does not fit in {bits} bits")
 
 

@@ -15,12 +15,20 @@ TWO_PI = 2.0 * math.pi
 
 
 def _json_number(key: str, val, kind: type = float, error: type = ConfigError):
-    """val as kind, else an ``error``. An int field takes a JSON integer only
-    (8.0 is not one), a float field any JSON number; a bool or a string is neither."""
+    """The one rule for a number at a boundary: val as kind, else an ``error``. An int field
+    takes an int only (8.0 is not one), a float field an int or a float that converts to a
+    finite float, which it returns; a bool or a string is neither."""
+    if type(val) is kind and (kind is int or val - val == 0.0):
+        return val  # a plain int, or a finite float
     if isinstance(val, bool) or not isinstance(val, int if kind is int else (int, float)):
-        what = "integer" if kind is int else "number"
-        raise error(f"{key} must be a JSON {what}, got {val!r}")
-    return kind(val)
+        raise error(f"{key} must be a JSON {'integer' if kind is int else 'number'}, got {val!r}")
+    try:
+        val = kind(val)
+    except OverflowError:  # an int beyond the float range
+        val = math.inf if val > 0 else -math.inf
+    if kind is float and not math.isfinite(val):
+        raise error(f"{key} is not finite: {val}")
+    return val
 
 
 @dataclass(frozen=True)
@@ -31,14 +39,15 @@ class PhysicalConstants:
     atmosphere_margin_km: float = 0.0
 
     def __post_init__(self) -> None:
-        for key, val in vars(self).items():
-            _json_number(f"constant {key}", val)  # the type rule config_from_dict applies
+        for key, given in list(vars(self).items()):
+            if (val := _json_number(f"constant {key}", given)) is not given:  # an int as its float
+                object.__setattr__(self, key, val)
             # a zero margin is the default, and config_to_dict writes it back
             if key == "atmosphere_margin_km":
                 ok, rule = val >= 0.0, "non-negative"
             else:
                 ok, rule = val > 0.0, "positive"
-            if not (ok and math.isfinite(val)):
+            if not ok:
                 raise ConfigError(f"constant {key} must be finite and {rule}, got {val}")
 
 
@@ -58,13 +67,17 @@ class ConstellationConfig:
     consts: PhysicalConstants = field(default=DEFAULT_CONSTANTS)
 
     def __post_init__(self):
+        for key in ("n", "m", "k", "altitude_km", "inclination_rad", "min_elevation_rad"):
+            kind = int if key in ("n", "m", "k") else float
+            if (val := _json_number(key, given := getattr(self, key), kind)) is not given:
+                object.__setattr__(self, key, val)  # an int as its float
         if self.n < 3:
             raise ConfigError(f"n must be >= 3, got {self.n}")
         if not (0 <= self.m <= self.n - 1):
             raise ConfigError(f"m must be in [0, n-1], got m={self.m} for n={self.n}")
         if self.k < 0:
             raise ConfigError(f"k must be >= 0, got {self.k}")
-        if not (0 < self.altitude_km < math.inf):
+        if not 0 < self.altitude_km:
             raise ConfigError(f"altitude_km must be positive and finite, got {self.altitude_km}")
         if not (0.0 < self.inclination_rad < math.pi):
             raise ConfigError(f"inclination_rad must be in (0, pi), got {self.inclination_rad}")
@@ -72,12 +85,11 @@ class ConstellationConfig:
             raise ConfigError(f"min_elevation_rad must be in [0, pi/2), got {self.min_elevation_rad}")
         for name in ("period_s", "omega_earth_rad_s", "orbit_radius_km"):
             try:
-                value = getattr(self, name)
+                value = _json_number(f"derived {name}", getattr(self, name))
             except OverflowError:  # an N - m beyond the float range
                 raise ConfigError(f"derived {name} overflows a float") from None
-            if not 0.0 < value < math.inf:  # a period can underflow to 0
-                what = "zero" if value == 0 else "not finite"
-                raise ConfigError(f"derived {name} is {what}: {value}")
+            if value == 0.0:  # a period can underflow to 0
+                raise ConfigError(f"derived {name} is zero: {value}")
 
     @property
     def rho(self) -> int:
@@ -104,20 +116,19 @@ class ConstellationConfig:
 def config_from_dict(doc: dict) -> ConstellationConfig:
     """Build a config from a JSON-style document (angles in degrees)."""
     try:
-        n, m, k = [_json_number(key, doc[key], int) for key in ("n", "m", "k")]
-        altitude_km = _json_number("altitude_km", doc["altitude_km"])
+        n, m, k, altitude_km = [doc[key] for key in ("n", "m", "k", "altitude_km")]
         inclination_deg = _json_number("inclination_deg", doc["inclination_deg"])
         min_elevation_deg = _json_number("min_elevation_deg", doc.get("min_elevation_deg", 0.0))
-        constants = doc.get("constants") or {}
-        overrides = {key: _json_number(f"constant {key}", val) for key, val in constants.items()}
+        overrides = dict((doc.get("constants") or {}).items())
     except KeyError as exc:
         raise ConfigError(f"missing config field: {exc.args[0]}") from None
-    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
+    except (AttributeError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad config value: {exc}") from None
     bad = set(overrides) - set(PhysicalConstants.__dataclass_fields__)
     if bad:
         raise ConfigError(f"unknown constants override(s): {sorted(bad)}")
     consts = replace(DEFAULT_CONSTANTS, **overrides) if overrides else DEFAULT_CONSTANTS
+    # the constructors check n, m, k, the altitude and the constants by the same rule
     return ConstellationConfig(
         n=n,
         m=m,

@@ -40,11 +40,11 @@ def sat_id(addr: SatAddress, n: int) -> int:
 
 
 def validate_address(addr: SatAddress, cfg: ConstellationConfig) -> None:
-    """RangeError unless addr has k+1 digits in [0, N); cfg may also be a BitLayout."""
+    """RangeError unless addr has k+1 int digits in [0, N); cfg may also be a BitLayout."""
     if len(addr) != cfg.k + 1:
         raise RangeError(f"address {addr} has {len(addr)} digits, expected {cfg.k + 1}")
     for digit in addr:
-        if not (0 <= digit < cfg.n):
+        if not (type(digit) is int and 0 <= digit < cfg.n):
             raise RangeError(f"digit {digit} out of range [0, {cfg.n}) in {addr}")
 
 

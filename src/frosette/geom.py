@@ -16,17 +16,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import TWO_PI, ConstellationConfig, PhysicalConstants
-from .errors import DomainError, InfeasibleError, RangeError
+from .config import TWO_PI, ConstellationConfig, PhysicalConstants, _json_number
+from .errors import ConfigError, DomainError, InfeasibleError, RangeError
 
 
 @dataclass(frozen=True)
 class OrbitalElements:
+    """One circular orbit; ConfigError unless its fields are finite, period and radius > 0."""
+
     raan_rad: float
     inclination_rad: float
     phase0_rad: float
     period_s: float
     orbit_radius_km: float
+
+    def __post_init__(self) -> None:
+        for key, val in vars(self).items():
+            val = _json_number(key, val)
+            if key in ("period_s", "orbit_radius_km") and not val > 0.0:
+                raise ConfigError(f"{key} must be positive, got {val}")
 
 
 @dataclass(frozen=True)
@@ -37,8 +45,8 @@ class LatLon:
     lon_rad: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.lat_rad) and math.isfinite(self.lon_rad)):
-            raise RangeError(f"coordinates must be finite, got {self}")
+        _json_number("lat_rad", self.lat_rad, error=RangeError)
+        _json_number("lon_rad", self.lon_rad, error=RangeError)
         if abs(self.lat_rad) > math.pi / 2:
             raise RangeError(f"latitude {math.degrees(self.lat_rad)} deg is outside [-90, 90]")
 
@@ -57,9 +65,10 @@ def wrap_lon(lon: float) -> float:
 
 
 def check_times(orbit: ConstellationConfig | OrbitalElements, *times: float) -> None:
-    """RangeError unless each time's orbital phase 2*pi*t/T is finite, T = orbit.period_s."""
-    if not all(math.isfinite(TWO_PI * t / orbit.period_s) for t in times):
-        raise RangeError(f"times must have a finite orbital phase 2*pi*t/T, got {times}")
+    """RangeError unless each time is a number whose orbital phase 2*pi*t/T is finite."""
+    for t in times:
+        _json_number("time", t, error=RangeError)
+        _json_number("orbital phase 2*pi*t/T", TWO_PI * t / orbit.period_s, error=RangeError)
 
 
 def wrap_angle(a: float) -> float:
@@ -178,7 +187,7 @@ def link_range_closed_form(i: int, j: int, t: float, cfg: ConstellationConfig) -
     if i == j:
         raise DomainError("closed-form range requires i != j")
     n, m = cfg.n, cfg.m
-    if not (0 <= i < n and 0 <= j < n):
+    if not (type(i) is int and type(j) is int and 0 <= i < n and 0 <= j < n):
         raise DomainError(f"satellite indices must be in [0, {n})")
     coupling = math.cos(2.0 * TWO_PI * t / cfg.period_s + 2.0 * m * (j + i) * (math.pi / n))
     return closed_form_range(cfg, j - i, coupling)
@@ -209,9 +218,9 @@ def coverage_range(
     H near infinity, and the nearest floats inside keep ``min_satellites``'
     answers there (infeasible, and the floor of 4).
     """
-    if not 0 < altitude_km < math.inf:
+    if not 0 < _json_number("altitude_km", altitude_km, error=InfeasibleError):
         raise InfeasibleError(f"coverage_range requires a finite altitude > 0, got {altitude_km}")
-    if not (0.0 <= elev < math.pi / 2):
+    if not (0.0 <= _json_number("elevation", elev, error=DomainError) < math.pi / 2):
         raise DomainError("elevation must be in [0, pi/2)")
     ratio = consts.earth_radius_km / (consts.earth_radius_km + altitude_km)
     r = math.acos(ratio * math.cos(elev)) - elev

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .config import DEFAULT_CONSTANTS, PhysicalConstants
+from .config import DEFAULT_CONSTANTS, PhysicalConstants, _json_number
 from .constellation import MAX_SATELLITES
 from .errors import ConfigError, DomainError
 from .geom import coverage_range, min_satellites
@@ -23,15 +23,15 @@ class SizeRequest:
     base_n: int
 
     def __post_init__(self) -> None:
-        if not (0 < self.rtt_target_s < math.inf):
+        if not 0 < _json_number("rtt_target_s", self.rtt_target_s):
             raise ConfigError(
                 f"rtt_target_s must be positive and finite, got {self.rtt_target_s}"
             )
-        if not (0 <= self.min_elevation_rad < math.pi / 2):
+        if not (0 <= _json_number("min_elevation_rad", self.min_elevation_rad) < math.pi / 2):
             raise ConfigError(
                 f"min_elevation_rad must be in [0, pi/2), got {self.min_elevation_rad}"
             )
-        if self.base_n < 3:
+        if _json_number("base_n", self.base_n, int) < 3:
             raise ConfigError(f"base_n must be >= 3, got {self.base_n}")
 
 

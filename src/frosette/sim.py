@@ -123,7 +123,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         seed = int(os.environ.get("FROSETTE_SEED", seed))  # the environment overrides it
     except KeyError as exc:
         raise ParseError(f"scenario is missing key {exc.args[0]!r}") from exc
-    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
+    except (AttributeError, TypeError, ValueError) as exc:
         raise ParseError(f"bad scenario value: {exc}") from None
     try:
         return Scenario(

@@ -232,12 +232,13 @@ def check_geocell_partition() -> tuple[bool, str]:
     if total != cell_count(cfg):
         return False, f"enumerated {total} != formula {cell_count(cfg)}"
     band = math.degrees(cfg.inclination_rad)
+    coarse = _demo(8, 6, 0, 45.0, 1200.0)
     checked = 0
     for lat10 in range(int(-band * 10), int(band * 10) + 1, 20):
         for lon in range(-180, 180, 2):
             p = LatLon(math.radians(lat10 / 10.0), math.radians(lon))
             deep = locate_point(p, cfg)
-            parent_direct = locate_point(p, _demo(8, 6, 0, 45.0, 1200.0))
+            parent_direct = locate_point(p, coarse)
             if deep.digits[0] != parent_direct.digits[0]:
                 return False, f"hierarchy broken at {p}"
             checked += 1

@@ -539,7 +539,7 @@ def test_size_whose_altitude_overflows_is_infeasible(capsys):
     assert out.out == ""
     err = json.loads(out.err)
     assert err["error"] == "InfeasibleError"
-    assert "finite altitude" in err["detail"]
+    assert err["detail"] == "altitude_km is not finite: inf"
 
 
 @pytest.mark.parametrize("rtt_ms", ["nan", "inf"])

@@ -18,6 +18,9 @@ from frosette.config import TWO_PI
 from frosette.constellation import address_to_elements
 from frosette.errors import ConfigError, ParseError, RangeError
 from frosette.geocell import (
+    _FRA0_HEADER,
+    FRA0_MAGIC,
+    FRA0_VERSION,
     Alpha0Table,
     CellId,
     GeoCoord,
@@ -395,11 +398,21 @@ def test_fra0_rejects_corruption(tmp_path, tables_cells):
 )
 def test_fra0_rejects_headers_and_values_no_config_writes(tmp_path, tables_cells, fields):
     values = fields.get("values", lambda v: v)(tables_cells.values)
-    table = dataclasses.replace(tables_cells, **{**fields, "values": values})
-    path = str(tmp_path / "tables.fra0")
-    save_tables(path, table)
-    with pytest.raises(ParseError):
-        load_tables(path)
+    # a table checks itself when made ...
+    with pytest.raises(ConfigError) as made:
+        dataclasses.replace(tables_cells, **{**fields, "values": values})
+    # ... and load_tables reports the same fault in the same bytes, written by hand
+    head = {key: getattr(tables_cells, key) for key in ("n", "m", "k", "inclination_rad")}
+    head.update((key, val) for key, val in fields.items() if key != "values")
+    path = tmp_path / "tables.fra0"
+    path.write_bytes(
+        _FRA0_HEADER.pack(FRA0_MAGIC, FRA0_VERSION, head["n"], head["m"], head["k"],
+                          len(values), head["inclination_rad"])
+        + np.asarray(values, dtype="<f8").tobytes()
+    )
+    with pytest.raises(ParseError) as loaded:
+        load_tables(str(path))
+    assert str(loaded.value) == str(made.value)
 
 
 # --- point location ----------------------------------------------------------------

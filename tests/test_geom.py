@@ -256,7 +256,7 @@ def test_coverage_range_monotone_and_errors():
     with pytest.raises(InfeasibleError):
         coverage_range(0.0, 0.0, C)
     for altitude_km in (math.nan, math.inf):
-        with pytest.raises(InfeasibleError, match="finite altitude"):
+        with pytest.raises(InfeasibleError, match="altitude_km is not finite"):
             coverage_range(altitude_km, 0.0, C)
     with pytest.raises(DomainError):
         coverage_range(500.0, math.pi / 2, C)

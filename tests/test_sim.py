@@ -205,8 +205,10 @@ def test_latitudes_beyond_90_raise(topo_8_1, cfg_cells, lat_deg):
 
 def test_scenario_built_in_python_checks_its_window_and_endpoints(cfg_8_1):
     endpoints = {"a": LatLon(0.7, 2.0), "b": LatLon(0.7, -1.3)}
-    with pytest.raises(RangeError, match="finite orbital phase"):
+    with pytest.raises(RangeError, match="time is not finite: nan"):
         Scenario(cfg_8_1, 0.0, math.nan, 30.0, endpoints, (("a", "b"),))
+    with pytest.raises(RangeError, match="orbital phase 2\\*pi\\*t/T is not finite"):
+        Scenario(cfg_8_1, 0.0, 1e308, 30.0, endpoints, (("a", "b"),))
     with pytest.raises(RangeError, match="finite"):
         Scenario(cfg_8_1, 0.0, 60.0, 30.0, dict(endpoints, a=LatLon(math.nan, 2.0)), (("a", "b"),))
 
