@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .config import ConstellationConfig
 from .constellation import SatAddress, validate_address
 from .constellation import format_address as format_sat_address
-from .errors import ConfigError, LayoutError, ParseError, RangeError
+from .errors import ConfigError, LayoutError, ParseError, RangeError, _shown
 from .geocell import CellId, _validate_digits
 
 PREFIX_BITS = 64
@@ -146,7 +146,7 @@ class SatAddress128:
 
 def _check_width(name: str, value: int, bits: int) -> None:
     if type(value) is not int or value < 0 or value >> bits:
-        raise RangeError(f"{name} {value} does not fit in {bits} bits")
+        raise RangeError(f"{name} {_shown(value)} does not fit in {bits} bits")
 
 
 def _field_widths(layout: BitLayout, flag: int) -> tuple[int, ...]:

@@ -9,7 +9,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field, replace
 
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, ParseError, _shown
 
 TWO_PI = 2.0 * math.pi
 
@@ -72,11 +72,12 @@ class ConstellationConfig:
             if (val := _json_number(key, given := getattr(self, key), kind)) is not given:
                 object.__setattr__(self, key, val)  # an int as its float
         if self.n < 3:
-            raise ConfigError(f"n must be >= 3, got {self.n}")
+            raise ConfigError(f"n must be >= 3, got {_shown(self.n)}")
         if not (0 <= self.m <= self.n - 1):
-            raise ConfigError(f"m must be in [0, n-1], got m={self.m} for n={self.n}")
+            raise ConfigError(
+                f"m must be in [0, n-1], got m={_shown(self.m)} for n={_shown(self.n)}")
         if self.k < 0:
-            raise ConfigError(f"k must be >= 0, got {self.k}")
+            raise ConfigError(f"k must be >= 0, got {_shown(self.k)}")
         if not 0 < self.altitude_km:
             raise ConfigError(f"altitude_km must be positive and finite, got {self.altitude_km}")
         if not (0.0 < self.inclination_rad < math.pi):

@@ -6,12 +6,13 @@ import io
 import itertools
 import json
 import math
+import string
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import TWO_PI, ConstellationConfig, PhysicalConstants, config_to_dict
-from .errors import DomainError, InfeasibleError, RangeError
+from .config import TWO_PI, ConstellationConfig, PhysicalConstants, _json_number, config_to_dict
+from .errors import DomainError, InfeasibleError, RangeError, _shown
 from .geom import OrbitalElements, closed_form_range, orbit_positions, range_terms
 
 SatAddress = tuple[int, ...]
@@ -27,7 +28,7 @@ def check_size(cfg: ConstellationConfig) -> None:
     small = cfg.k < MAX_SATELLITES.bit_length() and cfg.n < 1 << 64
     if not small or cfg.n_sats > MAX_SATELLITES:
         count = f" = {cfg.n_sats}" if small else ""
-        raise DomainError(f"N^(k+1){count} with N={cfg.n}, k={cfg.k} "
+        raise DomainError(f"N^(k+1){count} with N={_shown(cfg.n)}, k={_shown(cfg.k)} "
                           f"exceeds the limit of {MAX_SATELLITES}")
 
 
@@ -42,10 +43,10 @@ def sat_id(addr: SatAddress, n: int) -> int:
 def validate_address(addr: SatAddress, cfg: ConstellationConfig) -> None:
     """RangeError unless addr has k+1 int digits in [0, N); cfg may also be a BitLayout."""
     if len(addr) != cfg.k + 1:
-        raise RangeError(f"address {addr} has {len(addr)} digits, expected {cfg.k + 1}")
+        raise RangeError(f"address {_shown(addr)} has {len(addr)} digits, expected {cfg.k + 1}")
     for digit in addr:
         if not (type(digit) is int and 0 <= digit < cfg.n):
-            raise RangeError(f"digit {digit} out of range [0, {cfg.n}) in {addr}")
+            raise RangeError(f"digit {_shown(digit)} out of range [0, {cfg.n}) in {_shown(addr)}")
 
 
 def ring_table(cfg: ConstellationConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -241,6 +242,7 @@ def min_altitude_stability(cfg: ConstellationConfig) -> float:
 
 def ground_to_space_rtt(altitude_km: float, consts: PhysicalConstants) -> float:
     """Round-trip time (s) straight up and back."""
+    altitude_km = _json_number("altitude_km", altitude_km, error=DomainError)
     return 2.0 * altitude_km / consts.light_speed_km_s
 
 
@@ -248,38 +250,32 @@ def format_address(addr: SatAddress) -> str:
     return ".".join(str(d) for d in addr)
 
 
-_ROW_CHUNK = 2048
-
-
 def _stream_topology(topo: Topology, fh) -> None:
-    """Write the topology document to fh in chunks: the one writer of its bytes.
+    """Write the topology document to fh: the one writer of its bytes.
 
-    The document is {"config", "nodes", "edges"}: every satellite's dotted
-    name by id, then every ``Topology.edges`` link as ``[a, b, layer]``, on
-    one line. Each level appends a digit and "." (the last a closing quote)
-    to every name, giving an object array of quoted names by id; digits and
-    dots need no JSON escaping. Each 2,048-satellite chunk of edges is one
-    join over a (rows, k+1, 3) object array of pieces ``"[a, "``, b, ``", L], "``.
+    {"config", "nodes", "edges"} on one line: every satellite's dotted name by
+    id, then every ``Topology.edges`` link as ``[a, b, layer]``. Both lists
+    start as one satellite's entries, ASCII letter j (k + 1 <= 13) standing for
+    digit j and its capital for j + 1 mod N, and grow from the last digit up by
+    N copies spelling d and (d + 1) mod N; digit 0's copies go out one by one.
     """
     cfg = topo.config
-    name = ['"']
-    for level in range(cfg.k + 1):
-        tails = [str(d) + ('"' if level == cfg.k else ".") for d in range(cfg.n)]
-        name = [a + tail for a in name for tail in tails]
-    name = np.array(name, dtype=object)
-    up = ring_table(cfg)[0][:, 0::2]
-    fh.write('{"config": ')
-    json.dump(config_to_dict(cfg), fh)
-    fh.write(', "nodes": [' + ", ".join(name.tolist()) + '], "edges": [')
-    pieces = np.empty((min(_ROW_CHUNK, len(up)), cfg.k + 1, 3), dtype=object)
-    pieces[:, :, 2] = [f", {layer}], " for layer in range(cfg.k + 1)]
-    for start in range(0, len(up), _ROW_CHUNK):
-        rows = slice(start, start + _ROW_CHUNK)
-        chunk = pieces[: len(up[rows])]
-        chunk[:, :, 0] = ("[" + name[rows] + ", ")[:, None]
-        chunk[:, :, 1] = name[up[rows]]
-        fh.write(", " if start else "")
-        fh.write("".join(chunk.ravel().tolist())[:-2])
+    low = string.ascii_lowercase[: cfg.k + 1]
+    name, high = ".".join(low), low.upper()
+    node, edge = f'"{name}"', ", ".join(
+        f'["{name}", "{name.replace(low[j], high[j])}", {j}]' for j in range(cfg.k + 1))
+
+    def copies(text: str, j: int):
+        return (text.replace(low[j], str(d)).replace(high[j], str((d + 1) % cfg.n))
+                for d in range(cfg.n))
+
+    for j in range(cfg.k, 0, -1):
+        node, edge = ", ".join(copies(node, j)), ", ".join(copies(edge, j))
+    fh.write('{"config": ' + json.dumps(config_to_dict(cfg)) + ', "nodes": [')
+    fh.write(", ".join(copies(node, 0)))
+    fh.write('], "edges": [')
+    for d, text in enumerate(copies(edge, 0)):
+        fh.write(", " + text if d else text)
     fh.write("]}\n")
 
 

@@ -1,4 +1,4 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and how their messages show a value."""
 
 
 class FrosetteError(Exception):
@@ -31,3 +31,12 @@ class InfeasibleError(DomainError):
 
 class LayoutError(FrosetteError):
     """Bit-field layout does not fit the 128-bit address."""
+
+
+def _shown(value) -> str:
+    """str(value) for a message; an int past Python's 4,300-digit limit shows its bit length."""
+    try:
+        return str(value)
+    except ValueError:  # such an int, alone or in a tuple of digits
+        return (f"<int of {value.bit_length()} bits>" if isinstance(value, int)
+                else "(" + ", ".join(map(_shown, value)) + ")")

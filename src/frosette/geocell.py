@@ -32,7 +32,7 @@ import numpy as np
 
 from .config import TWO_PI, ConstellationConfig, _json_number
 from .constellation import MAX_SATELLITES, check_size
-from .errors import ConfigError, DomainError, ParseError, RangeError
+from .errors import ConfigError, DomainError, ParseError, RangeError, _shown
 from .geom import LatLon, wrap_angle, wrap_lon
 
 FRA0_MAGIC = b"FRA0"
@@ -81,15 +81,14 @@ def _validate_digits(cell: CellId, n: int, rho: int, k: int) -> None:
         raise RangeError(f"cell level {cell.level} exceeds config depth {k}")
     r0, c0 = cell.digits[0]
     if not (type(r0) is int and type(c0) is int and 0 <= r0 < rho and 0 <= c0 < rho):
-        raise RangeError(f"level-0 digit {cell.digits[0]} out of range [0, {rho})")
+        raise RangeError(f"level-0 digit {_shown(cell.digits[0])} out of range [0, {rho})")
     for lvl in range(1, cell.level + 1):
         row, col = cell.digits[lvl]
         if not (type(row) is int and 0 <= row < 2 * n - 1):
-            raise RangeError(f"level-{lvl} row {row} out of range [0, {2 * n - 1})")
+            raise RangeError(f"level-{lvl} row {_shown(row)} out of range [0, {2 * n - 1})")
         if not (type(col) is int and 0 <= col < capacity(row, n)):
-            raise RangeError(
-                f"level-{lvl} col {col} exceeds capacity {capacity(row, n)} of row {row}"
-            )
+            raise RangeError(f"level-{lvl} col {_shown(col)} exceeds capacity "
+                             f"{capacity(row, n)} of row {row}")
 
 
 def validate_cell(cell: CellId, cfg: ConstellationConfig) -> None:
@@ -108,7 +107,7 @@ def _span(cfg: ConstellationConfig) -> int:
     """N^k, the deepest level's cells per level-0 cell side; DomainError past
     2^1000, where the cell pitch 2*pi/N^k leaves the float range."""
     if cfg.k * (cfg.n.bit_length() - 1) > 1000 or (span := cfg.n**cfg.k).bit_length() > 1000:
-        raise DomainError(f"N^k with N={cfg.n}, k={cfg.k} exceeds 2^1000")
+        raise DomainError(f"N^k with N={_shown(cfg.n)}, k={_shown(cfg.k)} exceeds 2^1000")
     return span
 
 
@@ -227,8 +226,8 @@ class Alpha0Table:
         n, m, k = (_json_number(key, getattr(self, key), int) for key in ("n", "m", "k"))
         if n < 3 or not 0 <= m < n or not 0 <= k < MAX_SATELLITES.bit_length() \
                 or n ** (k + 1) > MAX_SATELLITES:
-            raise ConfigError(
-                f"no config of at most {MAX_SATELLITES} satellites has N={n}, m={m}, k={k}")
+            raise ConfigError(f"no config of at most {MAX_SATELLITES} satellites has "
+                              f"N={_shown(n)}, m={_shown(m)}, k={_shown(k)}")
         if not 0.0 < _json_number("inclination_rad", self.inclination_rad) < math.pi:
             raise ConfigError(f"table inclination {self.inclination_rad} rad is not in (0, pi)")
         _require_lattice(n - m, self.inclination_rad)
@@ -250,9 +249,7 @@ class Alpha0Table:
 
     def alpha0_signed(self, global_row: int) -> float:
         if abs(global_row) >= self.n_rows:
-            raise RangeError(
-                f"row {global_row} outside table (+/-{self.n_rows - 1})"
-            )
+            raise RangeError(f"row {_shown(global_row)} outside table (+/-{self.n_rows - 1})")
         if global_row >= 0:
             return float(self.values[global_row])
         return -float(self.values[-global_row])
@@ -366,7 +363,7 @@ def _cell_lattice(cell: CellId, level: int, tables: Alpha0Table) -> tuple[int, i
     n, rho = tables.n, tables.rho
     _validate_digits(cell, n, rho, tables.k)
     if not (type(level) is int and 0 <= level <= cell.level):
-        raise RangeError(f"target level {level} not in [0, {cell.level}]")
+        raise RangeError(f"target level {_shown(level)} not in [0, {cell.level}]")
     row0, a = cell.digits[0]
     d = (rho - 1) // 2 - row0
     for row, col in cell.digits[1 : level + 1]:

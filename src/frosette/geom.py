@@ -234,7 +234,7 @@ def min_satellites(coverage_rad: float) -> int:
     the result is the smallest N meeting it. The relation has no solution at
     N=3 (the demand diverges), so the floor of the result is 4.
     """
-    if not (0.0 < coverage_rad < math.pi / 2):
+    if not (0.0 < _json_number("coverage range", coverage_rad, error=DomainError) < math.pi / 2):
         raise DomainError("coverage range must be in (0, pi/2)")
     theta = math.atan(1.0 / (math.cos(coverage_rad) * math.sqrt(3.0)))
     q = 6.0 * theta / math.pi

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .config import DEFAULT_CONSTANTS, PhysicalConstants, _json_number
 from .constellation import MAX_SATELLITES
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, _shown
 from .geom import coverage_range, min_satellites
 
 
@@ -24,15 +24,12 @@ class SizeRequest:
 
     def __post_init__(self) -> None:
         if not 0 < _json_number("rtt_target_s", self.rtt_target_s):
-            raise ConfigError(
-                f"rtt_target_s must be positive and finite, got {self.rtt_target_s}"
-            )
+            raise ConfigError(f"rtt_target_s must be positive and finite, got {self.rtt_target_s}")
         if not (0 <= _json_number("min_elevation_rad", self.min_elevation_rad) < math.pi / 2):
-            raise ConfigError(
-                f"min_elevation_rad must be in [0, pi/2), got {self.min_elevation_rad}"
-            )
+            raise ConfigError("min_elevation_rad must be in [0, pi/2), "
+                              f"got {self.min_elevation_rad}")
         if _json_number("base_n", self.base_n, int) < 3:
-            raise ConfigError(f"base_n must be >= 3, got {self.base_n}")
+            raise ConfigError(f"base_n must be >= 3, got {_shown(self.base_n)}")
 
 
 @dataclass(frozen=True)
@@ -56,7 +53,7 @@ def select_size(req: SizeRequest, consts: PhysicalConstants = DEFAULT_CONSTANTS)
         depth += 1
         n_sats *= req.base_n
     if n_sats > MAX_SATELLITES:
-        raise DomainError(f"{n_sats} satellites (N={req.base_n}, k={depth - 1}) "
+        raise DomainError(f"{_shown(n_sats)} satellites (N={_shown(req.base_n)}, k={depth - 1}) "
                           f"exceed the limit of {MAX_SATELLITES}")
     return SizeResult(
         altitude_km=altitude_km,

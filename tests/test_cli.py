@@ -12,6 +12,7 @@ import json
 import math
 import os
 import runpy
+import string
 import subprocess
 import sys
 import time
@@ -160,11 +161,13 @@ def _assert_same_text(got: str, want: str) -> None:
                     f"{got[window]!r} != {want[window]!r}")
 
 
-@pytest.mark.parametrize("n,k", [(5, 0), (4, 1), (6, 2), (9, 3), (12, 2), (16, 1), (2048, 0)])
+@pytest.mark.parametrize("n,k", [(5, 0), (4, 1), (6, 2), (9, 3), (12, 2), (16, 1), (2048, 0),
+                                 (3, 6)])
 def test_stream_topology_matches_per_item_writer(n, k):
-    # (9, 3) has 26,244 edges: several 8k chunks and a partial last one;
-    # (12, 2) and (16, 1) mix one- and two-digit names; (2048, 0) is exactly
-    # one full 2,048-row chunk of one layer, with names of one to four digits
+    # (12, 2) and (16, 1) mix one- and two-character digits, and their wrap
+    # edges turn N-1 into 0; (2048, 0) has no expansion step, only the first
+    # digit's copies, with digits of one to four characters; (9, 3) expands
+    # over several levels; (3, 6) has seven placeholder pairs, 2,187 satellites
     topo = build(make_config(n, 1, k))
     got, want = io.StringIO(), io.StringIO()
     _stream_topology(topo, got)
@@ -177,6 +180,29 @@ def test_stream_topology_matches_per_item_writer(n, k):
         "edges": [[format_address(a), format_address(b), layer] for a, b, layer in topo.edges],
     }
     _assert_same_text(json.dumps(topology_to_dict(topo)), json.dumps(reference))
+
+
+def test_deepest_address_has_a_placeholder_letter_per_digit():
+    # the writer stands ASCII letter j and its capital for digit j; N=3, the
+    # smallest ring, gives the most digits MAX_SATELLITES allows
+    k = 0
+    while 3 ** (k + 2) <= constellation.MAX_SATELLITES:
+        k += 1
+    build(make_config(3, 1, k))
+    with pytest.raises(DomainError):
+        build(make_config(3, 1, k + 1))
+    assert k + 1 <= len(string.ascii_lowercase) == 26
+
+
+def test_generate_to_stdout_writes_the_bytes_of_its_output_file(tmp_path, capsys):
+    # without --output the writer's N + 4 writes go straight to stdout
+    path, out = tmp_path / "config.json", tmp_path / "topology.json"
+    path.write_text(json.dumps(dict(ROUTING_CONFIG, n=9, m=1, k=3)), encoding="utf-8")
+    assert main(["generate", "--config", str(path)]) == EXIT_OK
+    streamed = capsys.readouterr().out
+    assert main(["generate", "--config", str(path), "--output", str(out)]) == EXIT_OK
+    assert _json_out(capsys)["nodes"] == 9**4
+    _assert_same_text(streamed, out.read_bytes().decode("utf-8"))
 
 
 def test_generate_output_at_n16_k3_keeps_its_bytes(tmp_path, capsys):

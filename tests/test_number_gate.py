@@ -17,13 +17,12 @@ import frosette
 from frosette import (
     Alpha0Table, CellId, ConstellationConfig, FrosetteError, GeoCoord, LatLon, OrbitalElements,
     PhysicalConstants, Scenario, SizeRequest, address_to_elements, associate, bit_widths, build,
-    build_alpha0_tables, build_fib, cell_center, cell_to_location, config_from_dict,
-    coverage_check, coverage_range, decode, disjoint_paths, encode, format_address,
-    format_cell_id, format_sat_address, from_colon_hex, geo_route, geocoord_to_latlon,
-    great_circle_range, iter_cells, latlon_to_geocoord, link_delay_trace, link_range_closed_form,
-    locate_point,
-    parse_cell_id, parse_sat_address, select_size, serving_coord, shortest_path, subdivide,
-    subpoint, to_colon_hex, validate_cell,
+    build_alpha0_tables, build_fib, cell_center, cell_count, cell_to_location, config_from_dict,
+    coverage_check, coverage_range, decode, disjoint_paths, encode, format_address, format_cell_id,
+    format_sat_address, from_colon_hex, geo_route, geocoord_to_latlon, great_circle_range,
+    ground_to_space_rtt, iter_cells, latlon_to_geocoord, link_delay_trace, link_range_closed_form,
+    locate_point, min_satellites, parse_cell_id, parse_sat_address, select_size, serving_coord,
+    shortest_path, subdivide, subpoint, to_colon_hex, validate_cell,
 )
 from frosette.config import DEFAULT_CONSTANTS as C
 from frosette.geocell import _validate_digits
@@ -69,6 +68,22 @@ REFUSED = {
     "colon-hex-bool": lambda: to_colon_hex(True),
     "cell-bool-digit": lambda: _validate_digits(CellId(((True, 0),)), 8, 2, 1),
     "cell-float-digit": lambda: _validate_digits(CellId(((0, 0), (1.0, 0))), 8, 2, 1),
+    # an int too long to print in decimal (its message raised ValueError)
+    "shortest-path-int-beyond-str": lambda: shortest_path((10**5000, 0), (1, 1), TOPO),
+    "colon-hex-int-beyond-str": lambda: to_colon_hex(10**5000),
+    "encode-prefix-int-beyond-str": lambda: encode((0, 0), LAYOUT, prefix=10**5000),
+    "cell-int-beyond-str": lambda: _validate_digits(CellId(((0, 0), (1, 10**5000))), 8, 2, 1),
+    "config-k-int-beyond-str": lambda: dataclasses.replace(CFG, k=-(10**5000)),
+    "build-k-int-beyond-str": lambda: build(dataclasses.replace(CFG, k=10**5000)),
+    "cell-count-n-int-beyond-str": lambda: cell_count(
+        dataclasses.replace(CFG, n=2**20000, m=2**20000 - 3)),  # rho = 3 keeps the config valid
+    "alpha0-table-int-beyond-str": lambda: Alpha0Table(8, 6, 10**5000, 0.8, TABLES.values),
+    "alpha0-row-int-beyond-str": lambda: TABLES.alpha0_signed(10**5000),
+    "size-base-n-int-beyond-str": lambda: SizeRequest(0.01, 0.1, -(10**5000)),
+    "select-size-int-beyond-str": lambda: select_size(SizeRequest(0.01, 0.1, 10**5000), C),
+    # bare-number helpers off the benchmark paths (raised TypeError)
+    "min-satellites-string": lambda: min_satellites("x"),
+    "ground-rtt-string": lambda: ground_to_space_rtt("x", C),
 }
 
 
@@ -181,12 +196,14 @@ FUZZED = {
     "geo_route": lambda d: geo_route(d(ADDRESS), d(CELL), d(TIME), CFG, TABLES),
     "geocoord_to_latlon": lambda d: geocoord_to_latlon(GeoCoord(d(ANGLE), d(ANGLE)), CFG),
     "great_circle_range": lambda d: great_circle_range(_latlon(d), _latlon(d)),
+    "ground_to_space_rtt": lambda d: ground_to_space_rtt(d(num(100.0, 1e5)), C),
     "iter_cells": lambda d: list(itertools.islice(iter_cells(CFG, d(integer(0, 1))), 3)),
     "latlon_to_geocoord": lambda d: latlon_to_geocoord(_latlon(d), CFG),
     "link_delay_trace": lambda d: link_delay_trace((d(ADDRESS), d(ADDRESS)), _window(d), TOPO),
     "link_range_closed_form": lambda d: link_range_closed_form(
         d(integer(0, 7)), d(integer(0, 7)), d(TIME), CFG),
     "locate_point": lambda d: locate_point(_latlon(d), CFG),
+    "min_satellites": lambda d: min_satellites(d(num(0.01, 1.5))),
     "parse_cell_id": lambda d: parse_cell_id(d(st.text("0123456789,/ ", max_size=12)), CFG),
     "parse_sat_address": lambda d: parse_sat_address(d(st.text("0123456789. ", max_size=8)), CFG),
     "select_size": lambda d: select_size(_size_request(d), C),
@@ -214,8 +231,7 @@ EXEMPT = {
                      "min_altitude_coverage", "min_altitude_stability", "stability_report",
                      "topology_to_dict", "topology_to_json"], _CONFIG_ONLY),
     **dict.fromkeys(["load_config", "load_scenario", "load_tables", "save_tables"], _FILE),
-    **dict.fromkeys(["ground_to_space_rtt", "link_length_delay", "min_satellites", "ring_step"],
-                    _BARE),
+    **dict.fromkeys(["link_length_delay", "ring_step"], _BARE),
     "fib_lookup": "the per-hop lookup: its caller validated the destination, and a check per "
                   "hop would cost ring-routing (ROADMAP item 7)",
     "path_hops": "a path that is not a chain of hops is a ValueError by design",
