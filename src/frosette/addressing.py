@@ -104,7 +104,10 @@ def parse_sat_address(text: str, cfg: ConstellationConfig) -> SatAddress:
 
 
 def format_cell_id(cell: CellId) -> str:
-    return "/".join(f"{row},{col}" for row, col in cell.digits)
+    try:
+        return "/".join(f"{row},{col}" for row, col in cell.digits)
+    except ValueError:  # a digit past Python's 4,300-digit limit for decimal text
+        raise RangeError(f"cell {_shown(cell.digits)} has a digit too long to print") from None
 
 
 def parse_cell_id(text: str, cfg: ConstellationConfig) -> CellId:

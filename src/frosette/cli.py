@@ -69,35 +69,22 @@ def _cmd_generate(args) -> int:
     if args.tables:
         tables_bytes = save_tables(args.tables, build_alpha0_tables(cfg))
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            _stream_topology(topo, fh)
-        summary = {
-            "nodes": cfg.n_sats,
-            "edges": (cfg.k + 1) * cfg.n_sats,
-            "output": args.output,
-        }
+        with open(args.output, "wb") as fh:
+            _stream_topology(topo, fh.write)
+        summary = {"nodes": cfg.n_sats, "edges": (cfg.k + 1) * cfg.n_sats, "output": args.output}
         if args.tables:
-            summary["tables"] = args.tables
-            summary["tables_bytes"] = tables_bytes
+            summary.update(tables=args.tables, tables_bytes=tables_bytes)
         _emit(summary)
     else:
-        _stream_topology(topo, sys.stdout)
+        _stream_topology(topo, lambda text: sys.stdout.write(text.decode("ascii")))
     return EXIT_OK
 
 
 def _cmd_route(args) -> int:
     cfg = load_config(args.config)
     if args.geo:
-        missing = [
-            flag
-            for flag, val in (
-                ("--from-lat", args.from_lat),
-                ("--from-lon", args.from_lon),
-                ("--to-lat", args.to_lat),
-                ("--to-lon", args.to_lon),
-            )
-            if val is None
-        ]
+        flags = ("from_lat", "from_lon", "to_lat", "to_lon")
+        missing = ["--" + flag.replace("_", "-") for flag in flags if getattr(args, flag) is None]
         if missing:
             _usage_error(f"--geo requires {' '.join(missing)}")
         topo = build(cfg)

@@ -247,11 +247,14 @@ def ground_to_space_rtt(altitude_km: float, consts: PhysicalConstants) -> float:
 
 
 def format_address(addr: SatAddress) -> str:
-    return ".".join(str(d) for d in addr)
+    try:
+        return ".".join(str(d) for d in addr)
+    except ValueError:  # an int past Python's 4,300-digit limit for decimal text
+        raise RangeError(f"address {_shown(addr)} has a digit too long to print") from None
 
 
-def _stream_topology(topo: Topology, fh) -> None:
-    """Write the topology document to fh: the one writer of its bytes.
+def _stream_topology(topo: Topology, write) -> None:
+    """Pass the topology document's ASCII bytes to write: the one writer of them.
 
     {"config", "nodes", "edges"} on one line: every satellite's dotted name by
     id, then every ``Topology.edges`` link as ``[a, b, layer]``. Both lists
@@ -262,27 +265,29 @@ def _stream_topology(topo: Topology, fh) -> None:
     cfg = topo.config
     low = string.ascii_lowercase[: cfg.k + 1]
     name, high = ".".join(low), low.upper()
-    node, edge = f'"{name}"', ", ".join(
-        f'["{name}", "{name.replace(low[j], high[j])}", {j}]' for j in range(cfg.k + 1))
+    node, edge = f'"{name}"'.encode(), ", ".join(
+        f'["{name}", "{name.replace(low[j], high[j])}", {j}]' for j in range(cfg.k + 1)).encode()
+    digits = [b"%d" % d for d in range(cfg.n)]
 
-    def copies(text: str, j: int):
-        return (text.replace(low[j], str(d)).replace(high[j], str((d + 1) % cfg.n))
-                for d in range(cfg.n))
+    def copies(text: bytes, j: int):
+        letter, capital = low[j].encode(), high[j].encode()
+        return (text.replace(letter, d).replace(capital, up)
+                for d, up in zip(digits, digits[1:] + digits[:1]))
 
     for j in range(cfg.k, 0, -1):
-        node, edge = ", ".join(copies(node, j)), ", ".join(copies(edge, j))
-    fh.write('{"config": ' + json.dumps(config_to_dict(cfg)) + ', "nodes": [')
-    fh.write(", ".join(copies(node, 0)))
-    fh.write('], "edges": [')
+        node, edge = b", ".join(copies(node, j)), b", ".join(copies(edge, j))
+    write(b'{"config": ' + json.dumps(config_to_dict(cfg)).encode() + b', "nodes": [')
+    write(b", ".join(copies(node, 0)))
+    write(b'], "edges": [')
     for d, text in enumerate(copies(edge, 0)):
-        fh.write(", " + text if d else text)
-    fh.write("]}\n")
+        write(b", " + text if d else text)
+    write(b"]}\n")
 
 
 def topology_to_dict(topo: Topology) -> dict:
     """The topology document as :func:`_stream_topology` writes it, parsed."""
-    doc = io.StringIO()
-    _stream_topology(topo, doc)
+    doc = io.BytesIO()
+    _stream_topology(topo, doc.write)
     return json.loads(doc.getvalue())
 
 

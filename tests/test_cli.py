@@ -6,6 +6,7 @@ errors raised before a handler runs (bad flags, wrong mode combinations)
 surface as SystemExit(1); errors inside a handler return the exit code.
 """
 import argparse
+import contextlib
 import hashlib
 import io
 import json
@@ -169,10 +170,10 @@ def test_stream_topology_matches_per_item_writer(n, k):
     # digit's copies, with digits of one to four characters; (9, 3) expands
     # over several levels; (3, 6) has seven placeholder pairs, 2,187 satellites
     topo = build(make_config(n, 1, k))
-    got, want = io.StringIO(), io.StringIO()
-    _stream_topology(topo, got)
+    got, want = io.BytesIO(), io.StringIO()
+    _stream_topology(topo, got.write)
     _stream_topology_per_item(topo, want)
-    _assert_same_text(got.getvalue(), want.getvalue())
+    _assert_same_text(got.getvalue().decode("ascii"), want.getvalue())
     # the document as the per-item topology_to_dict built it, from the Topology itself
     reference = {
         "config": config_to_dict(topo.config),
@@ -203,6 +204,18 @@ def test_generate_to_stdout_writes_the_bytes_of_its_output_file(tmp_path, capsys
     assert main(["generate", "--config", str(path), "--output", str(out)]) == EXIT_OK
     assert _json_out(capsys)["nodes"] == 9**4
     _assert_same_text(streamed, out.read_bytes().decode("utf-8"))
+
+
+def test_generate_to_any_text_stdout_writes_the_bytes_of_its_output_file(tmp_path, capsys):
+    # a StringIO has no .buffer: the document reaches stdout through its write alone
+    path, out = tmp_path / "config.json", tmp_path / "topology.json"
+    path.write_text(json.dumps(dict(ROUTING_CONFIG, n=9, m=1, k=3)), encoding="utf-8")
+    streamed = io.StringIO()
+    with contextlib.redirect_stdout(streamed):
+        assert main(["generate", "--config", str(path)]) == EXIT_OK
+    assert main(["generate", "--config", str(path), "--output", str(out)]) == EXIT_OK
+    assert _json_out(capsys)["nodes"] == 9**4
+    _assert_same_text(streamed.getvalue(), out.read_bytes().decode("ascii"))
 
 
 def test_generate_output_at_n16_k3_keeps_its_bytes(tmp_path, capsys):

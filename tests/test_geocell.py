@@ -6,6 +6,7 @@ slivers, which decode to border anchors but are never returned by
 locate_point.
 """
 import dataclasses
+import hashlib
 import math
 import random
 
@@ -358,6 +359,20 @@ def test_fra0_header_bytes_are_pinned(tmp_path, tables_cells):
     assert save_tables(path, tables_cells) == 64
     with open(path, "rb") as fh:
         assert fh.read(24).hex() == "46524130010008000600010005000000182d4454fb21e93f"
+
+
+@pytest.mark.parametrize("k,n_bytes,want", [
+    (3, 114720, "872dc1dc285d693423d075823b4573e95fc6ce1d19a66f1fc54bdfb62df4a1c2"),
+    (1, 480, "705508233abd38595f780d0f33ef7638bbc589116413e8f20e3c46cf3ab72623"),
+])
+def test_fra0_payload_bytes_are_pinned(tmp_path, k, n_bytes, want):
+    # sha256 of the whole file at N=16, m=8, 70 degrees, as the Newton that
+    # re-gathered its live rows each step wrote it: 14,337 rows at k=3 and
+    # geo-delivery's 57 at k=1, so every value keeps its last bit
+    path = str(tmp_path / "tables.fra0")
+    assert save_tables(path, build_alpha0_tables(make_config(16, 8, k))) == n_bytes
+    with open(path, "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == want
 
 
 def test_fra0_rejects_corruption(tmp_path, tables_cells):

@@ -16,13 +16,14 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 import frosette
 from frosette import (
     Alpha0Table, CellId, ConstellationConfig, FrosetteError, GeoCoord, LatLon, OrbitalElements,
-    PhysicalConstants, Scenario, SizeRequest, address_to_elements, associate, bit_widths, build,
-    build_alpha0_tables, build_fib, cell_center, cell_count, cell_to_location, config_from_dict,
-    coverage_check, coverage_range, decode, disjoint_paths, encode, format_address, format_cell_id,
-    format_sat_address, from_colon_hex, geo_route, geocoord_to_latlon, great_circle_range,
-    ground_to_space_rtt, iter_cells, latlon_to_geocoord, link_delay_trace, link_range_closed_form,
-    locate_point, min_satellites, parse_cell_id, parse_sat_address, select_size, serving_coord,
-    shortest_path, subdivide, subpoint, to_colon_hex, validate_cell,
+    PhysicalConstants, RangeError, Scenario, SizeRequest, address_to_elements, associate,
+    bit_widths, build, build_alpha0_tables, build_fib, cell_center, cell_count, cell_to_location,
+    config_from_dict, coverage_check, coverage_range, decode, disjoint_paths, encode,
+    format_address, format_cell_id, format_sat_address, from_colon_hex, geo_route,
+    geocoord_to_latlon, great_circle_range, ground_to_space_rtt, iter_cells, latlon_to_geocoord,
+    link_delay_trace, link_range_closed_form, locate_point, min_satellites, parse_cell_id,
+    parse_sat_address, select_size, serving_coord, shortest_path, subdivide, subpoint,
+    to_colon_hex, validate_cell,
 )
 from frosette.config import DEFAULT_CONSTANTS as C
 from frosette.geocell import _validate_digits
@@ -81,6 +82,9 @@ REFUSED = {
     "alpha0-row-int-beyond-str": lambda: TABLES.alpha0_signed(10**5000),
     "size-base-n-int-beyond-str": lambda: SizeRequest(0.01, 0.1, -(10**5000)),
     "select-size-int-beyond-str": lambda: select_size(SizeRequest(0.01, 0.1, 10**5000), C),
+    "format-address-int-beyond-str": lambda: format_address((10**5000, 0)),
+    "format-sat-address-int-beyond-str": lambda: format_sat_address((0, 10**5000)),
+    "format-cell-id-int-beyond-str": lambda: format_cell_id(CellId(((0, 0), (1, 10**5000)))),
     # bare-number helpers off the benchmark paths (raised TypeError)
     "min-satellites-string": lambda: min_satellites("x"),
     "ground-rtt-string": lambda: ground_to_space_rtt("x", C),
@@ -91,6 +95,12 @@ REFUSED = {
 def test_boundaries_refuse_values_that_are_not_their_numbers(call):
     with pytest.raises(FrosetteError):
         call()
+
+
+@pytest.mark.parametrize("name", ["format-address", "format-sat-address", "format-cell-id"])
+def test_formatters_name_a_digit_too_long_to_print(name):
+    with pytest.raises(RangeError, match="<int of 16610 bits>.* has a digit too long to print"):
+        REFUSED[f"{name}-int-beyond-str"]()
 
 
 def test_float_fields_keep_the_float_an_int_converts_to():
