@@ -260,7 +260,7 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.handler(args)
     except (ParseError, RangeError) as exc:
@@ -271,5 +271,6 @@ def main(argv=None) -> int:
         return _error("io", exc, EXIT_USAGE)
 
 
+_PARSER = _build_parser()  # built once per process: building costs ~20 parses
 if __name__ == "__main__":
     raise SystemExit(main())

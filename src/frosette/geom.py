@@ -5,9 +5,9 @@ everywhere: at t=0 the prime meridian coincides with the inertial x-axis.
 
 Every satellite position comes from one array kernel, :func:`orbit_positions`
 (fed by ``constellation.OrbitState``), every range between positions from
-:func:`central_angles`, and every link range in closed form from
-:func:`range_terms`. The scalar :func:`sat_position_eci` and :func:`subpoint`
-are the references that tests and ``verify`` compare against.
+:func:`central_angles`, every link range in closed form from :func:`range_terms`
+and every serving satellite from :func:`nearest`. The scalar :func:`sat_position_eci`
+and :func:`subpoint` are the references that tests and ``verify`` compare against.
 """
 from __future__ import annotations
 
@@ -54,9 +54,11 @@ class LatLon:
         return _unit_vector(self.lat_rad, self.lon_rad)
 
 
-def _unit_vector(lat: float, lon: float) -> np.ndarray:
-    cl = math.cos(lat)
-    return np.array([cl * math.cos(lon), cl * math.sin(lon), math.sin(lat)])
+def _unit_vector(lat: float, lon) -> np.ndarray:
+    cl, sl = math.cos(lat), math.sin(lat)
+    if isinstance(lon, np.ndarray):
+        return np.hstack([cl * np.cos(lon), cl * np.sin(lon), np.full_like(lon, sl)])
+    return np.array([cl * math.cos(lon), cl * math.sin(lon), sl])
 
 
 def wrap_lon(lon: float) -> float:
@@ -117,9 +119,15 @@ def orbit_positions(cos_phase, sin_phase, cos_raan, sin_raan, inclination_rad, w
     )
 
 
-def ground_unit(p: LatLon, t: float, cfg: ConstellationConfig) -> np.ndarray:
-    """Inertial unit vector of a checked ground point at a checked time t (the earth turns east)."""
+def ground_unit(p: LatLon, t, cfg: ConstellationConfig) -> np.ndarray:
+    """Inertial unit vector of a checked ground point at checked t; (T, 3) for t of shape (T, 1)."""
     return _unit_vector(p.lat_rad, p.lon_rad + cfg.omega_earth_rad_s * t)
+
+
+def nearest(pos: np.ndarray, ground: np.ndarray):
+    """The one association rule: the row of pos (M, 3) nearest ground (3,), or (T,) rows
+    of (T, M, 3) nearest (T, 3); the largest dot product, ties to the smallest row."""
+    return (pos @ ground[..., None]).argmax(axis=-2)[..., 0]
 
 
 def subpoint(elements: OrbitalElements, t: float, consts: PhysicalConstants) -> LatLon:

@@ -9,8 +9,8 @@ quantization residue. Coverage of the cell center ends the route early.
 Coverage and distances to the target are central angles between positions
 from the config's ``constellation.OrbitState`` and the target's inertial
 vector, computed only for the satellites a route tests: the planned greedy
-path in one call, then the neighbours each fallback step compares; the one
-full snapshot is taken when a route ends undelivered.
+path in one call, then the neighbours each fallback step compares; an undelivered
+route flags a coverage violation by the ``geom.nearest`` satellite of one snapshot.
 """
 from __future__ import annotations
 
@@ -26,7 +26,8 @@ from .constellation import (
 )
 from .errors import ConfigError, DomainError
 from .geocell import Alpha0Table, CellId, GeoCoord, cell_center, geocoord_to_latlon
-from .geom import LatLon, central_angles, check_times, coverage_range, ground_unit, wrap_angle
+from .geom import LatLon, central_angles, check_times, coverage_range, ground_unit, nearest
+from .geom import wrap_angle
 
 MOTION_CONSTANCY_TOL_RAD = 1e-9
 MOTION_SAMPLE_TIMES = 16
@@ -180,5 +181,5 @@ def geo_route(
                 return GeoRouteResult(tuple(path), cur, True, fallback, phase="fallback")
 
     snapshot = orbit_state(cfg).unit_positions(t)
-    violation = not bool(np.any(central_angles(snapshot, ground) <= radius))
+    violation = bool(central_angles(snapshot[nearest(snapshot, ground)], ground) > radius)
     return GeoRouteResult(tuple(path), cur, False, fallback, violation, "undelivered")

@@ -6,10 +6,10 @@ stretch column measures only the routing scheme's detour, never modeling
 slack. Ground legs are charged identically to both routes.
 
 Link delays in :func:`run` and :func:`delay_oracle` come from the paper's
-closed form per edge (``OrbitState.link_terms``), with no positions. The
-serving satellites, coverage tests and ground legs, and the first-principles
-:func:`path_delay` and :func:`link_delay_trace`, take ``geom.central_angles``
-of ``constellation.OrbitState`` positions and inertial ground vectors.
+closed form per edge (``OrbitState.link_terms``), with no positions. Serving
+satellites (:func:`associate`, :func:`run`) are ``geom.nearest`` of ``OrbitState``
+positions and ``geom.ground_unit`` vectors; coverage tests, ground legs,
+:func:`path_delay` and :func:`link_delay_trace` take their ``geom.central_angles``.
 The oracle is a min-plus fixpoint on the torus of digit tuples
 (:func:`_min_delays`), walked back over ``ring_table`` rows by one array walk
 (:func:`_walk_back`). :func:`run` takes serving satellites, ground legs,
@@ -31,7 +31,7 @@ from .constellation import (
 )
 from .errors import ConfigError, DomainError, ParseError, RangeError
 from .geom import LatLon, central_angles, check_times, coverage_range
-from .geom import ground_unit, link_length_delay, slant_range_km
+from .geom import ground_unit, link_length_delay, nearest, slant_range_km
 from .routing import shortest_path
 
 @dataclass(frozen=True)
@@ -250,11 +250,10 @@ def _ids(addrs: list[SatAddress], cfg: ConstellationConfig) -> list[int]:
 
 
 def associate(p: LatLon, t: float, topo: Topology) -> SatAddress:
-    """Physically nearest satellite; ties break to the smallest address."""
+    """Physically nearest satellite (``geom.nearest``); ties break to the smallest address."""
     cfg = topo.config
     check_times(cfg, t)
-    dots = orbit_state(cfg).unit_positions(t) @ ground_unit(p, t, cfg)
-    return topo.nodes[int(np.argmax(dots))]
+    return topo.nodes[int(nearest(orbit_state(cfg).unit_positions(t), ground_unit(p, t, cfg)))]
 
 
 def delay_oracle(
@@ -367,8 +366,8 @@ def _snapshots(scenario: Scenario):
     the ground-leg delays}, {source endpoint: (G, M) oracle distances}).
 
     One :func:`_edge_delays` call gives every edge delay, one (G, M, 3)
-    position array and each endpoint's (G, 3) vectors every association (the
-    nearest satellite, the smallest id on ties, as :func:`associate`), and
+    position array and each endpoint's (G, 3) ``geom.ground_unit`` vectors
+    every association (``geom.nearest``, the rule of :func:`associate`), and
     :func:`_min_delays` every distance.
     """
     cfg = scenario.config
@@ -382,11 +381,8 @@ def _snapshots(scenario: Scenario):
         delays, pos = _edge_delays(cfg, column), orbit_state(cfg).unit_positions(column)
         served = {}
         for name in names:
-            p = scenario.endpoints[name]
-            lon = p.lon_rad + cfg.omega_earth_rad_s * column  # geom.ground_unit at each step
-            cl, sl = math.cos(p.lat_rad), math.sin(p.lat_rad)
-            ground = np.hstack([cl * np.cos(lon), cl * np.sin(lon), np.full_like(lon, sl)])
-            ids = np.argmax(pos @ ground[:, :, None], axis=1)[:, 0]
+            ground = ground_unit(scenario.endpoints[name], column, cfg)
+            ids = nearest(pos, ground)
             r = central_angles(pos[np.arange(len(steps)), ids], ground)
             legs = slant_range_km(r, cfg.altitude_km, cfg.consts) / cfg.consts.light_speed_km_s
             served[name] = ids, r, legs

@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 
 import frosette
-from frosette import constellation, geocell
+from frosette import cli, constellation, geocell
 from frosette.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, _build_parser, _emit, main
 from frosette.config import config_to_dict
 from frosette.constellation import _stream_topology, build, format_address, topology_to_dict
@@ -898,3 +898,14 @@ def test_public_surface_is_pinned():
         for name, p in sub.choices.items()
     }
     assert options == SUBCOMMAND_OPTIONS
+
+
+def test_main_parses_every_call_with_the_one_parser_built_at_import(monkeypatch, capsys):
+    def rebuilt():
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(cli, "_build_parser", rebuilt)
+    size = ["size", "--rtt-ms", "8.41", "--elevation-deg", "25", "--base-n", "8"]
+    for argv in (size, size[:-2] + ["--base-n", "9"], size):  # no flag carries over
+        assert main(argv) == EXIT_OK
+        assert _json_out(capsys)["n_sats"] == (81 if argv[-1] == "9" else 64)

@@ -5,6 +5,7 @@ The closed-form link range is checked against first-principles positions
 defining equation; min_satellites against the coverage demand it inverts.
 """
 import math
+import random
 
 import numpy as np
 import pytest
@@ -20,9 +21,11 @@ from frosette.geom import (
     closed_form_range,
     coverage_range,
     great_circle_range,
+    ground_unit,
     link_length_delay,
     link_range_closed_form,
     min_satellites,
+    nearest,
     sat_position_eci,
     slant_range_km,
     subpoint,
@@ -135,6 +138,38 @@ def test_array_positions_match_scalar(addr, cfg):
         ranges, [great_circle_range(a, b) for a, b in zip(want[:-1], want[1:])],
         rtol=0.0, atol=1e-15,
     )
+
+
+# LatLon(0, 0) and LatLon(1, -3) hold ints, as a LatLon built in Python may
+@pytest.mark.parametrize("p", [
+    LatLon(0.7, -2.1), LatLon(-1.2, 3.0), LatLon(math.pi / 2, 0.5), LatLon(0, 0), LatLon(1, -3),
+])
+def test_ground_unit_at_a_time_column_equals_scalar_calls_bit_for_bit(p):
+    # sim.run takes numpy's trig over a column of times and associate takes
+    # math's at one time; they serve the same satellite only if these agree
+    cfg = make_config(8, 6, 1)
+    rng = random.Random(4242)
+    times = [0.0, -0.5, -86164.1, 1e7, 1e7 + 0.123] + [rng.uniform(-1e7, 1e7) for _ in range(400)]
+    got = ground_unit(p, np.array(times)[:, None], cfg)
+    want = np.array([ground_unit(p, t, cfg) for t in times])
+    assert got.shape == want.shape == (len(times), 3)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_nearest_breaks_exact_ties_to_the_smallest_row():
+    rng = np.random.default_rng(31)
+    pos = rng.normal(size=(5, 3))
+    pos /= np.linalg.norm(pos, axis=1, keepdims=True)
+    ground = pos[3].copy()
+    tied = pos[[0, 3, 1, 3, 2, 3, 4]]  # rows 1, 3 and 5 are the nearest, exactly tied
+    assert int(nearest(tied, ground)) == 1
+    assert int(nearest(pos, ground)) == int(np.argmax(pos @ ground)) == 3
+    stacked = np.stack([tied, tied[::-1], tied])  # reversed, the tied rows are 1, 3 and 5 again
+    grounds = np.stack([ground, ground, pos[0]])
+    got = nearest(stacked, grounds)
+    assert got.shape == (3,) and got.tolist() == [1, 1, 0]
+    stacked[1, 1:] = stacked[1, 0]  # every row of step 1 ties: the first one wins
+    assert nearest(stacked, grounds).tolist() == [1, 0, 0]
 
 
 def test_subpoint_lons_pole_and_wrap_rules():

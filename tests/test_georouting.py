@@ -355,6 +355,8 @@ def test_geo_route_equals_former_scalar_route(cfg):
         phases.add(got.phase)
     assert {(True, False, False), (True, True, False), (False, True, False)} <= kinds
     assert phases == {"start", "alpha", "gamma", "fallback", "undelivered"}
+    if cfg.k == 1:  # the undelivered routes of k1 include coverage violations
+        assert any(violation for _, _, violation in kinds)
 
 
 @pytest.mark.parametrize("cfg", ROUTE_CFGS, ids=["k1", "k2"])

@@ -553,8 +553,9 @@ def _ground_leg_s(p, sat, t, cfg):
     return _leg_s(great_circle_range(subpoint(address_to_elements(sat, cfg), t, cfg.consts), p), cfg)
 
 
-# Elevations chosen so that both flag values and handoffs occur.
-@pytest.mark.parametrize("n, m, k, elev_deg", [(8, 6, 1, 40.0), (5, 3, 2, 20.0)])
+# Elevations chosen so that both flag values and handoffs occur; 8/6/3 has
+# 4,096 satellites, so a group (see sim._snapshots) is 4 steps.
+@pytest.mark.parametrize("n, m, k, elev_deg", [(8, 6, 1, 40.0), (5, 3, 2, 20.0), (8, 6, 3, 60.0)])
 def test_run_records_match_the_public_functions(n, m, k, elev_deg):
     """The one-snapshot loop prices every step as the public functions do."""
     doc = _scenario_doc()
