@@ -150,22 +150,39 @@ class OrbitState:
             a.flags.writeable = False  # shared by every caller of orbit_state
 
     @functools.cached_property
-    def link_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(K, D*cos(phi), D*sin(phi)) of every :func:`ring_table` edge, from
-        ``geom.range_terms`` of its tail and +1 head: edge e spans
-        sin^2(r/2) = K + Dc*cos(4*pi*t/T) - Ds*sin(4*pi*t/T)."""
-        cfg, half = self.cfg, self.cfg.n_sats // 2
-        heads = ring_table(cfg)[0][:, 0::2]  # row i: the heads of i's edges
-        s0, phase = _orbit_units(np.arange(cfg.n_sats), cfg)
-        steps = np.stack([phase[heads] - phase[:, None], (s0[heads] - s0[:, None]) * cfg.n**cfg.k])
+    def link_terms(self) -> tuple[np.ndarray, np.ndarray]:
+        """(cls, terms): :func:`ring_table` edge e spans sin^2(r/2) = K + Dc*cos(4*pi*t/T)
+        - Ds*sin(4*pi*t/T), (K, Dc, Ds) = terms[:, cls[e]], with K and D from
+        ``geom.range_terms`` and Dc, Ds = D*cos(phi), D*sin(phi).
+
+        A link's phase and RAAN steps depend only on its layer L and on whether
+        it wraps (digit L is N-1). Layer 0's links alone change plane (D != 0),
+        so its classes are the phase sums phi that occur, ranked in a dense table
+        of M entries with no sort; each layer L >= 1 has two, regular and wrap.
+        """
+        cfg, n, k, big = self.cfg, self.cfg.n, self.cfg.k, self.cfg.n_sats
+        span, width, wrap = n**k, k + 1, np.arange(n)[:, None] == n - 1
+        # layer 0 joins s0*span + r to ((s0 + 1) % N)*span + r, whose phases add over s0 and r
+        plane = _orbit_units(np.arange(n) * span, cfg)[1]
+        slot = _orbit_units(np.arange(span), cfg)[1]
+        sums = ((plane + np.roll(plane, -1))[:, None] + 2 * slot) % big
+        seen = np.bincount(sums.ravel(), minlength=big) > 0
+        keys, rank, cls = np.flatnonzero(seen), np.cumsum(seen) - 1, np.empty(big * width, np.intp)
+        cls.reshape(n, span, width)[..., 0] = rank[sums]
+        for layer in range(1, width):  # class len(keys) + 2L - 2 for regular links, next for wraps
+            cls.reshape(n**layer, n, -1, width)[..., layer] = wrap + len(keys) + 2 * layer - 2
+        # each layer's regular and wrap link, 0 -> N^(k-L) and (N-1)*N^(k-L) -> 0
+        s0, phase = _orbit_units(np.outer(n ** (k - np.arange(width)), [0, n - 1, 1, 0]), cfg)
+        steps = np.stack([phase[:, 2:] - phase[:, :2], (s0[:, 2:] - s0[:, :2]) * span])
         # each within half a turn, so no half angle passes 5*pi/6 and every sine stays accurate
-        du, draan = (steps + half) % cfg.n_sats - half
-        k, d = range_terms(du, draan, cfg.n_sats, cfg.inclination_rad)
-        phi = TWO_PI * ((phase[heads] + phase[:, None]) % cfg.n_sats) / cfg.n_sats
-        terms = tuple(a.ravel() for a in (k, d * np.cos(phi), d * np.sin(phi)))
-        for a in terms:
-            a.flags.writeable = False
-        return terms
+        du, draan = ((steps + big // 2) % big - big // 2).reshape(2, -1)
+        # per class: layer 0's steps with each phase sum, then each deeper regular and wrap link
+        pick = np.concatenate([np.zeros(len(keys), np.intp), np.arange(2, 2 * width)])
+        const, d = (a[pick] for a in range_terms(du, draan, big, cfg.inclination_rad))
+        phi = TWO_PI * np.concatenate([keys, np.zeros(2 * k, np.intp)]) / big
+        terms = np.stack([const, d * np.cos(phi), d * np.sin(phi)])
+        cls.flags.writeable = terms.flags.writeable = False
+        return cls, terms
 
     def unit_positions(self, t, rows=slice(None)) -> np.ndarray:
         """Inertial unit vectors of the given rows: (R, 3) at a scalar t,

@@ -6,7 +6,7 @@ stretch column measures only the routing scheme's detour, never modeling
 slack. Ground legs are charged identically to both routes.
 
 Link delays in :func:`run` and :func:`delay_oracle` come from the paper's
-closed form per edge (``OrbitState.link_terms``), with no positions. Serving
+closed form, once per class of links (``OrbitState.link_terms``). Serving
 satellites (:func:`associate`, :func:`run`) are ``geom.nearest`` of ``OrbitState``
 positions and ``geom.ground_unit`` vectors; coverage tests, ground legs,
 :func:`path_delay` and :func:`link_delay_trace` take their ``geom.central_angles``.
@@ -158,13 +158,13 @@ def _link_delays(a: np.ndarray, b: np.ndarray, cfg: ConstellationConfig) -> np.n
 
 
 def _edge_delays(cfg: ConstellationConfig, t) -> np.ndarray:
-    """One-way delays of every ``ring_table`` edge in closed form (see
-    ``OrbitState.link_terms``): (E,) at a scalar t, (T, E) for times of
-    shape (T, 1). Clamped at 0 where two satellites meet (a polar m=0 ring)."""
-    k, dc, ds = orbit_state(cfg).link_terms
+    """One-way delays of every ``ring_table`` edge, the closed form taken once per class of
+    ``OrbitState.link_terms``: (E,) at a scalar t, (T, E) for times of shape (T, 1).
+    Clamped at 0 where two satellites meet (a polar m=0 ring)."""
+    cls, (k, dc, ds) = orbit_state(cfg).link_terms
     theta, consts = 4.0 * math.pi * t / cfg.period_s, cfg.consts
     scale = 2.0 * (consts.earth_radius_km + cfg.altitude_km) / consts.light_speed_km_s
-    return scale * np.sqrt(np.maximum(k + dc * np.cos(theta) - ds * np.sin(theta), 0.0))
+    return (scale * np.sqrt(np.maximum(k + dc * np.cos(theta) - ds * np.sin(theta), 0.0)))[..., cls]
 
 
 def _min_delays(delays: np.ndarray, sources: list[int], cfg: ConstellationConfig) -> np.ndarray:

@@ -5,14 +5,16 @@ import io
 import json
 import math
 import random
+import tracemalloc
 
 import networkx as nx
 import numpy as np
 import pytest
 
 import frosette.sim as sim_module
+from frosette.config import TWO_PI
 from frosette.constellation import (
-    Topology, address_to_elements, build, orbit_state, ring_table, sat_id,
+    OrbitState, Topology, _orbit_units, address_to_elements, build, orbit_state, ring_table, sat_id,
 )
 from frosette.errors import ConfigError, DomainError, ParseError, RangeError
 from frosette.geom import (
@@ -22,6 +24,7 @@ from frosette.geom import (
     great_circle_range,
     ground_unit,
     link_length_delay,
+    range_terms,
     sat_position_eci,
     slant_range_km,
     subpoint,
@@ -314,6 +317,80 @@ def test_closed_form_edge_delays_are_zero_where_satellites_meet():
     cfg = make_config(8, 0, 2, incl_deg=90.0)
     delays = _edge_delays(cfg, np.linspace(0.0, cfg.period_s, 2001)[:, None])
     assert np.isfinite(delays).all() and delays.min() == 0.0
+
+
+def _per_edge_link_terms(cfg):
+    """(K, D*cos(phi), D*sin(phi)) of every ring_table edge from ``range_terms``
+    of its own tail and +1 head: the per-edge reference for the link classes."""
+    half = cfg.n_sats // 2
+    heads = ring_table(cfg)[0][:, 0::2]  # row i: the heads of i's edges
+    s0, phase = _orbit_units(np.arange(cfg.n_sats), cfg)
+    steps = np.stack([phase[heads] - phase[:, None], (s0[heads] - s0[:, None]) * cfg.n**cfg.k])
+    du, draan = (steps + half) % cfg.n_sats - half
+    k, d = range_terms(du, draan, cfg.n_sats, cfg.inclination_rad)
+    phi = TWO_PI * ((phase[heads] + phase[:, None]) % cfg.n_sats) / cfg.n_sats
+    return tuple(a.ravel() for a in (k, d * np.cos(phi), d * np.sin(phi)))
+
+
+@pytest.mark.parametrize(
+    "n, m, k, incl", [(16, 2, 1, 70.0), (16, 8, 3, 70.0), (5, 3, 2, 70.0), (7, 6, 1, 70.0),
+                      (9, 4, 0, 70.0), (8, 0, 2, 90.0)])
+def test_edge_delays_equal_the_per_edge_closed_form_bit_for_bit(n, m, k, incl):
+    """Pricing once per link class changes no bit of any edge delay, out to
+    t = 1e7 s. The terms are equal by value only: a class may hold +0.0 where
+    an edge of it held -0.0, which leaves every sum unchanged."""
+    cfg = make_config(n, m, k, incl_deg=incl)
+    const, dc, ds = _per_edge_link_terms(cfg)
+    cls, terms = orbit_state(cfg).link_terms
+    for want, got in zip((const, dc, ds), terms):
+        assert np.array_equal(got[cls], want)
+    scale = 2.0 * (cfg.consts.earth_radius_km + cfg.altitude_km) / cfg.consts.light_speed_km_s
+    column = np.array([*np.linspace(0.0, cfg.period_s, 5), 1e7 - 0.3, 1e7])[:, None]
+    for t in (0.0, 1234.5, 1e7, column):
+        theta = 4.0 * math.pi * t / cfg.period_s
+        want = scale * np.sqrt(np.maximum(const + dc * np.cos(theta) - ds * np.sin(theta), 0.0))
+        got = _edge_delays(cfg, t)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize(
+    "n, m, k", [(8, 6, 1), (5, 3, 2), (4, 1, 3), (16, 8, 1), (16, 8, 3), (16, 2, 1)])
+def test_link_classes_are_a_few_closed_forms_per_layer(n, m, k):
+    """On every config of test_delay_oracle_equals_dijkstra, and sim-bjny's:
+    layer 0 has one (K, D) and only phi varies; a layer >= 1 link keeps its
+    length (D = 0), with one K on layer 1 and at most two (regular and wrap)
+    on each deeper layer."""
+    cfg = make_config(n, m, k)
+    cls, (const, dc, ds) = orbit_state(cfg).link_terms
+    for layer, of_layer in enumerate(cls.reshape(-1, k + 1).T):
+        c = np.unique(of_layer)
+        if layer == 0:
+            amplitude = np.hypot(dc[c], ds[c])
+            assert len(set(const[c])) == 1 and amplitude.min() > 0.0
+            np.testing.assert_allclose(amplitude, amplitude[0], rtol=1e-14, atol=0.0)
+        else:
+            assert (dc[c] == 0.0).all() and (ds[c] == 0.0).all()
+            assert len(set(const[c])) <= (1 if layer == 1 else 2)
+    if (n, m, k) == (16, 2, 1):
+        assert len(const) <= 12
+
+
+# README "Link delays": building the link classes takes at most this many bytes per edge
+LINK_CLASS_BYTES_PER_EDGE = 24
+
+
+@pytest.mark.parametrize("n, m, k", [(8, 6, 3), (16, 8, 3)])
+def test_link_classes_build_within_their_bytes_per_edge(n, m, k):
+    cfg = make_config(n, m, k)
+    state = OrbitState(cfg)  # its own, so its classes are built here
+    tracemalloc.start()
+    try:
+        state.link_terms
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= LINK_CLASS_BYTES_PER_EDGE * cfg.n_sats * (k + 1)
 
 
 def _random_pairs(topo, rng, count):
