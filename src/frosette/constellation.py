@@ -137,17 +137,28 @@ def address_to_elements(addr: SatAddress, cfg: ConstellationConfig) -> OrbitalEl
 
 class OrbitState:
     """Every satellite's orbit as read-only cos/sin arrays of its epoch phase
-    and RAAN, indexed by :func:`sat_id`; built from the config alone."""
+    and RAAN (``cp``, ``sp``, ``ca``, ``sa``), indexed by :func:`sat_id`; built
+    from the config alone, on first use, so a caller of ``link_terms`` alone
+    builds none of them."""
 
     def __init__(self, cfg: ConstellationConfig) -> None:
         check_size(cfg)
+        self.cfg = cfg
+
+    @functools.cached_property
+    def _trig(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        cfg = self.cfg
         s0, phase = _orbit_units(np.arange(cfg.n_sats), cfg)
         raan, phase = TWO_PI * s0 / cfg.n, TWO_PI * phase / cfg.n_sats
-        self.cfg = cfg
-        self.cp, self.sp = np.cos(phase), np.sin(phase)
-        self.ca, self.sa = np.cos(raan), np.sin(raan)
-        for a in (self.cp, self.sp, self.ca, self.sa):
+        trig = np.cos(phase), np.sin(phase), np.cos(raan), np.sin(raan)
+        for a in trig:
             a.flags.writeable = False  # shared by every caller of orbit_state
+        return trig
+
+    cp = property(lambda self: self._trig[0])
+    sp = property(lambda self: self._trig[1])
+    ca = property(lambda self: self._trig[2])
+    sa = property(lambda self: self._trig[3])
 
     @functools.cached_property
     def link_terms(self) -> tuple[np.ndarray, np.ndarray]:
@@ -187,10 +198,9 @@ class OrbitState:
     def unit_positions(self, t, rows=slice(None)) -> np.ndarray:
         """Inertial unit vectors of the given rows: (R, 3) at a scalar t,
         (T, R, 3) for times of shape (T, 1)."""
-        cfg = self.cfg
+        cfg, (cp, sp, ca, sa) = self.cfg, self._trig
         return orbit_positions(
-            self.cp[rows], self.sp[rows], self.ca[rows], self.sa[rows],
-            cfg.inclination_rad, TWO_PI * t / cfg.period_s,
+            cp[rows], sp[rows], ca[rows], sa[rows], cfg.inclination_rad, TWO_PI * t / cfg.period_s,
         )
 
 

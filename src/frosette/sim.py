@@ -12,8 +12,10 @@ positions and ``geom.ground_unit`` vectors; coverage tests, ground legs,
 :func:`path_delay` and :func:`link_delay_trace` take their ``geom.central_angles``.
 The oracle is a min-plus fixpoint on the torus of digit tuples
 (:func:`_min_delays`), walked back over ``ring_table`` rows by one array walk
-(:func:`_walk_back`). :func:`run` takes serving satellites, ground legs,
-F-Rosette route prices and oracle hop counts as arrays per oracle group.
+(:func:`_walk_back`); both callers bound it just above the F-Rosette route's
+price, which keeps it exact and settles steps in fewer rounds. :func:`run`
+takes serving satellites, ground legs, F-Rosette route prices and oracle hop
+counts as arrays per oracle group.
 """
 from __future__ import annotations
 
@@ -148,8 +150,8 @@ def load_scenario(path: str) -> Scenario:
 
 # run() takes max(1, _GROUP_SAT_STEPS // M) steps at once, to share numpy's
 # per-call cost and each oracle round's calls; their (G, M, 3) positions
-# (384 KiB) stay in cache, and at 65,536 satellites a group is one step.
-_GROUP_SAT_STEPS = 16384
+# (768 KiB) stay in cache, and at 65,536 satellites a group is one step.
+_GROUP_SAT_STEPS = 32768
 
 
 def _link_delays(a: np.ndarray, b: np.ndarray, cfg: ConstellationConfig) -> np.ndarray:
@@ -167,26 +169,35 @@ def _edge_delays(cfg: ConstellationConfig, t) -> np.ndarray:
     return (scale * np.sqrt(np.maximum(k + dc * np.cos(theta) - ds * np.sin(theta), 0.0)))[..., cls]
 
 
-def _min_delays(delays: np.ndarray, sources: list[int], cfg: ConstellationConfig) -> np.ndarray:
+def _min_delays(delays: np.ndarray, sources: list[int], cfg: ConstellationConfig,
+                bound=np.inf) -> np.ndarray:
     """(G, M) minimum delays from satellite sources[g] under the edge delays
-    of row g of delays, a (G, E) array indexed by ``ring_table`` edge id.
+    of row g of delays, a (G, E) array indexed by ``ring_table`` edge id,
+    each capped at bound[g] (a scalar bound caps every row).
 
     Ids are digit tuples, so on an (N, ..., N, G) array a layer's ring
     neighbours are a roll along its axis; each layer is relaxed as axis 0,
     where slices are contiguous, by turning the digit axes one place before
-    it. Rounds relax every layer's +1 and -1 links until one changes
-    nothing, or M rounds (Bellman-Ford's bound) pass on NaN delays. The
-    fixpoint is unique, so it is Dijkstra's distances, to the bit: the same
-    float sums.
+    it. Every node but the source starts at its row's bound. Rounds relax
+    every layer's +1 and -1 links; a row that one round leaves unchanged is
+    done and leaves the arrays, until none is left or M rounds (Bellman-Ford's
+    bound) pass on NaN delays. The fixpoint is unique, so it is
+    min(bound, Dijkstra's distance), to the bit: every value is the bound or
+    a real path's float sum, and rounding is monotone. A bound just above
+    some path's price to the destination leaves exact every node below it:
+    the destination, its min-delay path and every neighbour that
+    :func:`_walk_back` finds tight; the rest settle at the bound in fewer
+    rounds.
     """
     n, width, g = cfg.n, cfg.k + 1, len(sources)
     shape = (n,) * width + (g,)  # steps innermost
-    dist = np.full(shape, np.inf)
+    out = np.empty((cfg.n_sats, g))
+    dist = np.full(shape, bound)  # a (G,) bound broadcasts along the steps axis
     dist.reshape(-1, g)[sources, np.arange(g)] = 0.0
     up = delays.reshape(g, -1, width).T.reshape((width,) + shape)  # up[L]: layer L's +1 links
     turns = [[(axis + j) % width for axis in range(width)] + [width] for j in range(1, width + 1)]
     up = [up[turn[0]].transpose(turn).copy() for turn in turns]
-    via = np.empty_like(dist)
+    rows, via = np.arange(g), np.empty_like(dist)  # rows: those still in the arrays
     for _ in range(cfg.n_sats):
         before = dist
         for w in up:
@@ -197,9 +208,18 @@ def _min_delays(delays: np.ndarray, sources: list[int], cfg: ConstellationConfig
             np.add(dist[1:], w[:-1], out=via[:-1])  # via[i]: reaching i from i + 1
             np.add(dist[:1], w[-1:], out=via[-1:])
             np.minimum(dist, via, out=dist)
-        if np.array_equal(dist, before):
-            break
-    return dist.reshape(-1, g).T
+        live = (dist != before).reshape(-1, len(rows)).any(axis=0)
+        if live.all():
+            continue
+        out[:, rows[~live]] = dist.reshape(-1, len(rows))[:, ~live]
+        rows = rows[live]
+        if not rows.size:
+            return out.T
+        # np.compress copies to contiguous arrays; a[..., live] would not
+        dist, up = np.compress(live, dist, axis=-1), [np.compress(live, w, axis=-1) for w in up]
+        via = np.empty_like(dist)
+    out[:, rows] = dist.reshape(-1, len(rows))
+    return out.T
 
 
 def _walk_back(dist: np.ndarray, delays: np.ndarray, src: np.ndarray, dst: np.ndarray,
@@ -256,18 +276,34 @@ def associate(p: LatLon, t: float, topo: Topology) -> SatAddress:
     return topo.nodes[int(nearest(orbit_state(cfg).unit_positions(t), ground_unit(p, t, cfg)))]
 
 
+def _route_edges(path, table: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """The ``ring_table`` edge id of each hop of a path of satellite ids: the
+    entry of its head in its tail's row."""
+    (nbr, edge), path = table, np.asarray(path, dtype=np.intp)
+    return edge[path[:-1]][nbr[path[:-1]] == path[1:, None]]
+
+
 def delay_oracle(
     topo: Topology, t: float, src: SatAddress, dst: SatAddress
 ) -> tuple[list[SatAddress], float]:
     """Exact minimum-propagation-delay satellite path at the time-t snapshot;
-    DomainError where zero-delay links tie on it (see :func:`_walk_back`)."""
-    check_times(topo.config, t)  # NaN delays would leave dst unreached
-    si, di = _ids([src, dst], topo.config)
-    delays = _edge_delays(topo.config, t)
-    dist = _min_delays(delays[None], [si], topo.config)
-    walk = _walk_back(dist, delays[None], np.array([si]), np.array([di]), topo.adjacency())
-    path = [di] + [v[0] for _, v in walk]
-    return [topo.nodes[i] for i in reversed(path)], float(dist[0, di])
+    DomainError where zero-delay links tie on it (see :func:`_walk_back`).
+
+    The kernel is bounded, as in :func:`run`, just above the price of the
+    F-Rosette route (``routing.shortest_path``) summed in path order."""
+    cfg = topo.config
+    check_times(cfg, t)  # NaN delays would leave dst unreached
+    si, di = _ids([src, dst], cfg)
+    delays, table = _edge_delays(cfg, t), topo.adjacency()
+    route = _ids(shortest_path(src, dst, topo), cfg)
+    price = 0.0
+    for d in delays[_route_edges(route, table)].tolist():  # in path order, as the oracle sums
+        price += d
+    dist = _min_delays(delays[None], [si], cfg, np.nextafter(price, np.inf))
+    walk = _walk_back(dist, delays[None], np.array([si]), np.array([di]), table)
+    path = np.array([di] + [v[0] for _, v in walk])[::-1]
+    digits = np.unravel_index(path, (cfg.n,) * (cfg.k + 1))  # only the path's addresses
+    return list(zip(*(d.tolist() for d in digits))), float(dist[0, di])
 
 
 def path_delay(path: list[SatAddress], t: float, topo: Topology) -> float:
@@ -308,8 +344,10 @@ def run(scenario: Scenario) -> tuple[list[TraceRecord], dict]:
 
     Each oracle group of steps (see :func:`_snapshots`) is priced as arrays.
     The F-Rosette route of each satellite pair is found once per run, as
-    ``ring_table`` edge ids, and sums the group's edge delays in path order;
-    :func:`_walk_back` counts the hops of every step's oracle path at once.
+    ``ring_table`` edge ids, and sums the group's edge delays in path order.
+    Just above the dearest of those prices from a source, per step, bounds
+    that source's :func:`_min_delays`, and :func:`_walk_back` counts the hops
+    of every step's oracle path at once.
     Per step only the records are Python work, from one list per column and
     group.
     """
@@ -322,22 +360,30 @@ def run(scenario: Scenario) -> tuple[list[TraceRecord], dict]:
     last_pair: dict[str, tuple[int, int]] = {}
     names = [f"{src}->{dst}" for src, dst in scenario.experiments]
 
-    for steps, delays, served, dists in _snapshots(scenario):
-        columns = []
+    for steps, delays, served in _snapshots(scenario):
+        priced, bounds = [], {}
         for src_name, dst_name in scenario.experiments:
-            (si, src_r, src_leg), (di, dst_r, dst_leg) = served[src_name], served[dst_name]
+            si, di = served[src_name][0], served[dst_name][0]
             fro_space, fro_hops = np.empty(len(steps)), np.empty(len(steps), dtype=int)
             for s, d in set(zip(si.tolist(), di.tolist())):
                 route = routes.get((s, d))
                 if route is None:
-                    path = np.array(_ids(shortest_path(topo.nodes[s], topo.nodes[d], topo), cfg))
-                    # each hop's edge id: the entry of its head in its tail's row
-                    route = routes[s, d] = edge[path[:-1]][nbr[path[:-1]] == path[1:, None]]
+                    path = _ids(shortest_path(topo.nodes[s], topo.nodes[d], topo), cfg)
+                    route = routes[s, d] = _route_edges(path, (nbr, edge))
                 rows = np.flatnonzero((si == s) & (di == d))
                 acc = np.zeros(len(rows))
                 for e in route.tolist():  # in path order, as path_delay and the oracle sum
                     acc += delays[rows, e]
                 fro_space[rows], fro_hops[rows] = acc, len(route)
+            priced.append((fro_space, fro_hops))
+            bounds[src_name] = np.maximum(bounds.get(src_name, fro_space), fro_space)
+        # each source's kernel starts just above its dearest F-Rosette route (see _min_delays)
+        dists = {name: _min_delays(delays, served[name][0], cfg, np.nextafter(bound, np.inf))
+                 for name, bound in bounds.items()}
+
+        columns = []
+        for (src_name, dst_name), (fro_space, fro_hops) in zip(scenario.experiments, priced):
+            (si, src_r, src_leg), (di, dst_r, dst_leg) = served[src_name], served[dst_name]
             legs = src_leg + dst_leg
             fro_delay = legs + fro_space
             oracle_delay = legs + dists[src_name][np.arange(len(steps)), di]
@@ -361,18 +407,16 @@ def run(scenario: Scenario) -> tuple[list[TraceRecord], dict]:
 
 
 def _snapshots(scenario: Scenario):
-    """Per group of max(1, 16384 // M) steps: (their times, (G, E) edge delays,
+    """Per group of max(1, 32768 // M) steps: (their times, (G, E) edge delays,
     {endpoint: (G,) serving satellite ids, their central angles from it and
-    the ground-leg delays}, {source endpoint: (G, M) oracle distances}).
+    the ground-leg delays}).
 
-    One :func:`_edge_delays` call gives every edge delay, one (G, M, 3)
+    One :func:`_edge_delays` call gives every edge delay, and one (G, M, 3)
     position array and each endpoint's (G, 3) ``geom.ground_unit`` vectors
-    every association (``geom.nearest``, the rule of :func:`associate`), and
-    :func:`_min_delays` every distance.
+    every association (``geom.nearest``, the rule of :func:`associate`).
     """
     cfg = scenario.config
     names = dict.fromkeys(name for pair in scenario.experiments for name in pair)
-    sources = dict.fromkeys(src for src, _ in scenario.experiments)
     times = _step_times(scenario.start_s, scenario.end_s, scenario.step_s)
     group = max(1, _GROUP_SAT_STEPS // cfg.n_sats)
     for lo in range(0, len(times), group):
@@ -386,8 +430,7 @@ def _snapshots(scenario: Scenario):
             r = central_angles(pos[np.arange(len(steps)), ids], ground)
             legs = slant_range_km(r, cfg.altitude_km, cfg.consts) / cfg.consts.light_speed_km_s
             served[name] = ids, r, legs
-        dists = {name: _min_delays(delays, served[name][0], cfg) for name in sources}
-        yield steps, delays, served, dists
+        yield steps, delays, served
 
 
 def _percentile(sorted_vals: list[float], q: float) -> float:

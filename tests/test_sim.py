@@ -415,6 +415,15 @@ def test_delay_oracle_equals_dijkstra(n, m, k, pairs):
         assert delay_oracle(topo, t, src, dst) == ([topo.nodes[i] for i in path], delay)
 
 
+def test_delay_oracle_builds_no_address_list_or_positions():
+    # it names the path's satellites from their ids, and prices links without positions
+    cfg = make_config(6, 1, 2, altitude_km=987.6)  # no other test builds this orbit state
+    topo = build(cfg)
+    path, _ = delay_oracle(topo, 345.6, (0, 1, 2), (3, 4, 5))
+    assert "nodes" not in vars(topo) and "_trig" not in vars(orbit_state(cfg))
+    assert [type(d) for a in path for d in a] == [int] * 3 * len(path)  # as validate_address needs
+
+
 def test_delay_oracle_raises_where_zero_delay_links_tie():
     # polar m=0 orbits meet at t = 0: equal distances joined by zero-delay links
     # would walk 0 -> 8 -> 16 -> 80 -> 16 -> ... forever; M steps end the walk
@@ -493,6 +502,49 @@ def test_min_delays_stop_on_nan_delays():
     cfg = make_config(4, 1, 1)
     delays = np.full((1, cfg.n_sats * (cfg.k + 1)), np.nan)
     assert np.isnan(_min_delays(delays, [0], cfg)[0, 1:]).all()
+
+
+def _group(cfg, rng, g, times=()):
+    """(G, E) closed-form delays at the given times, then random ones, and G random sources."""
+    times = list(times) + [rng.uniform(0.0, 20000.0) for _ in range(g - len(times))]
+    return _edge_delays(cfg, np.array(times)[:, None]), [rng.randrange(cfg.n_sats) for _ in times]
+
+
+@pytest.mark.parametrize(
+    "n, m, k, incl", [(6, 1, 0, 70.0), (8, 6, 1, 70.0), (5, 3, 2, 70.0), (8, 0, 2, 90.0), (4, 1, 3, 70.0)]
+)
+def test_bounded_kernel_equals_the_capped_unbounded_one_bit_for_bit(n, m, k, incl):
+    """Each row's bound caps its distances and changes nothing below it: at 0,
+    at exactly a node's distance, just above it, between, past every node and
+    at infinity; (8, 0, 2) is polar, its satellites meeting at t = 0."""
+    cfg = make_config(n, m, k, incl_deg=incl)
+    rng = random.Random(7 * n + k)
+    delays, sources = _group(cfg, rng, 12, times=[0.0])
+    unbounded = _min_delays(delays, sources, cfg)
+    far = unbounded.max(axis=1)
+    picked = unbounded[np.arange(12), [rng.randrange(cfg.n_sats) for _ in range(12)]]
+    bound = np.concatenate([
+        [0.0, np.inf, 2.0 * far[2]], picked[3:6], np.nextafter(picked[6:9], np.inf),
+        far[9:] * [0.25, 0.5, 0.75],
+    ])
+    got = _min_delays(delays, sources, cfg, bound)
+    assert got.tobytes() == np.minimum(bound[:, None], unbounded).tobytes()
+
+
+@pytest.mark.parametrize("n, m, k", [(8, 6, 1), (5, 3, 2), (16, 8, 1)])
+def test_rows_that_settle_in_different_rounds_equal_each_row_alone(n, m, k):
+    """Rows leave the arrays as they settle; the rest go on to the same
+    values as each row run by itself, with a scalar bound and with its own."""
+    cfg = make_config(n, m, k)
+    rng = random.Random(n + k)
+    delays, sources = _group(cfg, rng, 9)
+    far = _min_delays(delays, sources, cfg).max(axis=1)
+    bound = far * np.linspace(0.0, 1.25, 9)  # 0 settles in one round, the rest later
+    bound[4] = np.inf
+    got = _min_delays(delays, sources, cfg, bound)
+    for g in range(9):
+        alone = _min_delays(delays[g:g + 1], sources[g:g + 1], cfg, bound[g])
+        assert got[g].tobytes() == alone[0].tobytes()
 
 
 def test_path_delay_sums_hop_delays(topo_8_1, cfg_8_1):
