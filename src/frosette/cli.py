@@ -143,9 +143,6 @@ def _cmd_fib(args) -> int:
 
 def _cmd_cells(args) -> int:
     cfg = load_config(args.config)
-    modes = sum(1 for x in (args.count, args.locate, args.to_location) if x)
-    if modes != 1:
-        _usage_error("cells needs exactly one of --count, --locate, --to-location")
     if args.count:
         _emit({"cell_count": cell_count(cfg)})
         return EXIT_OK
@@ -235,11 +232,10 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser(name="cells", help="ground cell queries")
     p.add_argument("--config", required=True)
-    p.add_argument("--count", action="store_true", help="print total cell count")
-    p.add_argument(
-        "--locate", nargs=2, type=float, metavar=("LAT", "LON"), help="degrees"
-    )
-    p.add_argument("--to-location", metavar="CELLID", help="e.g. 1,0/7,3")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--count", action="store_true", help="print total cell count")
+    mode.add_argument("--locate", nargs=2, type=float, metavar=("LAT", "LON"), help="degrees")
+    mode.add_argument("--to-location", metavar="CELLID", help="e.g. 1,0/7,3")
     p.add_argument("--level", type=int, help="target level for --to-location")
     p.set_defaults(handler=_cmd_cells)
 

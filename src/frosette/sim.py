@@ -13,9 +13,9 @@ positions and ``geom.ground_unit`` vectors; coverage tests, ground legs,
 The oracle is a min-plus fixpoint on the torus of digit tuples
 (:func:`_min_delays`), walked back over ``ring_table`` rows by one array walk
 (:func:`_walk_back`); both callers bound it just above the F-Rosette route's
-price, which keeps it exact and settles steps in fewer rounds. :func:`run`
-takes serving satellites, ground legs, F-Rosette route prices and oracle hop
-counts as arrays per oracle group.
+delay, priced by one function (:func:`_frosette_prices`), which keeps it exact
+and settles steps in fewer rounds. :func:`run` takes serving satellites, ground
+legs, F-Rosette route prices and oracle hop counts as arrays per oracle group.
 """
 from __future__ import annotations
 
@@ -276,11 +276,24 @@ def associate(p: LatLon, t: float, topo: Topology) -> SatAddress:
     return topo.nodes[int(nearest(orbit_state(cfg).unit_positions(t), ground_unit(p, t, cfg)))]
 
 
-def _route_edges(path, table: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """The ``ring_table`` edge id of each hop of a path of satellite ids: the
-    entry of its head in its tail's row."""
-    (nbr, edge), path = table, np.asarray(path, dtype=np.intp)
-    return edge[path[:-1]][nbr[path[:-1]] == path[1:, None]]
+def _frosette_prices(delays: np.ndarray, src, dst, topo: Topology, names, routes: dict):
+    """(G,) F-Rosette route delays from satellite id src[g] to dst[g] under row g of
+    (G, E) edge delays, summed in path order as :func:`path_delay` and the oracle
+    sum, and (G,) hop counts. A pair's ``routing.shortest_path`` from names[s] to
+    names[d] is kept in routes as the ``ring_table`` edge ids of its hops."""
+    (nbr, edge), cfg = ring_table(topo.config), topo.config
+    price, hops = np.empty(len(src)), np.empty(len(src), dtype=int)
+    for s, d in set(zip(src.tolist(), dst.tolist())):
+        route = routes.get((s, d))
+        if route is None:
+            path = np.array(_ids(shortest_path(names[s], names[d], topo), cfg), dtype=np.intp)
+            route = routes[s, d] = edge[path[:-1]][nbr[path[:-1]] == path[1:, None]]
+        rows = np.flatnonzero((src == s) & (dst == d))
+        acc = np.zeros(len(rows))
+        for e in route.tolist():  # in path order, as path_delay and the kernel sum
+            acc += delays[rows, e]
+        price[rows], hops[rows] = acc, len(route)
+    return price, hops
 
 
 def delay_oracle(
@@ -289,18 +302,15 @@ def delay_oracle(
     """Exact minimum-propagation-delay satellite path at the time-t snapshot;
     DomainError where zero-delay links tie on it (see :func:`_walk_back`).
 
-    The kernel is bounded, as in :func:`run`, just above the price of the
-    F-Rosette route (``routing.shortest_path``) summed in path order."""
+    The kernel is bounded, as in :func:`run`, just above the F-Rosette
+    route's delay (:func:`_frosette_prices` on one row)."""
     cfg = topo.config
     check_times(cfg, t)  # NaN delays would leave dst unreached
     si, di = _ids([src, dst], cfg)
-    delays, table = _edge_delays(cfg, t), topo.adjacency()
-    route = _ids(shortest_path(src, dst, topo), cfg)
-    price = 0.0
-    for d in delays[_route_edges(route, table)].tolist():  # in path order, as the oracle sums
-        price += d
-    dist = _min_delays(delays[None], [si], cfg, np.nextafter(price, np.inf))
-    walk = _walk_back(dist, delays[None], np.array([si]), np.array([di]), table)
+    delays, table = _edge_delays(cfg, t)[None], topo.adjacency()
+    price, _ = _frosette_prices(delays, np.array([si]), np.array([di]), topo, {si: src, di: dst}, {})
+    dist = _min_delays(delays, [si], cfg, np.nextafter(price, np.inf))
+    walk = _walk_back(dist, delays, np.array([si]), np.array([di]), table)
     path = np.array([di] + [v[0] for _, v in walk])[::-1]
     digits = np.unravel_index(path, (cfg.n,) * (cfg.k + 1))  # only the path's addresses
     return list(zip(*(d.tolist() for d in digits))), float(dist[0, di])
@@ -342,18 +352,16 @@ def link_delay_trace(
 def run(scenario: Scenario) -> tuple[list[TraceRecord], dict]:
     """Per step and experiment: associate, route, price both paths, record.
 
-    Each oracle group of steps (see :func:`_snapshots`) is priced as arrays.
-    The F-Rosette route of each satellite pair is found once per run, as
-    ``ring_table`` edge ids, and sums the group's edge delays in path order.
-    Just above the dearest of those prices from a source, per step, bounds
-    that source's :func:`_min_delays`, and :func:`_walk_back` counts the hops
-    of every step's oracle path at once.
-    Per step only the records are Python work, from one list per column and
-    group.
+    Each oracle group of steps (see :func:`_snapshots`) is priced as arrays:
+    :func:`_frosette_prices` prices each experiment's F-Rosette routes, each
+    pair's found once per run; just above the dearest from a source, per step,
+    bounds that source's :func:`_min_delays`, and :func:`_walk_back` counts the
+    hops of every step's oracle path at once. Per step only the records are
+    Python work, from one list per column and group.
     """
     cfg = scenario.config
     topo = build(cfg)
-    nbr, edge = ring_table(cfg)
+    table = ring_table(cfg)
     radius = coverage_range(cfg.altitude_km, cfg.min_elevation_rad, cfg.consts)
     routes: dict[tuple[int, int], np.ndarray] = {}
     records: list[TraceRecord] = []
@@ -361,21 +369,10 @@ def run(scenario: Scenario) -> tuple[list[TraceRecord], dict]:
     names = [f"{src}->{dst}" for src, dst in scenario.experiments]
 
     for steps, delays, served in _snapshots(scenario):
-        priced, bounds = [], {}
-        for src_name, dst_name in scenario.experiments:
-            si, di = served[src_name][0], served[dst_name][0]
-            fro_space, fro_hops = np.empty(len(steps)), np.empty(len(steps), dtype=int)
-            for s, d in set(zip(si.tolist(), di.tolist())):
-                route = routes.get((s, d))
-                if route is None:
-                    path = _ids(shortest_path(topo.nodes[s], topo.nodes[d], topo), cfg)
-                    route = routes[s, d] = _route_edges(path, (nbr, edge))
-                rows = np.flatnonzero((si == s) & (di == d))
-                acc = np.zeros(len(rows))
-                for e in route.tolist():  # in path order, as path_delay and the oracle sum
-                    acc += delays[rows, e]
-                fro_space[rows], fro_hops[rows] = acc, len(route)
-            priced.append((fro_space, fro_hops))
+        priced = [_frosette_prices(delays, served[s][0], served[d][0], topo, topo.nodes, routes)
+                  for s, d in scenario.experiments]
+        bounds = {}
+        for (src_name, _), (fro_space, _) in zip(scenario.experiments, priced):
             bounds[src_name] = np.maximum(bounds.get(src_name, fro_space), fro_space)
         # each source's kernel starts just above its dearest F-Rosette route (see _min_delays)
         dists = {name: _min_delays(delays, served[name][0], cfg, np.nextafter(bound, np.inf))
@@ -389,7 +386,7 @@ def run(scenario: Scenario) -> tuple[list[TraceRecord], dict]:
             oracle_delay = legs + dists[src_name][np.arange(len(steps)), di]
             violation = (src_r > radius) | (dst_r > radius)
             oracle_hops = np.zeros(len(steps), dtype=int)
-            for rows, _ in _walk_back(dists[src_name], delays, si, di, (nbr, edge)):
+            for rows, _ in _walk_back(dists[src_name], delays, si, di, table):
                 oracle_hops[rows] += 1
             columns.append(list(zip(*(a.tolist() for a in (  # TraceRecord's field order
                 fro_hops, fro_delay, oracle_hops,

@@ -509,6 +509,11 @@ def test_cells_mode_exclusivity(cells_cfg_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["cells", "--config", cells_cfg_path, "--count", "--to-location", "0,0/0,0"])
     assert exc.value.code == EXIT_USAGE
+    assert _json_err(capsys)["error"] == "usage"
+    with pytest.raises(SystemExit) as exc:
+        main(["cells", "--config", cells_cfg_path, "--locate", "1.0", "2.0", "--to-location", "0,0/0,0"])
+    assert exc.value.code == EXIT_USAGE
+    assert _json_err(capsys)["error"] == "usage"
 
 
 def test_cells_lattice_violation(cfg_path, capsys):

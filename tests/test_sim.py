@@ -547,6 +547,53 @@ def test_rows_that_settle_in_different_rounds_equal_each_row_alone(n, m, k):
         assert got[g].tobytes() == alone[0].tobytes()
 
 
+@pytest.mark.parametrize(
+    "n, m, k, incl", [(6, 1, 0, 70.0), (8, 6, 1, 70.0), (5, 3, 2, 70.0), (8, 0, 2, 90.0), (4, 1, 3, 70.0)]
+)
+def test_frosette_prices_are_the_path_order_sum_of_each_steps_edge_delays(n, m, k, incl):
+    """Each row's price is a scalar sum, in path order, of the edge delays at
+    its own time along shortest_path's hops, bit for bit; (8, 0, 2) is polar,
+    its satellites meeting at t = 0."""
+    cfg = make_config(n, m, k, incl_deg=incl)
+    topo, rng = build(cfg), random.Random(11 * n + k)
+    edge_of = {}
+    for e, (a, b, _layer) in enumerate(topo.edges):
+        edge_of[a, b] = edge_of[b, a] = e
+    times = [0.0] + [rng.uniform(0.0, 20000.0) for _ in range(11)]
+    src = np.array([rng.randrange(cfg.n_sats) for _ in times])
+    dst = np.array([rng.randrange(cfg.n_sats) for _ in times])
+    dst[3], src[5:8], dst[5:8] = src[3], src[4], dst[4]  # a zero-hop row; rows sharing a pair
+    price, hops = sim_module._frosette_prices(
+        _edge_delays(cfg, np.array(times)[:, None]), src, dst, topo, topo.nodes, {})
+    want, want_hops = [], []
+    for t, s, d in zip(times, src.tolist(), dst.tolist()):
+        delays, path = _edge_delays(cfg, t).tolist(), shortest_path(topo.nodes[s], topo.nodes[d], topo)
+        total = 0.0
+        for a, b in zip(path, path[1:]):
+            total += delays[edge_of[a, b]]
+        want.append(total)
+        want_hops.append(len(path) - 1)
+    assert price.tobytes() == np.array(want).tobytes()
+    assert hops.tolist() == want_hops
+    assert want_hops[3] == 0 and len(set(want_hops)) > 2
+
+
+def test_run_finds_each_satellite_pairs_route_once(monkeypatch):
+    # 4 steps per oracle group at 64 satellites, so routes carry over between groups
+    monkeypatch.setattr(sim_module, "_GROUP_SAT_STEPS", 4 * 64)
+    calls = []
+
+    def counted(src, dst, topo):
+        calls.append((src, dst))
+        return shortest_path(src, dst, topo)
+
+    monkeypatch.setattr(sim_module, "shortest_path", counted)
+    records, _ = run(_block_scenario(8, 6, 1, 40, step_s=120.0))
+    pairs = {(r.src_sat, r.dst_sat) for r in records}
+    assert len(pairs) > 3  # handoffs give the window new pairs in later groups
+    assert sorted(calls) == sorted(pairs)
+
+
 def test_path_delay_sums_hop_delays(topo_8_1, cfg_8_1):
     path = [(0, 0), (1, 0), (1, 1)]
     t = 333.0
