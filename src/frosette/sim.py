@@ -12,10 +12,13 @@ positions and ``geom.ground_unit`` vectors; coverage tests, ground legs,
 :func:`path_delay` and :func:`link_delay_trace` take their ``geom.central_angles``.
 The oracle is a min-plus fixpoint on the torus of digit tuples
 (:func:`_min_delays`), walked back over ``ring_table`` rows by one array walk
-(:func:`_walk_back`); both callers bound it just above the F-Rosette route's
-delay, priced by one function (:func:`_frosette_prices`), which keeps it exact
-and settles steps in fewer rounds. :func:`run` takes serving satellites, ground
-legs, F-Rosette route prices and oracle hop counts as arrays per oracle group.
+(:func:`_walk_back`). Both callers price the F-Rosette route with one function
+(:func:`_frosette_prices`) and start each node at that price less a lower bound
+on its delay to the destination, from its ring distances (:func:`_goal_start`):
+the kernel stays exact on the oracle path and settles the rest in fewer
+rounds. :func:`run` takes serving satellites, ground legs, F-Rosette route
+prices and oracle hop counts as arrays per oracle group, and names satellites
+from their ids (``Topology.nodes`` is never built).
 """
 from __future__ import annotations
 
@@ -169,30 +172,54 @@ def _edge_delays(cfg: ConstellationConfig, t) -> np.ndarray:
     return (scale * np.sqrt(np.maximum(k + dc * np.cos(theta) - ds * np.sin(theta), 0.0)))[..., cls]
 
 
+# The relative slack sigma of the goal start (see _min_delays): twenty times the
+# rounding of a sum of M floats, M * 2**-53 <= 4.7e-10 at MAX_SATELLITES (2^22).
+_SLACK = 1e-8
+
+
 def _min_delays(delays: np.ndarray, sources: list[int], cfg: ConstellationConfig,
-                bound=np.inf) -> np.ndarray:
+                start=np.inf) -> np.ndarray:
     """(G, M) minimum delays from satellite sources[g] under the edge delays
-    of row g of delays, a (G, E) array indexed by ``ring_table`` edge id,
-    each capped at bound[g] (a scalar bound caps every row).
+    of row g of delays, a (G, E) array indexed by ``ring_table`` edge id.
+    Every node but the source starts at start: an (N, ..., N, G) array, one
+    value per node and row, a (G,) bound per row, or a scalar for all.
 
     Ids are digit tuples, so on an (N, ..., N, G) array a layer's ring
     neighbours are a roll along its axis; each layer is relaxed as axis 0,
     where slices are contiguous, by turning the digit axes one place before
-    it. Every node but the source starts at its row's bound. Rounds relax
-    every layer's +1 and -1 links; a row that one round leaves unchanged is
-    done and leaves the arrays, until none is left or M rounds (Bellman-Ford's
-    bound) pass on NaN delays. The fixpoint is unique, so it is
-    min(bound, Dijkstra's distance), to the bit: every value is the bound or
-    a real path's float sum, and rounding is monotone. A bound just above
-    some path's price to the destination leaves exact every node below it:
-    the destination, its min-delay path and every neighbour that
-    :func:`_walk_back` finds tight; the rest settle at the bound in fewer
-    rounds.
+    it. Rounds relax every layer's +1 and -1 links; a row that one round
+    leaves unchanged is done and leaves the arrays, until none is left or M
+    rounds (Bellman-Ford's bound) pass on NaN delays.
+
+    The fixpoint is unique: each node ends at the least of its start, the
+    float sums of the paths to it from the source, added in path order (the
+    least is Dijkstra's distance D(v) to the bit, since rounding is monotone),
+    and those from another node's start. A start B alike for every node thus
+    gives min(B, D), to the bit. A consistent start, start[u] + w >= start[v]
+    with room to spare on every link (u, v) of delay w, derives no value
+    below start[v] less the rounding of a sum of at most M terms. So the
+    result is D(v) wherever D(v) lies below start[v] by that slack, and at
+    most start[v] elsewhere.
+
+    :func:`_goal_start` gives the start s(v) = P(1 + sigma) - (1 - sigma) h(v)
+    for a route to dst priced just below P: h(v) = sum_L r_L(v) wmin_L, r_L
+    being v's ring distance to dst on digit L and wmin_L the row's cheapest
+    layer-L link. A layer-L hop changes r_L by at most one and costs at least
+    wmin_L, so h(v) is at most v's delay to dst, and s(u) + w >= s(v) + sigma w.
+    A node v on a min-delay path to dst has D(v) + h(v) <= D(dst) <= P, so
+    s(v) - D(v) >= sigma (P + h(v)), and so has each neighbour tight to one
+    (D(u) + w == D(v)). So the destination, its min-delay path and their
+    tight neighbours end at D, and no value derived from a start is tight
+    there: :func:`_walk_back` takes Dijkstra's steps. sigma (``_SLACK``,
+    1e-8) bounds, twenty times over, the relative rounding of the sums and
+    of s itself, and it raises the start by 1e-8 of the price, far less
+    than a real detour. The rest of the nodes settle at or below their
+    start in fewer rounds.
     """
     n, width, g = cfg.n, cfg.k + 1, len(sources)
     shape = (n,) * width + (g,)  # steps innermost
     out = np.empty((cfg.n_sats, g))
-    dist = np.full(shape, bound)  # a (G,) bound broadcasts along the steps axis
+    dist = np.full(shape, start)  # a (G,) bound broadcasts along the steps axis
     dist.reshape(-1, g)[sources, np.arange(g)] = 0.0
     up = delays.reshape(g, -1, width).T.reshape((width,) + shape)  # up[L]: layer L's +1 links
     turns = [[(axis + j) % width for axis in range(width)] + [width] for j in range(1, width + 1)]
@@ -220,6 +247,23 @@ def _min_delays(delays: np.ndarray, sources: list[int], cfg: ConstellationConfig
         via = np.empty_like(dist)
     out[:, rows] = dist.reshape(-1, len(rows))
     return out.T
+
+
+def _goal_start(delays: np.ndarray, price: np.ndarray, dst: np.ndarray,
+                cfg: ConstellationConfig) -> np.ndarray:
+    """(N, ..., N, G) starts of :func:`_min_delays` for a route to satellite
+    dst[g] priced price[g] under row g of (G, E) edge delays:
+    nextafter(price, inf) (1 + sigma) less (1 - sigma) times each node's lower
+    bound on its delay to dst, its ring distance to dst on each digit L times
+    the row's cheapest layer-L link, summed over L."""
+    n, width, g = cfg.n, cfg.k + 1, len(dst)
+    start = np.nextafter(price, np.inf) * (1.0 + _SLACK)
+    for layer, digit in enumerate(np.unravel_index(dst, (n,) * width)):
+        ring = (np.arange(n)[:, None] - digit) % n  # (N, G), taken on digit L's axis
+        wmin = delays[:, layer::width].min(axis=1)  # edge ids are i*(k+1) + L
+        below = np.minimum(ring, n - ring) * ((1.0 - _SLACK) * wmin)
+        start = start - below.reshape((n,) + (1,) * (width - 1 - layer) + (g,))
+    return start
 
 
 def _walk_back(dist: np.ndarray, delays: np.ndarray, src: np.ndarray, dst: np.ndarray,
@@ -269,31 +313,48 @@ def _ids(addrs: list[SatAddress], cfg: ConstellationConfig) -> list[int]:
     return [sat_id(a, cfg.n) for a in addrs]
 
 
+def _address(i: int, cfg: ConstellationConfig) -> SatAddress:
+    """The address of satellite id i (the inverse of ``sat_id``), in int digits."""
+    address = ()
+    for _ in range(cfg.k + 1):
+        i, digit = divmod(i, cfg.n)
+        address = (digit,) + address
+    return address
+
+
 def associate(p: LatLon, t: float, topo: Topology) -> SatAddress:
     """Physically nearest satellite (``geom.nearest``); ties break to the smallest address."""
     cfg = topo.config
     check_times(cfg, t)
-    return topo.nodes[int(nearest(orbit_state(cfg).unit_positions(t), ground_unit(p, t, cfg)))]
+    return _address(int(nearest(orbit_state(cfg).unit_positions(t), ground_unit(p, t, cfg))), cfg)
 
 
 def _frosette_prices(delays: np.ndarray, src, dst, topo: Topology, names, routes: dict):
     """(G,) F-Rosette route delays from satellite id src[g] to dst[g] under row g of
     (G, E) edge delays, summed in path order as :func:`path_delay` and the oracle
     sum, and (G,) hop counts. A pair's ``routing.shortest_path`` from names[s] to
-    names[d] is kept in routes as the ``ring_table`` edge ids of its hops."""
+    names[d] is kept in routes, under key s*M + d, as the ``ring_table`` edge ids
+    of its hops.
+
+    Every row's route edges are gathered at once into a (G, H) table, padded
+    with zero delays, which ``np.add.accumulate`` adds left to right."""
     (nbr, edge), cfg = ring_table(topo.config), topo.config
-    price, hops = np.empty(len(src)), np.empty(len(src), dtype=int)
-    for s, d in set(zip(src.tolist(), dst.tolist())):
-        route = routes.get((s, d))
+    pairs, which = np.unique(src * cfg.n_sats + dst, return_inverse=True)
+    found = []
+    for key in pairs.tolist():
+        route = routes.get(key)
         if route is None:
-            path = np.array(_ids(shortest_path(names[s], names[d], topo), cfg), dtype=np.intp)
-            route = routes[s, d] = edge[path[:-1]][nbr[path[:-1]] == path[1:, None]]
-        rows = np.flatnonzero((src == s) & (dst == d))
-        acc = np.zeros(len(rows))
-        for e in route.tolist():  # in path order, as path_delay and the kernel sum
-            acc += delays[rows, e]
-        price[rows], hops[rows] = acc, len(route)
-    return price, hops
+            s, d = divmod(key, cfg.n_sats)
+            path = np.array([sat_id(a, cfg.n) for a in shortest_path(names[s], names[d], topo)])
+            route = routes[key] = edge[path[:-1]][nbr[path[:-1]] == path[1:, None]]
+        found.append(route)
+    hops = np.array([len(route) for route in found])
+    table = np.zeros((len(found), max(1, hops.max())), dtype=np.intp)
+    pad = np.arange(table.shape[1]) >= hops[:, None]
+    table[~pad] = np.concatenate(found)  # each route in path order, then padding
+    summed = delays[np.arange(len(src))[:, None], table[which]]
+    summed[pad[which]] = 0.0
+    return np.add.accumulate(summed, axis=1)[:, -1], hops[which]
 
 
 def delay_oracle(
@@ -302,18 +363,17 @@ def delay_oracle(
     """Exact minimum-propagation-delay satellite path at the time-t snapshot;
     DomainError where zero-delay links tie on it (see :func:`_walk_back`).
 
-    The kernel is bounded, as in :func:`run`, just above the F-Rosette
-    route's delay (:func:`_frosette_prices` on one row)."""
+    The kernel starts, as in :func:`run`, at :func:`_goal_start` for the
+    F-Rosette route's delay (:func:`_frosette_prices` on one row)."""
     cfg = topo.config
     check_times(cfg, t)  # NaN delays would leave dst unreached
     si, di = _ids([src, dst], cfg)
     delays, table = _edge_delays(cfg, t)[None], topo.adjacency()
     price, _ = _frosette_prices(delays, np.array([si]), np.array([di]), topo, {si: src, di: dst}, {})
-    dist = _min_delays(delays, [si], cfg, np.nextafter(price, np.inf))
+    dist = _min_delays(delays, [si], cfg, _goal_start(delays, price, np.array([di]), cfg))
     walk = _walk_back(dist, delays, np.array([si]), np.array([di]), table)
-    path = np.array([di] + [v[0] for _, v in walk])[::-1]
-    digits = np.unravel_index(path, (cfg.n,) * (cfg.k + 1))  # only the path's addresses
-    return list(zip(*(d.tolist() for d in digits))), float(dist[0, di])
+    path = [di] + [int(v[0]) for _, v in walk]
+    return [_address(i, cfg) for i in reversed(path)], float(dist[0, di])
 
 
 def path_delay(path: list[SatAddress], t: float, topo: Topology) -> float:
@@ -354,29 +414,35 @@ def run(scenario: Scenario) -> tuple[list[TraceRecord], dict]:
 
     Each oracle group of steps (see :func:`_snapshots`) is priced as arrays:
     :func:`_frosette_prices` prices each experiment's F-Rosette routes, each
-    pair's found once per run; just above the dearest from a source, per step,
-    bounds that source's :func:`_min_delays`, and :func:`_walk_back` counts the
-    hops of every step's oracle path at once. Per step only the records are
-    Python work, from one list per column and group.
+    pair's found once per run; per step and node, the greatest of the
+    :func:`_goal_start` values of a source's experiments starts that source's
+    :func:`_min_delays`, and :func:`_walk_back` counts the hops of every
+    step's oracle path at once. Per step only the records are Python work,
+    from one list per column and group; satellites are named from their ids,
+    each distinct served one once per run.
     """
     cfg = scenario.config
     topo = build(cfg)
     table = ring_table(cfg)
     radius = coverage_range(cfg.altitude_km, cfg.min_elevation_rad, cfg.consts)
-    routes: dict[tuple[int, int], np.ndarray] = {}
+    routes: dict[int, np.ndarray] = {}
+    addresses: dict[int, SatAddress] = {}
     records: list[TraceRecord] = []
     last_pair: dict[str, tuple[int, int]] = {}
     names = [f"{src}->{dst}" for src, dst in scenario.experiments]
 
     for steps, delays, served in _snapshots(scenario):
-        priced = [_frosette_prices(delays, served[s][0], served[d][0], topo, topo.nodes, routes)
+        for ids, _, _ in served.values():
+            addresses.update((i, _address(i, cfg)) for i in set(ids.tolist()) - addresses.keys())
+        priced = [_frosette_prices(delays, served[s][0], served[d][0], topo, addresses, routes)
                   for s, d in scenario.experiments]
-        bounds = {}
-        for (src_name, _), (fro_space, _) in zip(scenario.experiments, priced):
-            bounds[src_name] = np.maximum(bounds.get(src_name, fro_space), fro_space)
-        # each source's kernel starts just above its dearest F-Rosette route (see _min_delays)
-        dists = {name: _min_delays(delays, served[name][0], cfg, np.nextafter(bound, np.inf))
-                 for name, bound in bounds.items()}
+        starts = {}
+        for (src_name, dst_name), (fro_space, _) in zip(scenario.experiments, priced):
+            start = _goal_start(delays, fro_space, served[dst_name][0], cfg)
+            starts[src_name] = np.maximum(starts[src_name], start) if src_name in starts else start
+        # a start exact on each experiment's oracle path stays exact at their max (see _min_delays)
+        dists = {name: _min_delays(delays, served[name][0], cfg, start)
+                 for name, start in starts.items()}
 
         columns = []
         for (src_name, dst_name), (fro_space, fro_hops) in zip(scenario.experiments, priced):
@@ -399,7 +465,7 @@ def run(scenario: Scenario) -> tuple[list[TraceRecord], dict]:
                 last_pair[exp] = (si, di)
                 flag = "coverage_violation" if violation else ""
                 records.append(
-                    TraceRecord(t, exp, *priced, topo.nodes[si], topo.nodes[di], handoff, flag))
+                    TraceRecord(t, exp, *priced, addresses[si], addresses[di], handoff, flag))
     return records, summarize(records, scenario)
 
 

@@ -415,13 +415,21 @@ def test_delay_oracle_equals_dijkstra(n, m, k, pairs):
         assert delay_oracle(topo, t, src, dst) == ([topo.nodes[i] for i in path], delay)
 
 
-def test_delay_oracle_builds_no_address_list_or_positions():
+def test_delay_oracle_builds_no_address_list_or_positions(monkeypatch):
     # it names the path's satellites from their ids, and prices links without positions
     cfg = make_config(6, 1, 2, altitude_km=987.6)  # no other test builds this orbit state
     topo = build(cfg)
     path, _ = delay_oracle(topo, 345.6, (0, 1, 2), (3, 4, 5))
     assert "nodes" not in vars(topo) and "_trig" not in vars(orbit_state(cfg))
     assert [type(d) for a in path for d in a] == [int] * 3 * len(path)  # as validate_address needs
+    # associate and run name their satellites from their ids too
+    served = associate(LatLon(0.3, 1.2), 345.6, topo)
+    assert "nodes" not in vars(topo) and [type(d) for d in served] == [int] * 3
+    built = []
+    monkeypatch.setattr(sim_module, "build", lambda cfg: built.append(build(cfg)) or built[-1])
+    records, _ = run(_block_scenario(6, 1, 2, 4))
+    assert len(built) == 1 and "nodes" not in vars(built[0])
+    assert [type(d) for r in records for d in r.src_sat + r.dst_sat] == [int] * 6 * len(records)
 
 
 def test_delay_oracle_raises_where_zero_delay_links_tie():
@@ -545,6 +553,63 @@ def test_rows_that_settle_in_different_rounds_equal_each_row_alone(n, m, k):
     for g in range(9):
         alone = _min_delays(delays[g:g + 1], sources[g:g + 1], cfg, bound[g])
         assert got[g].tobytes() == alone[0].tobytes()
+
+
+def _walked(dist, delays, src, dst, cfg):
+    """Every step of :func:`_walk_back`, or the DomainError it ends in."""
+    try:
+        walk = _walk_back(dist, delays, src, dst, ring_table(cfg))
+        return [(rows.tolist(), v.tolist()) for rows, v in walk]
+    except DomainError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize(
+    "n, m, k, incl",
+    [(6, 1, 0, 70.0), (8, 6, 1, 70.0), (5, 3, 2, 70.0), (4, 1, 3, 70.0), (7, 2, 1, 70.0), (8, 0, 2, 90.0)],
+)
+def test_goal_start_gives_the_per_row_bounds_oracle_bit_for_bit(n, m, k, incl):
+    """Starting each node at the F-Rosette price less its lower bound to dst
+    leaves the destination's distance and the walk back as the per-row bound
+    leaves them, on 64 random rows at random times; (8, 0, 2) is polar."""
+    cfg = make_config(n, m, k, incl_deg=incl)
+    topo, rng = build(cfg), random.Random(13 * n + k)
+    times = np.array([[rng.uniform(0.0, 20000.0)] for _ in range(64)])
+    src = np.array([rng.randrange(cfg.n_sats) for _ in times])
+    dst = np.array([rng.randrange(cfg.n_sats) for _ in times])
+    delays, rows = _edge_delays(cfg, times), np.arange(64)
+    price, _ = sim_module._frosette_prices(delays, src, dst, topo, topo.nodes, {})
+    bounded = _min_delays(delays, src, cfg, np.nextafter(price, np.inf))
+    goal = _min_delays(delays, src, cfg, sim_module._goal_start(delays, price, dst, cfg))
+    assert goal[rows, dst].tobytes() == bounded[rows, dst].tobytes()
+    assert _walked(goal, delays, src, dst, cfg) == _walked(bounded, delays, src, dst, cfg)
+    assert (goal <= bounded).all() and (goal < bounded).any()  # the start cuts below the bound
+
+
+@pytest.mark.parametrize("n, k", [(8, 1), (5, 2), (4, 3), (6, 0)])
+@pytest.mark.parametrize("weights", ["uniform", "small-integers"])
+def test_kernel_is_exact_below_a_consistent_start_and_at_most_it_elsewhere(n, k, weights):
+    """Where many paths tie, a goal start (consistent: it falls by less than
+    a link's delay across the link) leaves every node whose true delay lies
+    below start * (1 - sigma) at its unbounded value, and no node but the
+    source above its start; prices from the destination's own distance up."""
+    cfg = make_config(n, 1, k)
+    rng = random.Random(n + 10 * k)
+    edges = cfg.n_sats * (k + 1)
+    delays = np.array([[1.0] * edges if weights == "uniform" else
+                       [float(rng.randint(1, 3)) for _ in range(edges)] for _ in range(6)])
+    sources = [rng.randrange(cfg.n_sats) for _ in delays]
+    dst = np.array([rng.randrange(cfg.n_sats) for _ in delays])
+    unbounded = _min_delays(delays, sources, cfg)
+    price = unbounded[np.arange(6), dst] * [1.0, 1.0, 1.0, 1.25, 2.0, 3.0]
+    goal = sim_module._goal_start(delays, price, dst, cfg)
+    got, start = _min_delays(delays, sources, cfg, goal), goal.reshape(-1, 6).T  # both (G, M)
+    below = unbounded < start * (1.0 - sim_module._SLACK)
+    assert below.sum() > 6  # more than the sources
+    assert got[below].tobytes() == unbounded[below].tobytes()
+    others = np.ones_like(below)
+    others[np.arange(6), sources] = False
+    assert (got[others] <= start[others]).all() and (got[~others] == 0.0).all()
 
 
 @pytest.mark.parametrize(
