@@ -137,9 +137,8 @@ def address_to_elements(addr: SatAddress, cfg: ConstellationConfig) -> OrbitalEl
 
 class OrbitState:
     """Every satellite's orbit as read-only cos/sin arrays of its epoch phase
-    and RAAN (``cp``, ``sp``, ``ca``, ``sa``), indexed by :func:`sat_id`; built
-    from the config alone, on first use, so a caller of ``link_terms`` alone
-    builds none of them."""
+    and RAAN, indexed by :func:`sat_id`; built from the config alone, on first
+    use, so a caller of ``link_terms`` alone builds none of them."""
 
     def __init__(self, cfg: ConstellationConfig) -> None:
         check_size(cfg)
@@ -154,11 +153,6 @@ class OrbitState:
         for a in trig:
             a.flags.writeable = False  # shared by every caller of orbit_state
         return trig
-
-    cp = property(lambda self: self._trig[0])
-    sp = property(lambda self: self._trig[1])
-    ca = property(lambda self: self._trig[2])
-    sa = property(lambda self: self._trig[3])
 
     @functools.cached_property
     def link_terms(self) -> tuple[np.ndarray, np.ndarray]:

@@ -412,14 +412,14 @@ def link_delay_trace(
 def run(scenario: Scenario) -> tuple[list[TraceRecord], dict]:
     """Per step and experiment: associate, route, price both paths, record.
 
-    Each oracle group of steps (see :func:`_snapshots`) is priced as arrays:
-    :func:`_frosette_prices` prices each experiment's F-Rosette routes, each
-    pair's found once per run; per step and node, the greatest of the
-    :func:`_goal_start` values of a source's experiments starts that source's
-    :func:`_min_delays`, and :func:`_walk_back` counts the hops of every
-    step's oracle path at once. Per step only the records are Python work,
-    from one list per column and group; satellites are named from their ids,
-    each distinct served one once per run.
+    Per oracle group of steps (:func:`_snapshots`, shared by every experiment)
+    each experiment is priced as arrays by the sequence :func:`delay_oracle`
+    runs on one row: :func:`_frosette_prices` (each pair's route found once per
+    run), :func:`_min_delays` started at :func:`_goal_start`, and
+    :func:`_walk_back` for the oracle hop counts. Per step only the records are
+    Python work, kept in one list per experiment position and interleaved step
+    by step at the end; satellites are named from their ids, each distinct
+    served one once per run.
     """
     cfg = scenario.config
     topo = build(cfg)
@@ -427,45 +427,33 @@ def run(scenario: Scenario) -> tuple[list[TraceRecord], dict]:
     radius = coverage_range(cfg.altitude_km, cfg.min_elevation_rad, cfg.consts)
     routes: dict[int, np.ndarray] = {}
     addresses: dict[int, SatAddress] = {}
-    records: list[TraceRecord] = []
-    last_pair: dict[str, tuple[int, int]] = {}
-    names = [f"{src}->{dst}" for src, dst in scenario.experiments]
+    lists: list[list[TraceRecord]] = [[] for _ in scenario.experiments]  # one per position
+    # a handoff is a change from the experiment's previous record; a pair listed
+    # again follows its first listing at the same step, so it never hands off
+    again = [pair in scenario.experiments[:j] for j, pair in enumerate(scenario.experiments)]
 
     for steps, delays, served in _snapshots(scenario):
         for ids, _, _ in served.values():
             addresses.update((i, _address(i, cfg)) for i in set(ids.tolist()) - addresses.keys())
-        priced = [_frosette_prices(delays, served[s][0], served[d][0], topo, addresses, routes)
-                  for s, d in scenario.experiments]
-        starts = {}
-        for (src_name, dst_name), (fro_space, _) in zip(scenario.experiments, priced):
-            start = _goal_start(delays, fro_space, served[dst_name][0], cfg)
-            starts[src_name] = np.maximum(starts[src_name], start) if src_name in starts else start
-        # a start exact on each experiment's oracle path stays exact at their max (see _min_delays)
-        dists = {name: _min_delays(delays, served[name][0], cfg, start)
-                 for name, start in starts.items()}
-
-        columns = []
-        for (src_name, dst_name), (fro_space, fro_hops) in zip(scenario.experiments, priced):
+        for (src_name, dst_name), recs, repeat in zip(scenario.experiments, lists, again):
             (si, src_r, src_leg), (di, dst_r, dst_leg) = served[src_name], served[dst_name]
-            legs = src_leg + dst_leg
-            fro_delay = legs + fro_space
-            oracle_delay = legs + dists[src_name][np.arange(len(steps)), di]
-            violation = (src_r > radius) | (dst_r > radius)
+            fro_space, fro_hops = _frosette_prices(delays, si, di, topo, addresses, routes)
+            dist = _min_delays(delays, si, cfg, _goal_start(delays, fro_space, di, cfg))
             oracle_hops = np.zeros(len(steps), dtype=int)
-            for rows, _ in _walk_back(dists[src_name], delays, si, di, table):
+            for rows, _ in _walk_back(dist, delays, si, di, table):
                 oracle_hops[rows] += 1
-            columns.append(list(zip(*(a.tolist() for a in (  # TraceRecord's field order
-                fro_hops, fro_delay, oracle_hops,
-                oracle_delay, fro_delay / oracle_delay, si, di, violation)))))
-
-        for b, t in enumerate(steps):
-            for exp, column in zip(names, columns):
-                *priced, si, di, violation = column[b]
-                handoff = exp in last_pair and last_pair[exp] != (si, di)
-                last_pair[exp] = (si, di)
-                flag = "coverage_violation" if violation else ""
-                records.append(
-                    TraceRecord(t, exp, *priced, addresses[si], addresses[di], handoff, flag))
+            legs = src_leg + dst_leg
+            fro_delay, oracle_delay = legs + fro_space, legs + dist[np.arange(len(steps)), di]
+            violation = (src_r > radius) | (dst_r > radius)
+            exp = f"{src_name}->{dst_name}"
+            for t, *priced, s, d, bad in zip(steps, *(a.tolist() for a in (  # TraceRecord's order
+                    fro_hops, fro_delay, oracle_hops,
+                    oracle_delay, fro_delay / oracle_delay, si, di, violation))):
+                pair = addresses[s], addresses[d]
+                handoff = not repeat and bool(recs) and (recs[-1].src_sat, recs[-1].dst_sat) != pair
+                recs.append(TraceRecord(t, exp, *priced, *pair, handoff,
+                                        "coverage_violation" if bad else ""))
+    records = [rec for step in zip(*lists) for rec in step]
     return records, summarize(records, scenario)
 
 
@@ -476,7 +464,8 @@ def _snapshots(scenario: Scenario):
 
     One :func:`_edge_delays` call gives every edge delay, and one (G, M, 3)
     position array and each endpoint's (G, 3) ``geom.ground_unit`` vectors
-    every association (``geom.nearest``, the rule of :func:`associate`).
+    every association (``geom.nearest``, the rule of :func:`associate`), each
+    endpoint once however many experiments name it.
     """
     cfg = scenario.config
     names = dict.fromkeys(name for pair in scenario.experiments for name in pair)

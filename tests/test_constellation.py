@@ -93,7 +93,7 @@ def test_topology_builds_nodes_and_edges_on_first_use():
 def test_shared_config_arrays_are_read_only():
     cfg = make_config(4, 1, 1)
     state = orbit_state(cfg)
-    for array in (*ring_table(cfg), state.cp, state.sp, state.ca, state.sa):
+    for array in (*ring_table(cfg), *state._trig):
         with pytest.raises(ValueError):
             array[0] = 0
 
@@ -141,12 +141,13 @@ def test_orbit_state_shares_the_address_phase(n, m, k):
     cfg = make_config(n, m, k)
     topo, state = build(cfg), orbit_state(cfg)
     assert orbit_state(cfg) is state
+    cp, sp, ca, sa = state._trig
     assert [sat_id(a, n) for a in topo.nodes] == list(range(cfg.n_sats))
     for addr in topo.nodes:
         el, i = address_to_elements(addr, cfg), sat_id(addr, n)
         assert 0.0 <= el.phase0_rad < TWO_PI
-        assert state.cp[i] == np.cos(el.phase0_rad) and state.sp[i] == np.sin(el.phase0_rad)
-        assert state.ca[i] == np.cos(el.raan_rad) and state.sa[i] == np.sin(el.raan_rad)
+        assert cp[i] == np.cos(el.phase0_rad) and sp[i] == np.sin(el.phase0_rad)
+        assert ca[i] == np.cos(el.raan_rad) and sa[i] == np.sin(el.raan_rad)
     assert state.unit_positions(123.0).shape == (cfg.n_sats, 3)
     assert state.unit_positions(np.array([[0.0], [1.0]]), [0, 1, 2]).shape == (2, 3, 3)
 

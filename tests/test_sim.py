@@ -903,13 +903,15 @@ def _per_step_run(scenario):
 
 
 def _block_scenario(n, m, k, steps, step_s=30.0):
-    # a->b and a->c share an endpoint; c->c is served by one satellite at both ends
+    # a->b and a->c share an endpoint; c->c is served by one satellite at both ends;
+    # a->b is listed twice
     doc = _scenario_doc()
     doc["config"].update(n=n, m=m, k=k, min_elevation_deg=35.0)
     doc["window"] = {"start_s": 1234.5, "end_s": 1234.5 + (steps - 1) * step_s, "step_s": step_s}
     doc["endpoints"]["c"] = {"lat_deg": -33.9, "lon_deg": 151.2}
     doc["experiments"] = [
         {"src": "a", "dst": "b"}, {"src": "a", "dst": "c"}, {"src": "c", "dst": "c"},
+        {"src": "a", "dst": "b"},
     ]
     return scenario_from_dict(doc)
 
@@ -932,7 +934,7 @@ def test_block_loop_equals_the_per_step_loop(n, m, k, sat_steps, units, extra):
     steps = units * max(1, sat_steps // n ** (k + 1)) + extra
     scn = _block_scenario(n, m, k, steps)
     records, summary = run(scn)
-    assert len(records) == 3 * steps
+    assert len(records) == 4 * steps
     assert (records, summary) == _per_step_run(scn)
 
 
@@ -940,5 +942,5 @@ def test_block_loop_equals_the_per_step_loop_one_step_per_block():
     # 65,536 satellites: a group is a single step
     scn = _block_scenario(16, 8, 3, 3)
     records, summary = run(scn)
-    assert len(records) == 9
+    assert len(records) == 12
     assert (records, summary) == _per_step_run(scn)
