@@ -40,6 +40,15 @@ def sat_id(addr: SatAddress, n: int) -> int:
     return i
 
 
+def _address(i: int, cfg: ConstellationConfig) -> SatAddress:
+    """The address of satellite id i (the inverse of :func:`sat_id`), in int digits."""
+    address = ()
+    for _ in range(cfg.k + 1):
+        i, digit = divmod(i, cfg.n)
+        address = (digit,) + address
+    return address
+
+
 def validate_address(addr: SatAddress, cfg: ConstellationConfig) -> None:
     """RangeError unless addr has k+1 int digits in [0, N); cfg may also be a BitLayout."""
     if len(addr) != cfg.k + 1:

@@ -22,8 +22,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .config import ConstellationConfig
-from .constellation import MAX_SATELLITES, SatAddress, Topology, _ring_table, ring_neighbor, ring_table
-from .constellation import sat_id, validate_address
+from .constellation import MAX_SATELLITES, SatAddress, Topology, _address, _ring_table, ring_neighbor
+from .constellation import ring_table, sat_id, validate_address
 from .errors import DomainError
 
 Path = list[SatAddress]
@@ -305,7 +305,7 @@ def disjoint_paths(src: SatAddress, dst: SatAddress, topo: Topology) -> Multipat
     for y in sorted(saturated, key=lambda first: nbr.index(first >> 1)):
         walk, w = [src], y >> 1
         while w != t:
-            walk.append(topo.nodes[w])
+            walk.append(_address(w, cfg))
             w = succ[w] >> 1
         walk.append(dst)
         paths.append(tuple(walk))

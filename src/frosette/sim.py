@@ -10,15 +10,10 @@ closed form, once per class of links (``OrbitState.link_terms``). Serving
 satellites (:func:`associate`, :func:`run`) are ``geom.nearest`` of ``OrbitState``
 positions and ``geom.ground_unit`` vectors; coverage tests, ground legs,
 :func:`path_delay` and :func:`link_delay_trace` take their ``geom.central_angles``.
-The oracle is a min-plus fixpoint on the torus of digit tuples
-(:func:`_min_delays`), walked back over ``ring_table`` rows by one array walk
-(:func:`_walk_back`). Both callers price the F-Rosette route with one function
-(:func:`_frosette_prices`) and start each node at that price less a lower bound
-on its delay to the destination, from its ring distances (:func:`_goal_start`):
-the kernel stays exact on the oracle path and settles the rest in fewer
-rounds. :func:`run` takes serving satellites, ground legs, F-Rosette route
-prices and oracle hop counts as arrays per oracle group, and names satellites
-from their ids (``Topology.nodes`` is never built).
+Both callers price routes with one oracle step (:func:`_oracle`), :func:`run`
+per oracle group of steps and :func:`delay_oracle` on one row. :func:`run`
+takes serving satellites, ground legs and both prices as arrays per group, and
+names satellites from their ids (``Topology.nodes`` is never built).
 """
 from __future__ import annotations
 
@@ -31,7 +26,7 @@ import numpy as np
 
 from .config import ConstellationConfig, _json_number, config_from_dict, config_to_dict, load_json
 from .constellation import (
-    SatAddress, Topology, build, format_address, orbit_state, ring_table, sat_id,
+    SatAddress, Topology, _address, build, format_address, orbit_state, ring_table, sat_id,
     validate_address,
 )
 from .errors import ConfigError, DomainError, ParseError, RangeError
@@ -313,15 +308,6 @@ def _ids(addrs: list[SatAddress], cfg: ConstellationConfig) -> list[int]:
     return [sat_id(a, cfg.n) for a in addrs]
 
 
-def _address(i: int, cfg: ConstellationConfig) -> SatAddress:
-    """The address of satellite id i (the inverse of ``sat_id``), in int digits."""
-    address = ()
-    for _ in range(cfg.k + 1):
-        i, digit = divmod(i, cfg.n)
-        address = (digit,) + address
-    return address
-
-
 def associate(p: LatLon, t: float, topo: Topology) -> SatAddress:
     """Physically nearest satellite (``geom.nearest``); ties break to the smallest address."""
     cfg = topo.config
@@ -329,12 +315,11 @@ def associate(p: LatLon, t: float, topo: Topology) -> SatAddress:
     return _address(int(nearest(orbit_state(cfg).unit_positions(t), ground_unit(p, t, cfg))), cfg)
 
 
-def _frosette_prices(delays: np.ndarray, src, dst, topo: Topology, names, routes: dict):
+def _frosette_prices(delays: np.ndarray, src, dst, topo: Topology, routes: dict):
     """(G,) F-Rosette route delays from satellite id src[g] to dst[g] under row g of
     (G, E) edge delays, summed in path order as :func:`path_delay` and the oracle
-    sum, and (G,) hop counts. A pair's ``routing.shortest_path`` from names[s] to
-    names[d] is kept in routes, under key s*M + d, as the ``ring_table`` edge ids
-    of its hops.
+    sum, and (G,) hop counts. A pair's ``routing.shortest_path`` is kept in routes,
+    under key s*M + d, as the ``ring_table`` edge ids of its hops.
 
     Every row's route edges are gathered at once into a (G, H) table, padded
     with zero delays, which ``np.add.accumulate`` adds left to right."""
@@ -344,8 +329,8 @@ def _frosette_prices(delays: np.ndarray, src, dst, topo: Topology, names, routes
     for key in pairs.tolist():
         route = routes.get(key)
         if route is None:
-            s, d = divmod(key, cfg.n_sats)
-            path = np.array([sat_id(a, cfg.n) for a in shortest_path(names[s], names[d], topo)])
+            ends = [_address(i, cfg) for i in divmod(key, cfg.n_sats)]
+            path = np.array([sat_id(a, cfg.n) for a in shortest_path(*ends, topo)])
             route = routes[key] = edge[path[:-1]][nbr[path[:-1]] == path[1:, None]]
         found.append(route)
     hops = np.array([len(route) for route in found])
@@ -357,23 +342,32 @@ def _frosette_prices(delays: np.ndarray, src, dst, topo: Topology, names, routes
     return np.add.accumulate(summed, axis=1)[:, -1], hops[which]
 
 
+def _oracle(delays: np.ndarray, src: np.ndarray, dst: np.ndarray, topo: Topology,
+            routes: dict, table: tuple[np.ndarray, np.ndarray]):
+    """The oracle step on G rows, row g from satellite id src[g] to dst[g] under
+    row g of (G, E) edge delays: (G,) F-Rosette prices and hop counts
+    (:func:`_frosette_prices`, each pair's route kept in routes), (G,) min delays
+    to dst, and the :func:`_walk_back` walk over table, ``ring_table``'s rows.
+    :func:`_min_delays` starts each node at :func:`_goal_start`, the price less a
+    lower bound on its delay to dst from its ring distances: exact on the oracle
+    path, it settles the rest in fewer rounds."""
+    cfg = topo.config
+    price, hops = _frosette_prices(delays, src, dst, topo, routes)
+    dist = _min_delays(delays, src, cfg, _goal_start(delays, price, dst, cfg))
+    return price, hops, dist[np.arange(len(dst)), dst], _walk_back(dist, delays, src, dst, table)
+
+
 def delay_oracle(
     topo: Topology, t: float, src: SatAddress, dst: SatAddress
 ) -> tuple[list[SatAddress], float]:
     """Exact minimum-propagation-delay satellite path at the time-t snapshot;
-    DomainError where zero-delay links tie on it (see :func:`_walk_back`).
-
-    The kernel starts, as in :func:`run`, at :func:`_goal_start` for the
-    F-Rosette route's delay (:func:`_frosette_prices` on one row)."""
+    DomainError where zero-delay links tie on it (see :func:`_walk_back`)."""
     cfg = topo.config
     check_times(cfg, t)  # NaN delays would leave dst unreached
-    si, di = _ids([src, dst], cfg)
-    delays, table = _edge_delays(cfg, t)[None], topo.adjacency()
-    price, _ = _frosette_prices(delays, np.array([si]), np.array([di]), topo, {si: src, di: dst}, {})
-    dist = _min_delays(delays, [si], cfg, _goal_start(delays, price, np.array([di]), cfg))
-    walk = _walk_back(dist, delays, np.array([si]), np.array([di]), table)
-    path = [di] + [int(v[0]) for _, v in walk]
-    return [_address(i, cfg) for i in reversed(path)], float(dist[0, di])
+    si, di = (np.array([i]) for i in _ids([src, dst], cfg))
+    _, _, delay, walk = _oracle(_edge_delays(cfg, t)[None], si, di, topo, {}, topo.adjacency())
+    path = [int(di[0])] + [int(v[0]) for _, v in walk]
+    return [_address(i, cfg) for i in reversed(path)], float(delay[0])
 
 
 def path_delay(path: list[SatAddress], t: float, topo: Topology) -> float:
@@ -413,13 +407,12 @@ def run(scenario: Scenario) -> tuple[list[TraceRecord], dict]:
     """Per step and experiment: associate, route, price both paths, record.
 
     Per oracle group of steps (:func:`_snapshots`, shared by every experiment)
-    each experiment is priced as arrays by the sequence :func:`delay_oracle`
-    runs on one row: :func:`_frosette_prices` (each pair's route found once per
-    run), :func:`_min_delays` started at :func:`_goal_start`, and
-    :func:`_walk_back` for the oracle hop counts. Per step only the records are
-    Python work, kept in one list per experiment position and interleaved step
-    by step at the end; satellites are named from their ids, each distinct
-    served one once per run.
+    each experiment is priced as arrays by one :func:`_oracle` step, each
+    pair's route found once per run. Per step only the records are Python
+    work, kept in one list per experiment position and interleaved step by
+    step at the end; a handoff is a change from the previous record of the
+    same list. Satellites are named from their ids, each distinct served one
+    once per run.
     """
     cfg = scenario.config
     topo = build(cfg)
@@ -428,29 +421,25 @@ def run(scenario: Scenario) -> tuple[list[TraceRecord], dict]:
     routes: dict[int, np.ndarray] = {}
     addresses: dict[int, SatAddress] = {}
     lists: list[list[TraceRecord]] = [[] for _ in scenario.experiments]  # one per position
-    # a handoff is a change from the experiment's previous record; a pair listed
-    # again follows its first listing at the same step, so it never hands off
-    again = [pair in scenario.experiments[:j] for j, pair in enumerate(scenario.experiments)]
 
     for steps, delays, served in _snapshots(scenario):
         for ids, _, _ in served.values():
             addresses.update((i, _address(i, cfg)) for i in set(ids.tolist()) - addresses.keys())
-        for (src_name, dst_name), recs, repeat in zip(scenario.experiments, lists, again):
+        for (src_name, dst_name), recs in zip(scenario.experiments, lists):
             (si, src_r, src_leg), (di, dst_r, dst_leg) = served[src_name], served[dst_name]
-            fro_space, fro_hops = _frosette_prices(delays, si, di, topo, addresses, routes)
-            dist = _min_delays(delays, si, cfg, _goal_start(delays, fro_space, di, cfg))
+            fro_space, fro_hops, oracle_space, walk = _oracle(delays, si, di, topo, routes, table)
             oracle_hops = np.zeros(len(steps), dtype=int)
-            for rows, _ in _walk_back(dist, delays, si, di, table):
+            for rows, _ in walk:
                 oracle_hops[rows] += 1
             legs = src_leg + dst_leg
-            fro_delay, oracle_delay = legs + fro_space, legs + dist[np.arange(len(steps)), di]
+            fro_delay, oracle_delay = legs + fro_space, legs + oracle_space
             violation = (src_r > radius) | (dst_r > radius)
             exp = f"{src_name}->{dst_name}"
             for t, *priced, s, d, bad in zip(steps, *(a.tolist() for a in (  # TraceRecord's order
                     fro_hops, fro_delay, oracle_hops,
                     oracle_delay, fro_delay / oracle_delay, si, di, violation))):
                 pair = addresses[s], addresses[d]
-                handoff = not repeat and bool(recs) and (recs[-1].src_sat, recs[-1].dst_sat) != pair
+                handoff = bool(recs) and (recs[-1].src_sat, recs[-1].dst_sat) != pair
                 recs.append(TraceRecord(t, exp, *priced, *pair, handoff,
                                         "coverage_violation" if bad else ""))
     records = [rec for step in zip(*lists) for rec in step]

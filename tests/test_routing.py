@@ -463,6 +463,7 @@ def test_disjoint_paths_all_differ_at_paper_scale():
         assert [path_hops(list(p), cfg)[0] for p in result] == [
             (j, d) for j in range(4) for d in (1, -1)
         ]
+    assert "nodes" not in vars(topo)  # path satellites are named from their ids
 
 
 def test_verify_multipath_check_rejects_a_path_that_skips_the_rings(monkeypatch):

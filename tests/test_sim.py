@@ -14,7 +14,8 @@ import pytest
 import frosette.sim as sim_module
 from frosette.config import TWO_PI
 from frosette.constellation import (
-    OrbitState, Topology, _orbit_units, address_to_elements, build, orbit_state, ring_table, sat_id,
+    OrbitState, Topology, _address, _orbit_units, address_to_elements, build, orbit_state,
+    ring_table, sat_id,
 )
 from frosette.errors import ConfigError, DomainError, ParseError, RangeError
 from frosette.geom import (
@@ -578,7 +579,7 @@ def test_goal_start_gives_the_per_row_bounds_oracle_bit_for_bit(n, m, k, incl):
     src = np.array([rng.randrange(cfg.n_sats) for _ in times])
     dst = np.array([rng.randrange(cfg.n_sats) for _ in times])
     delays, rows = _edge_delays(cfg, times), np.arange(64)
-    price, _ = sim_module._frosette_prices(delays, src, dst, topo, topo.nodes, {})
+    price, _ = sim_module._frosette_prices(delays, src, dst, topo, {})
     bounded = _min_delays(delays, src, cfg, np.nextafter(price, np.inf))
     goal = _min_delays(delays, src, cfg, sim_module._goal_start(delays, price, dst, cfg))
     assert goal[rows, dst].tobytes() == bounded[rows, dst].tobytes()
@@ -629,7 +630,7 @@ def test_frosette_prices_are_the_path_order_sum_of_each_steps_edge_delays(n, m, 
     dst = np.array([rng.randrange(cfg.n_sats) for _ in times])
     dst[3], src[5:8], dst[5:8] = src[3], src[4], dst[4]  # a zero-hop row; rows sharing a pair
     price, hops = sim_module._frosette_prices(
-        _edge_delays(cfg, np.array(times)[:, None]), src, dst, topo, topo.nodes, {})
+        _edge_delays(cfg, np.array(times)[:, None]), src, dst, topo, {})
     want, want_hops = [], []
     for t, s, d in zip(times, src.tolist(), dst.tolist()):
         delays, path = _edge_delays(cfg, t).tolist(), shortest_path(topo.nodes[s], topo.nodes[d], topo)
@@ -641,6 +642,36 @@ def test_frosette_prices_are_the_path_order_sum_of_each_steps_edge_delays(n, m, 
     assert price.tobytes() == np.array(want).tobytes()
     assert hops.tolist() == want_hops
     assert want_hops[3] == 0 and len(set(want_hops)) > 2
+
+
+@pytest.mark.parametrize(
+    "n, m, k, incl", [(6, 1, 0, 70.0), (8, 6, 1, 70.0), (5, 3, 2, 70.0), (4, 1, 3, 70.0), (8, 0, 2, 90.0)]
+)
+def test_oracle_step_on_many_rows_equals_each_row_alone(n, m, k, incl):
+    """16 rows in one step give each row's prices, hop counts, delays and walk
+    bit for bit as the row alone does, and delay_oracle's delay and path; one
+    row is zero-hop and four share a pair. Times avoid t = 0, where polar
+    (8, 0, 2)'s satellites meet."""
+    cfg = make_config(n, m, k, incl_deg=incl)
+    topo, rng = build(cfg), random.Random(17 * n + k)
+    times = [rng.uniform(1.0, 20000.0) for _ in range(16)]
+    src = np.array([rng.randrange(cfg.n_sats) for _ in times])
+    dst = np.array([rng.randrange(cfg.n_sats) for _ in times])
+    dst[3], src[5:8], dst[5:8] = src[3], src[4], dst[4]  # a zero-hop row; rows sharing a pair
+    delays, table = _edge_delays(cfg, np.array(times)[:, None]), ring_table(cfg)
+    *together, walk = sim_module._oracle(delays, src, dst, topo, {}, table)
+    walks = [[d] for d in dst.tolist()]
+    for rows, v in walk:
+        for g, node in zip(rows.tolist(), v.tolist()):
+            walks[g].append(node)
+    assert walks[3] == [dst[3]] and len({len(w) for w in walks}) > 2
+    for g, (t, s, d) in enumerate(zip(times, src.tolist(), dst.tolist())):
+        one = slice(g, g + 1)
+        *alone, walk = sim_module._oracle(delays[one], src[one], dst[one], topo, {}, table)
+        assert [a.tobytes() for a in alone] == [a[one].tobytes() for a in together]
+        assert [d] + [int(v[0]) for _, v in walk] == walks[g]
+        path, delay = delay_oracle(topo, t, _address(s, cfg), _address(d, cfg))
+        assert (delay, [sat_id(a, n) for a in path]) == (together[2][g], walks[g][::-1])
 
 
 def test_run_finds_each_satellite_pairs_route_once(monkeypatch):
@@ -848,9 +879,20 @@ def test_run_and_associate_build_no_list_index(monkeypatch):
     assert calls == []
 
 
+def test_a_pair_listed_twice_repeats_its_first_listings_records():
+    """Each listing hands off against its own previous record, so a->b's second
+    listing (see _block_scenario) repeats its first, handoffs included."""
+    records, summary = run(_block_scenario(8, 6, 1, 40, step_s=120.0))
+    first, again = records[0::4], records[3::4]
+    handoffs = sum(r.handoff for r in first)
+    assert again == first and handoffs > 0
+    assert summary["experiments"]["a->b"]["handoffs"] == 2 * handoffs
+
+
 def _per_step_run(scenario):
     """The one-snapshot-per-step loop that the block loop replaced, kept as
-    written but for its link delays, which come from the same closed form."""
+    written but for its link delays, which come from the same closed form, and
+    its handoffs, taken per listing of an experiment."""
     cfg = scenario.config
     topo = build(cfg)
     state = orbit_state(cfg)
@@ -862,7 +904,7 @@ def _per_step_run(scenario):
     for t in _step_times(scenario.start_s, scenario.end_s, scenario.step_s):
         pos = state.unit_positions(t)
         delays = _edge_delays(cfg, t).tolist()
-        for src_name, dst_name in scenario.experiments:
+        for j, (src_name, dst_name) in enumerate(scenario.experiments):
             exp = f"{src_name}->{dst_name}"
             src_g = ground_unit(scenario.endpoints[src_name], t, cfg)
             dst_g = ground_unit(scenario.endpoints[dst_name], t, cfg)
@@ -882,8 +924,8 @@ def _per_step_run(scenario):
             oracle_delay = legs + oracle_space
 
             pair = (src_sat, dst_sat)
-            handoff = exp in last_pair and last_pair[exp] != pair
-            last_pair[exp] = pair
+            handoff = j in last_pair and last_pair[j] != pair
+            last_pair[j] = pair
             records.append(
                 TraceRecord(
                     t=t,
