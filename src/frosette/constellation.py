@@ -214,8 +214,11 @@ def orbit_state(cfg: ConstellationConfig) -> OrbitState:
 
 
 def min_altitude_coverage(cfg: ConstellationConfig) -> float:
-    """Smallest altitude giving full ground coverage at the config's elevation;
-    three satellites have none (the demand diverges, as in ``geom.min_satellites``)."""
+    """The covering-bound floor at the config's elevation: below it no arrangement
+    of the satellites' equal caps covers the ground, so it is necessary, not
+    sufficient (8/1/1 at this floor and a 25 degree mask leaves about 22% of the
+    inclination band uncovered). Three satellites have none (the demand
+    diverges, as in ``geom.min_satellites``)."""
     total = cfg.n_sats
     if total < 4:
         raise InfeasibleError(f"coverage impossible: {total} satellites cannot cover the ground")

@@ -3,14 +3,15 @@
 Satellites steer by coordinates, not tables: each one knows its own (alpha,
 gamma), every ring hop shifts those by a constant, and the destination cell's
 center is a fixed coordinate. Greedy correction of alpha (layer 0) then gamma
-(deeper layers) lands next to the target; a bounded ring sweep mops up the
-quantization residue. Coverage of the cell center ends the route early.
+(deeper layers) plans a path that lands next to the target, and the route ends
+at the plan's first satellite covering the cell center. Where the plan covers
+nothing, the route runs by ring shortest path from the source to the satellite
+nearest the target, which covers it exactly when any satellite does.
 
 Coverage and distances to the target are central angles between positions
 from the config's ``constellation.OrbitState`` and the target's inertial
-vector, computed only for the satellites a route tests: the planned greedy
-path in one call, then the neighbours each fallback step compares; an undelivered
-route flags a coverage violation by the ``geom.nearest`` satellite of one snapshot.
+vector: the planned path's in one call, then, where it covers nothing, one
+snapshot of every satellite, searched by the association rule ``geom.nearest``.
 """
 from __future__ import annotations
 
@@ -21,13 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TWO_PI, ConstellationConfig
-from .constellation import (
-    SatAddress, _orbit_units, orbit_state, ring_neighbor, sat_id, validate_address,
-)
+from .constellation import SatAddress, Topology, _address, _orbit_units, orbit_state, ring_neighbor
+from .constellation import sat_id, validate_address
 from .errors import ConfigError, DomainError
 from .geocell import Alpha0Table, CellId, GeoCoord, cell_center, geocoord_to_latlon
 from .geom import LatLon, central_angles, check_times, coverage_range, ground_unit, nearest
 from .geom import wrap_angle
+from .routing import shortest_path
 
 MOTION_CONSTANCY_TOL_RAD = 1e-9
 MOTION_SAMPLE_TIMES = 16
@@ -47,7 +48,7 @@ class GeoRouteResult:
     path: tuple[SatAddress, ...]
     terminal: SatAddress
     delivered: bool
-    fallback_hops: int
+    fallback_hops: int  # hops of a route that leaves the plan (phase fallback), else 0
     coverage_violation: bool = False
     # where the route ended: start, alpha, gamma, fallback or undelivered
     phase: str | None = None
@@ -119,15 +120,17 @@ def geo_route(
     cfg: ConstellationConfig,
     tables: Alpha0Table,
 ) -> GeoRouteResult:
-    """Route from a serving satellite to any satellite covering dst_cell's center.
+    """Route from a serving satellite to a satellite covering dst_cell's center.
 
     Phase 1 walks layer 0 to cancel the alpha gap, phase 2 walks layers 1..k
     to cancel the gamma gap (recomputed per layer, since layer-0 hops shift
     gamma too). No range test steers these walks, so the whole greedy path is
     planned first and its positions come from one call; the route ends at its
-    first satellite that covers the target. If none does, one sweep over the
-    rings, deepest first, moves along whichever neighbor strictly shrinks the
-    great-circle distance to the target, at most N-1 steps per ring.
+    first satellite that covers the target. If none does, the route is the
+    ``shortest_path`` from the source, not the plan's end, so loop-free and
+    within ``hop_bound``, to the snapshot's ``nearest`` satellite, which covers
+    the target exactly when any satellite does; if it does not, the route is
+    undelivered: the planned path, flagged as a coverage violation.
     """
     validate_address(src_serving, cfg)
     check_times(cfg, t)
@@ -164,22 +167,9 @@ def geo_route(
         phase = "start" if i == 0 else "alpha" if i < alpha_end else "gamma"
         return GeoRouteResult(tuple(path[: i + 1]), path[i], True, 0, phase=phase)
 
-    # Fallback: greedy descent on true sub-point distance, one sweep.
-    fallback = 0
-    cur, best = path[-1], float(angles[-1])
-    for layer in range(cfg.k, -1, -1):
-        for _ in range(cfg.n - 1):
-            up, down = (ring_neighbor(cur, layer, d, cfg.n) for d in (1, -1))
-            d_up, d_down = _ranges([up, down], ground, t, cfg).tolist()
-            dist, nb = (d_down, down) if d_down <= d_up else (d_up, up)
-            if dist >= best:
-                break
-            best, cur = dist, nb
-            path.append(cur)
-            fallback += 1
-            if dist <= radius:
-                return GeoRouteResult(tuple(path), cur, True, fallback, phase="fallback")
-
     snapshot = orbit_state(cfg).unit_positions(t)
-    violation = bool(central_angles(snapshot[nearest(snapshot, ground)], ground) > radius)
-    return GeoRouteResult(tuple(path), cur, False, fallback, violation, "undelivered")
+    egress = int(nearest(snapshot, ground))
+    if central_angles(snapshot[egress], ground) > radius:
+        return GeoRouteResult(tuple(path), path[-1], False, 0, True, "undelivered")
+    route = tuple(shortest_path(src_serving, _address(egress, cfg), Topology(cfg)))
+    return GeoRouteResult(route, route[-1], True, len(route) - 1, phase="fallback")

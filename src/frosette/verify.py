@@ -362,7 +362,8 @@ def check_planner() -> tuple[bool, str]:
     tight = select_size(SizeRequest(rtt_target_s=0.0084, min_elevation_rad=math.radians(25), base_n=8))
     if tight.n_sats < res.n_sats:
         return False, f"smaller budget yielded smaller size {tight.n_sats}"
-    return True, f"8.41 ms @ 25 deg -> H={res.altitude_km:.1f} km, k=1, 64 sats; sufficient"
+    return True, (f"8.41 ms @ 25 deg -> H={res.altitude_km:.1f} km, k=1, 64 sats; "
+                  "at the covering-bound floor or above: necessary, not sufficient")
 
 
 ALL_CHECKS = [
