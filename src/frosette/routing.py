@@ -59,6 +59,23 @@ def shortest_path(
     return path
 
 
+def route_edges(src: int, dst: int, cfg: ConstellationConfig) -> list[int]:
+    """``ring_table`` edge ids of :func:`shortest_path`'s hops from satellite id
+    src to dst, in path order, by ring arithmetic on the ids. Layer L's digit
+    has stride N^(k-L); a +1 hop from v on it is edge v*(k+1)+L, a -1 hop the
+    +1 edge of the neighbour it reaches."""
+    n, width = cfg.n, cfg.k + 1
+    edges, stride, v = [], n ** cfg.k, src
+    for layer in range(width):
+        a, b = v // stride % n, dst // stride % n
+        direction, hops = ring_step(a, b, n)
+        base = v - a * stride  # the route's node on reaching this layer, digit L cleared
+        digits = range(a, a + hops) if direction > 0 else range(a - 1, a - 1 - hops, -1)
+        edges += [(base + d % n * stride) * width + layer for d in digits]
+        v, stride = base + b * stride, stride // n
+    return edges
+
+
 def path_hops(path: Path, cfg: ConstellationConfig) -> list[tuple[int, int]]:
     """(layer, direction) annotation for each hop of a path."""
     hops = []
@@ -161,7 +178,13 @@ def build_fib(owner: SatAddress, cfg: ConstellationConfig) -> Fib:
     (N, k) share one ``entries`` tuple and the table compiled from it.
     """
     validate_address(owner, cfg)
-    return Fib(owner=owner, n=cfg.n, entries=_shared_fib(cfg.n, cfg.k).entries)
+    # the frozen __init__'s three object.__setattr__ calls, without the call
+    # by keyword, which costs as much again (a set-up builds one per satellite)
+    fib = object.__new__(Fib)
+    object.__setattr__(fib, "owner", owner)
+    object.__setattr__(fib, "n", cfg.n)
+    object.__setattr__(fib, "entries", _shared_fib(cfg.n, cfg.k).entries)
+    return fib
 
 
 def fib_lookup(fib: Fib, dst: SatAddress) -> tuple[int, int] | None:

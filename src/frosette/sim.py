@@ -18,6 +18,7 @@ names satellites from their ids (``Topology.nodes`` is never built).
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import os
 from dataclasses import dataclass, fields
@@ -32,7 +33,7 @@ from .constellation import (
 from .errors import ConfigError, DomainError, ParseError, RangeError
 from .geom import LatLon, central_angles, check_times, coverage_range
 from .geom import ground_unit, link_length_delay, nearest, slant_range_km
-from .routing import shortest_path
+from .routing import route_edges, shortest_path  # noqa: F401 (benchmarks/tracing.py wraps sim.shortest_path)
 
 @dataclass(frozen=True)
 class Scenario:
@@ -94,6 +95,7 @@ class TraceRecord:
 
 
 TRACE_COLUMNS = tuple(f.name for f in fields(TraceRecord))  # the CSV header, in field order
+_FLAGS = ("", "coverage_violation")  # a record's flag, by whether an endpoint is out of range
 
 
 def _number(doc: dict, key: str, kind: type = float):
@@ -262,29 +264,77 @@ def _goal_start(delays: np.ndarray, price: np.ndarray, dst: np.ndarray,
 
 
 def _walk_back(dist: np.ndarray, delays: np.ndarray, src: np.ndarray, dst: np.ndarray,
-               table: tuple[np.ndarray, np.ndarray]):
+               table: tuple[np.ndarray, np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
     """Walk the min-delay paths from dst[g] back to src[g] under row g of
     (G, M) distances of :func:`_min_delays` and (G, E) edge delays, every row
     at once over the (nbr, edge) rows of ``ring_table``: the predecessor of v
     is, of the neighbours u with dist[u] + delay == dist[v], the smallest
-    (dist[u], u), the one Dijkstra pops first. Yields, per step, the rows
-    still walking and the node each has reached. A path has fewer than M
-    hops, so a walk that takes M raises DomainError: it circles where
-    zero-delay links (satellites that meet) tie.
+    (dist[u], u), the one Dijkstra pops first. Returns, per step, the rows
+    still walking (ascending) and the node each has reached.
+
+    Where zero-delay links (satellites that meet) tie, that rule can circle.
+    Brent's check finds a row that does: each row keeps the node it reached at
+    the last power-of-two step, and coming back to it ends the row's walk. Such
+    a row walks instead by :func:`_tight_walk`.
     """
     nbr, edge = table
     rows, v = np.arange(len(dst)), np.asarray(dst)
-    for _ in range(len(nbr)):
+    mark, steps, circled = v.copy(), [], []
+    for step in itertools.count(1):
         live = v != src[rows]  # rows still walking, and the node each is at
         rows, v = rows[live], v[live]
         if not rows.size:
-            return
+            break
         u, at = nbr[v], rows[:, None]
         du = dist[at, u]
         du = np.where(du + delays[at, edge[v]] == dist[rows, v][:, None], du, np.inf)
         v = np.where(du == du.min(axis=1, keepdims=True), u, len(nbr)).min(axis=1)
-        yield rows, v
-    raise DomainError("ambiguous oracle path: linked satellites meet and zero-delay links tie")
+        back = v == mark[rows]
+        if back.any():
+            circled += rows[back].tolist()
+            rows, v = rows[~back], v[~back]
+        if not step & (step - 1):
+            mark[rows] = v
+        steps.append((rows, v))
+    for g in circled:
+        path = _tight_walk(dist[g], delays[g], int(src[g]), int(dst[g]), table)
+        steps += [(rows[:0], rows[:0])] * (len(path) - len(steps))
+        for j, (at, v) in enumerate(steps):  # g's steps, in place of those it took
+            keep = at != g
+            at, v = at[keep], v[keep]
+            if j < len(path):
+                i = np.searchsorted(at, g)
+                at, v = np.insert(at, i, g), np.insert(v, i, path[j])
+            steps[j] = at, v
+    return [step for step in steps if step[0].size]
+
+
+def _tight_walk(dist: np.ndarray, delays: np.ndarray, src: int, dst: int,
+                table: tuple[np.ndarray, np.ndarray]) -> list[int]:
+    """The nodes after dst on a min-delay path back to src under (M,)
+    distances and (E,) edge delays, for a walk of :func:`_walk_back` that
+    circles. A breadth-first search from src over the tight links (u to v
+    where dist[u] + delay == dist[v]) gives each node it reaches its depth;
+    each step back goes to the tight neighbour one level up with the
+    smallest (dist, id). So the path's delays, added from src, give dist[dst]."""
+    nbr, edge = table
+    depth = np.full(len(nbr), -1)
+    depth[src], frontier, level = 0, np.array([src]), 0
+    while depth[dst] < 0:
+        if not frontier.size:
+            raise DomainError(f"no min-delay path from satellite {src} reaches {dst}")
+        level += 1
+        u = nbr[frontier]
+        tight = (dist[frontier][:, None] + delays[edge[frontier]] == dist[u]) & (depth[u] < 0)
+        frontier = np.unique(u[tight])
+        depth[frontier] = level
+    path, v = [], dst
+    while v != src:
+        u = nbr[v]
+        up = u[(depth[u] == depth[v] - 1) & (dist[u] + delays[edge[v]] == dist[v])]
+        v = int(up[np.lexsort((up, dist[up]))[0]])
+        path.append(v)
+    return path
 
 
 # The most sample instants one window may have. It bounds the window's list of
@@ -318,25 +368,24 @@ def associate(p: LatLon, t: float, topo: Topology) -> SatAddress:
 def _frosette_prices(delays: np.ndarray, src, dst, topo: Topology, routes: dict):
     """(G,) F-Rosette route delays from satellite id src[g] to dst[g] under row g of
     (G, E) edge delays, summed in path order as :func:`path_delay` and the oracle
-    sum, and (G,) hop counts. A pair's ``routing.shortest_path`` is kept in routes,
-    under key s*M + d, as the ``ring_table`` edge ids of its hops.
+    sum, and (G,) hop counts. A pair's route is found once, from the two ids
+    (``routing.route_edges``), and kept in routes under key s*M + d as the
+    ``ring_table`` edge ids of ``routing.shortest_path``'s hops.
 
     Every row's route edges are gathered at once into a (G, H) table, padded
     with zero delays, which ``np.add.accumulate`` adds left to right."""
-    (nbr, edge), cfg = ring_table(topo.config), topo.config
+    cfg = topo.config
     pairs, which = np.unique(src * cfg.n_sats + dst, return_inverse=True)
     found = []
     for key in pairs.tolist():
         route = routes.get(key)
         if route is None:
-            ends = [_address(i, cfg) for i in divmod(key, cfg.n_sats)]
-            path = np.array([sat_id(a, cfg.n) for a in shortest_path(*ends, topo)])
-            route = routes[key] = edge[path[:-1]][nbr[path[:-1]] == path[1:, None]]
+            route = routes[key] = route_edges(*divmod(key, cfg.n_sats), cfg)
         found.append(route)
     hops = np.array([len(route) for route in found])
     table = np.zeros((len(found), max(1, hops.max())), dtype=np.intp)
     pad = np.arange(table.shape[1]) >= hops[:, None]
-    table[~pad] = np.concatenate(found)  # each route in path order, then padding
+    table[~pad] = [e for route in found for e in route]  # each route in path order, then padding
     summed = delays[np.arange(len(src))[:, None], table[which]]
     summed[pad[which]] = 0.0
     return np.add.accumulate(summed, axis=1)[:, -1], hops[which]
@@ -360,8 +409,8 @@ def _oracle(delays: np.ndarray, src: np.ndarray, dst: np.ndarray, topo: Topology
 def delay_oracle(
     topo: Topology, t: float, src: SatAddress, dst: SatAddress
 ) -> tuple[list[SatAddress], float]:
-    """Exact minimum-propagation-delay satellite path at the time-t snapshot;
-    DomainError where zero-delay links tie on it (see :func:`_walk_back`)."""
+    """Exact minimum-propagation-delay satellite path at the time-t snapshot
+    (:func:`_walk_back`'s, also where zero-delay links tie on it)."""
     cfg = topo.config
     check_times(cfg, t)  # NaN delays would leave dst unreached
     si, di = (np.array([i]) for i in _ids([src, dst], cfg))
@@ -412,15 +461,16 @@ def run(scenario: Scenario) -> tuple[list[TraceRecord], dict]:
     work, kept in one list per experiment position and interleaved step by
     step at the end; a handoff is a change from the previous record of the
     same list. Satellites are named from their ids, each distinct served one
-    once per run.
+    once per run, and each record's fields are filled into it in one step.
     """
     cfg = scenario.config
     topo = build(cfg)
     table = ring_table(cfg)
     radius = coverage_range(cfg.altitude_km, cfg.min_elevation_rad, cfg.consts)
-    routes: dict[int, np.ndarray] = {}
+    routes: dict[int, list[int]] = {}
     addresses: dict[int, SatAddress] = {}
     lists: list[list[TraceRecord]] = [[] for _ in scenario.experiments]  # one per position
+    new = object.__new__
 
     for steps, delays, served in _snapshots(scenario):
         for ids, _, _ in served.values():
@@ -434,14 +484,21 @@ def run(scenario: Scenario) -> tuple[list[TraceRecord], dict]:
             legs = src_leg + dst_leg
             fro_delay, oracle_delay = legs + fro_space, legs + oracle_space
             violation = (src_r > radius) | (dst_r > radius)
-            exp = f"{src_name}->{dst_name}"
-            for t, *priced, s, d, bad in zip(steps, *(a.tolist() for a in (  # TraceRecord's order
-                    fro_hops, fro_delay, oracle_hops,
-                    oracle_delay, fro_delay / oracle_delay, si, di, violation))):
-                pair = addresses[s], addresses[d]
-                handoff = bool(recs) and (recs[-1].src_sat, recs[-1].dst_sat) != pair
-                recs.append(TraceRecord(t, exp, *priced, *pair, handoff,
-                                        "coverage_violation" if bad else ""))
+            handoff = np.empty(len(steps), dtype=bool)  # ids name satellites one to one
+            handoff[1:] = (si[1:] != si[:-1]) | (di[1:] != di[:-1])
+            handoff[0] = bool(recs) and (recs[-1].src_sat, recs[-1].dst_sat) != (
+                addresses[int(si[0])], addresses[int(di[0])])
+            columns = (  # TraceRecord's fields, in order
+                steps, itertools.repeat(f"{src_name}->{dst_name}"), *(a.tolist() for a in (
+                    fro_hops, fro_delay, oracle_hops, oracle_delay, fro_delay / oracle_delay)),
+                map(addresses.__getitem__, si.tolist()), map(addresses.__getitem__, di.tolist()),
+                handoff.tolist(), map(_FLAGS.__getitem__, violation.tolist()))
+            for values in zip(*columns):
+                # the fields go into the instance dict in one step; the frozen
+                # __init__ would set each through object.__setattr__
+                rec = new(TraceRecord)
+                rec.__dict__.update(zip(TRACE_COLUMNS, values))
+                recs.append(rec)
     records = [rec for step in zip(*lists) for rec in step]
     return records, summarize(records, scenario)
 

@@ -5,6 +5,7 @@ search for the minimal prefix cover, networkx max-flow for disjoint-path
 counts, and the former dict-of-dicts max-flow for the exact disjoint paths.
 The library must match them, never the other way round.
 """
+import dataclasses
 import functools
 import gc
 import itertools
@@ -160,6 +161,36 @@ def test_shortest_path_structure():
     assert [layer for layer, _ in path_hops(alt, cfg)] == [1, 1, 1, 0, 0, 0, 0]
     with pytest.raises(ValueError):
         shortest_path((0, 0), (4, 5), topo, permutation=(1, 1))
+
+
+def _hop_edges(cfg):
+    """Path of addresses -> the ``ring_table`` edge ids of its hops, each read from its row."""
+    nbr, edge = ring_table(cfg)
+    edge_of = {(u, v): e for u, (vs, es) in enumerate(zip(nbr.tolist(), edge.tolist()))
+               for v, e in zip(vs, es)}
+    return lambda path: [edge_of[routing.sat_id(a, cfg.n), routing.sat_id(b, cfg.n)]
+                         for a, b in zip(path, path[1:])]
+
+
+@pytest.mark.parametrize(
+    "n, k", [(3, 0), (4, 0), (5, 1), (6, 1), (9, 1), (5, 2), (6, 2), (3, 3), (4, 3)]
+)
+def test_route_edges_are_shortest_paths_hops_on_every_pair(n, k):
+    # odd and even N: an even ring has the exact-half tie, which goes counter-clockwise
+    cfg = make_config(n, 1, k)
+    topo, hop_edges = build(cfg), _hop_edges(cfg)
+    for s, d in itertools.product(range(cfg.n_sats), repeat=2):
+        path = shortest_path(topo.nodes[s], topo.nodes[d], topo)
+        assert routing.route_edges(s, d, cfg) == hop_edges(path)
+
+
+def test_route_edges_at_n16_k3():
+    cfg = make_config(16, 8, 3)
+    topo, hop_edges, rng = build(cfg), _hop_edges(cfg), random.Random(1603)
+    for _ in range(2000):
+        s, d = rng.randrange(cfg.n_sats), rng.randrange(cfg.n_sats)
+        path = shortest_path(routing._address(s, cfg), routing._address(d, cfg), topo)
+        assert routing.route_edges(s, d, cfg) == hop_edges(path)
 
 
 def test_path_hops_rejects_non_hops():
@@ -364,6 +395,16 @@ def test_fibs_of_one_config_share_entries_and_table():
     twin = Fib(owners[0], 16, tuple(list(fibs[0].entries)))
     assert twin == fibs[0] and twin.entries is not fibs[0].entries
     assert twin._actions == fibs[0]._actions and twin._actions is not fibs[0]._actions
+
+
+def test_built_fib_equals_one_built_by_its_constructor():
+    cfg = make_config(8, 6, 1)
+    fib = build_fib((3, 5), cfg)
+    twin = Fib(owner=(3, 5), n=8, entries=fib.entries)
+    assert (fib, hash(fib), repr(fib)) == (twin, hash(twin), repr(twin))
+    assert fib_lookup(fib, (4, 5)) == fib_lookup(twin, (4, 5))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        fib.owner = (0, 0)
 
 
 def test_fib_table_is_built_on_first_lookup_and_refuses_oversized_rings():

@@ -1,5 +1,6 @@
 """Emulation loop: association, delay oracle, traces, determinism."""
 import csv
+import dataclasses
 import heapq
 import io
 import json
@@ -32,7 +33,7 @@ from frosette.geom import (
 )
 from frosette.geocell import GeoCoord, geocoord_to_latlon, locate_point
 from frosette.georouting import coverage_check, serving_coord
-from frosette.routing import shortest_path
+from frosette.routing import route_edges, shortest_path
 from frosette.sim import (
     MAX_STEPS,
     Scenario,
@@ -433,12 +434,63 @@ def test_delay_oracle_builds_no_address_list_or_positions(monkeypatch):
     assert [type(d) for r in records for d in r.src_sat + r.dst_sat] == [int] * 6 * len(records)
 
 
-def test_delay_oracle_raises_where_zero_delay_links_tie():
+def _tight_path_checks(cfg, t, path, delay):
+    """A min-delay path: ring hops only, its edge delays added from the source
+    give delay, and that is Dijkstra's distance."""
+    delays, adj = _edge_delays(cfg, t).tolist(), _adjacency_lists(cfg)
+    total = 0.0
+    for a, b in zip(path, path[1:]):
+        total += delays[dict(adj[a])[b]]  # a KeyError if a -> b is not a ring link
+    assert total == delay == _min_delay_path(adj, delays, path[0], path[-1])[1]
+
+
+def test_delay_oracle_names_a_path_where_zero_delay_links_tie():
     # polar m=0 orbits meet at t = 0: equal distances joined by zero-delay links
-    # would walk 0 -> 8 -> 16 -> 80 -> 16 -> ... forever; M steps end the walk
-    topo = build(make_config(8, 0, 2, incl_deg=90.0))
-    with pytest.raises(DomainError, match="ambiguous"):
-        delay_oracle(topo, 0.0, topo.nodes[148], topo.nodes[0])
+    # walk 0 -> 8 -> 16 -> 80 -> 16 -> ... by Dijkstra's rule; that walk is found
+    # circling, and a walk by depth over the tight links names the path instead
+    cfg = make_config(8, 0, 2, incl_deg=90.0)
+    topo = build(cfg)
+    path, delay = delay_oracle(topo, 0.0, topo.nodes[148], topo.nodes[0])
+    ids = [sat_id(a, cfg.n) for a in path]
+    assert ids == [148, 147, 146, 145, 144, 80, 16, 8, 0]
+    assert (_edge_delays(cfg, 0.0) == 0.0).any()  # some satellites meet
+    _tight_path_checks(cfg, 0.0, ids, delay)
+    assert path_delay(path, 0.0, topo) == pytest.approx(delay, rel=1e-12)
+
+
+def test_walk_back_takes_the_tight_walk_only_for_rows_that_circle():
+    """Rows at t = 0 on the polar (8, 0, 2) constellation, some circling,
+    walked with rows at other times in one call: each row's walk is its walk
+    alone; a row that does not circle keeps Dijkstra's path, and one that does
+    walks tight links back to its source."""
+    cfg = make_config(8, 0, 2, incl_deg=90.0)
+    adj, rng, table = _adjacency_lists(cfg), random.Random(802), ring_table(cfg)
+    times = [0.0] * 24 + [rng.uniform(1.0, 20000.0) for _ in range(8)]
+    src = np.array([148] + [rng.randrange(cfg.n_sats) for _ in times[1:]])
+    dst = np.array([0] + [rng.randrange(cfg.n_sats) for _ in times[1:]])
+    delays = _edge_delays(cfg, np.array(times)[:, None])
+    dist = _min_delays(delays, src, cfg)
+    walks = [[d] for d in dst.tolist()]
+    for at, v in _walk_back(dist, delays, src, dst, table):
+        assert (np.diff(at) > 0).all()
+        for g, node in zip(at.tolist(), v.tolist()):
+            walks[g].append(node)
+    circled = 0
+    for g, (s, d) in enumerate(zip(src.tolist(), dst.tolist())):
+        one = slice(g, g + 1)
+        alone = [int(v[0]) for _, v in _walk_back(dist[one], delays[one], src[one], dst[one], table)]
+        assert [d] + alone == walks[g]
+        path, delay = _min_delay_path(adj, delays[g].tolist(), s, d)
+        assert dist[g, d] == delay
+        if walks[g][::-1] != path:
+            circled += 1
+            assert times[g] == 0.0
+            _tight_path_checks(cfg, 0.0, walks[g][::-1], delay)
+    assert circled and walks[0][::-1] == [148, 147, 146, 145, 144, 80, 16, 8, 0]
+    cut = dist[0].copy()
+    cut[dst[0]] = np.nextafter(cut[dst[0]], 0.0)  # no link is tight into dst any more
+    with pytest.raises(DomainError, match="no min-delay path"):
+        sim_module._tight_walk(cut, delays[0], int(src[0]), int(dst[0]), table)
 
 
 @pytest.mark.parametrize("n, k", [(8, 1), (5, 2), (4, 3), (6, 0)])
@@ -679,15 +731,26 @@ def test_run_finds_each_satellite_pairs_route_once(monkeypatch):
     monkeypatch.setattr(sim_module, "_GROUP_SAT_STEPS", 4 * 64)
     calls = []
 
-    def counted(src, dst, topo):
-        calls.append((src, dst))
-        return shortest_path(src, dst, topo)
+    def counted(src, dst, cfg):
+        calls.append((_address(src, cfg), _address(dst, cfg)))
+        return route_edges(src, dst, cfg)
 
-    monkeypatch.setattr(sim_module, "shortest_path", counted)
+    monkeypatch.setattr(sim_module, "route_edges", counted)
     records, _ = run(_block_scenario(8, 6, 1, 40, step_s=120.0))
     pairs = {(r.src_sat, r.dst_sat) for r in records}
     assert len(pairs) > 3  # handoffs give the window new pairs in later groups
     assert sorted(calls) == sorted(pairs)
+
+
+def test_run_fills_records_equal_to_constructor_built_ones():
+    records, _ = run(_block_scenario(8, 6, 1, 40, step_s=120.0))
+    assert len({r.flag for r in records}) == 2 and len({r.handoff for r in records}) == 2
+    for rec in records:
+        built = TraceRecord(**{f.name: getattr(rec, f.name) for f in dataclasses.fields(TraceRecord)})
+        assert (rec, hash(rec), repr(rec), rec.to_row()) == (built, hash(built), repr(built), built.to_row())
+        assert type(rec) is TraceRecord and vars(rec) == vars(built)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        records[0].stretch = 1.0
 
 
 def test_path_delay_sums_hop_delays(topo_8_1, cfg_8_1):
