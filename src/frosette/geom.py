@@ -108,15 +108,13 @@ def orbit_positions(cos_phase, sin_phase, cos_raan, sin_raan, inclination_rad, w
     scale of the phase (or of w, for large t), which moves a 2*pi/N^3 arc by
     ~1e-12 relative from step to step; the rotation keeps it within ~4e-13.
     Arguments broadcast: per-satellite arrays with a scalar w give (R, 3),
-    with w of shape (T, 1) they give (T, R, 3).
+    with w of shape (T, 1) they give (T, R, 3), joined as np.stack would.
     """
     cw, sw = np.cos(w), np.sin(w)
     cu, su = cos_phase * cw - sin_phase * sw, sin_phase * cw + cos_phase * sw
     cb, sb = math.cos(inclination_rad), math.sin(inclination_rad)
-    return np.stack(
-        [cos_raan * cu - sin_raan * su * cb, sin_raan * cu + cos_raan * su * cb, su * sb],
-        axis=-1,
-    )
+    x, y, z = cos_raan * cu - sin_raan * su * cb, sin_raan * cu + cos_raan * su * cb, su * sb
+    return np.concatenate([x[..., None], y[..., None], z[..., None]], axis=-1)
 
 
 def ground_unit(p: LatLon, t, cfg: ConstellationConfig) -> np.ndarray:

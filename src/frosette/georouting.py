@@ -62,10 +62,14 @@ def serving_coord(addr: SatAddress, t: float, cfg: ConstellationConfig) -> GeoCo
     """The (alpha, gamma) a satellite maintains locally: linear drift from epoch."""
     validate_address(addr, cfg)
     check_times(cfg, t)
-    s0, phase = _orbit_units(sat_id(addr, cfg.n), cfg)  # address_to_elements' RAAN and phase
+    return GeoCoord(*_coord(sat_id(addr, cfg.n), t, cfg))
+
+
+def _coord(i: int, t: float, cfg: ConstellationConfig) -> tuple[float, float]:
+    """:func:`serving_coord` of satellite id i at a checked t, unchecked."""
+    s0, phase = _orbit_units(i, cfg)  # address_to_elements' RAAN and phase
     alpha = wrap_angle(TWO_PI * s0 / cfg.n - cfg.omega_earth_rad_s * t)
-    gamma = wrap_angle(TWO_PI * phase / cfg.n_sats + TWO_PI * t / cfg.period_s)
-    return GeoCoord(alpha, gamma)
+    return alpha, wrap_angle(TWO_PI * phase / cfg.n_sats + TWO_PI * t / cfg.period_s)
 
 
 def measure_hop_motions(cfg: ConstellationConfig) -> list[HopMotion]:
@@ -80,8 +84,7 @@ def measure_hop_motions(cfg: ConstellationConfig) -> list[HopMotion]:
     times = [rng.uniform(0.0, cfg.period_s * cfg.rho) for _ in range(MOTION_SAMPLE_TIMES)]
     for layer in range(cfg.k + 1):
         nb = ring_neighbor(origin, layer, 1, cfg.n)
-        base = serving_coord(origin, 0.0, cfg)
-        step = serving_coord(nb, 0.0, cfg)
+        base, step = serving_coord(origin, 0.0, cfg), serving_coord(nb, 0.0, cfg)
         d_alpha = wrap_angle(step.alpha_rad - base.alpha_rad)
         d_gamma = wrap_angle(step.gamma_rad - base.gamma_rad)
         for t in times:
@@ -99,18 +102,13 @@ def measure_hop_motions(cfg: ConstellationConfig) -> list[HopMotion]:
     return motions
 
 
-def _ranges(sats: list[SatAddress], ground, t: float, cfg: ConstellationConfig):
-    """Central angles from the satellites to an inertial ground vector at t."""
-    pos = orbit_state(cfg).unit_positions(t, [sat_id(s, cfg.n) for s in sats])
-    return central_angles(pos, ground)
-
-
 def coverage_check(sat: SatAddress, target: LatLon, t: float, cfg: ConstellationConfig) -> bool:
     """True when the satellite's footprint (at its min elevation) reaches target."""
     validate_address(sat, cfg)
     check_times(cfg, t)
     radius = coverage_range(cfg.altitude_km, cfg.min_elevation_rad, cfg.consts)
-    return bool(_ranges([sat], ground_unit(target, t, cfg), t, cfg)[0] <= radius)
+    pos = orbit_state(cfg).unit_positions(t, [sat_id(sat, cfg.n)])
+    return bool(central_angles(pos, ground_unit(target, t, cfg))[0] <= radius)
 
 
 def geo_route(
@@ -125,9 +123,9 @@ def geo_route(
     Phase 1 walks layer 0 to cancel the alpha gap, phase 2 walks layers 1..k
     to cancel the gamma gap (recomputed per layer, since layer-0 hops shift
     gamma too). No range test steers these walks, so the whole greedy path is
-    planned first and its positions come from one call; the route ends at its
-    first satellite that covers the target. If none does, the route is the
-    ``shortest_path`` from the source, not the plan's end, so loop-free and
+    planned first, in satellite ids, and its positions come from one call; the
+    route ends at its first satellite covering the target. If none does, it is
+    the ``shortest_path`` from the source, not the plan's end, so loop-free and
     within ``hop_bound``, to the snapshot's ``nearest`` satellite, which covers
     the target exactly when any satellite does; if it does not, the route is
     undelivered: the planned path, flagged as a coverage violation.
@@ -141,35 +139,39 @@ def geo_route(
     ground = ground_unit(geocoord_to_latlon(center, cfg), t, cfg)
     radius = coverage_range(cfg.altitude_km, cfg.min_elevation_rad, cfg.consts)
 
-    # Phase 1: inter-orbit alpha alignment.
-    path = [src_serving]
-    gap = wrap_angle(center.alpha_rad - serving_coord(src_serving, t, cfg).alpha_rad)
+    # Phase 1: inter-orbit alpha alignment on digit 0, of stride N^k.
+    n, stride, plan = cfg.n, cfg.n**cfg.k, [sat_id(src_serving, cfg.n)]
+    gap = wrap_angle(center.alpha_rad - _coord(plan[0], t, cfg)[0])
     direction, span = (1, gap) if gap < math.pi else (-1, TWO_PI - gap)
-    for _ in range(min(round(span / (TWO_PI / cfg.n)), cfg.n // 2)):
-        path.append(ring_neighbor(path[-1], 0, direction, cfg.n))
-    alpha_end = len(path)
+    steps = min(round(span / (TWO_PI / n)), n // 2)
+    plan += [(plan[0] + direction * j * stride) % cfg.n_sats for j in range(1, steps + 1)]
+    alpha_end = len(plan)
 
-    # Phase 2: intra-orbit gamma alignment, finest achievable step per layer.
+    # Phase 2: intra-orbit gamma alignment, finest achievable step per layer,
+    # on digit L of stride N^(k-L), wrapping inside it.
     for layer in range(1, cfg.k + 1):
-        gap = wrap_angle(center.gamma_rad - serving_coord(path[-1], t, cfg).gamma_rad)
+        stride //= n
+        gap = wrap_angle(center.gamma_rad - _coord(plan[-1], t, cfg)[1])
         direction, span = (1, gap) if gap < math.pi else (-1, TWO_PI - gap)
-        steps = round(span / (TWO_PI / cfg.n**layer)) % cfg.n
-        if steps > cfg.n / 2:
-            steps = cfg.n - steps
-            direction = -direction
-        for _ in range(steps):
-            path.append(ring_neighbor(path[-1], layer, direction, cfg.n))
+        steps = round(span / (TWO_PI / n**layer)) % n
+        if steps > n / 2:
+            steps, direction = n - steps, -direction
+        digit = plan[-1] // stride % n
+        base = plan[-1] - digit * stride
+        plan += [base + (digit + direction * j) % n * stride for j in range(1, steps + 1)]
 
-    angles = _ranges(path, ground, t, cfg)
+    angles = central_angles(orbit_state(cfg).unit_positions(t, np.array(plan)), ground)
     covered = np.flatnonzero(angles <= radius)
     if covered.size:
         i = int(covered[0])
         phase = "start" if i == 0 else "alpha" if i < alpha_end else "gamma"
-        return GeoRouteResult(tuple(path[: i + 1]), path[i], True, 0, phase=phase)
+        path = tuple([_address(v, cfg) for v in plan[: i + 1]])
+        return GeoRouteResult(path, path[-1], True, 0, phase=phase)
 
     snapshot = orbit_state(cfg).unit_positions(t)
     egress = int(nearest(snapshot, ground))
     if central_angles(snapshot[egress], ground) > radius:
-        return GeoRouteResult(tuple(path), path[-1], False, 0, True, "undelivered")
+        path = tuple([_address(v, cfg) for v in plan])
+        return GeoRouteResult(path, path[-1], False, 0, True, "undelivered")
     route = tuple(shortest_path(src_serving, _address(egress, cfg), Topology(cfg)))
     return GeoRouteResult(route, route[-1], True, len(route) - 1, phase="fallback")

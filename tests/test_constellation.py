@@ -152,6 +152,20 @@ def test_orbit_state_shares_the_address_phase(n, m, k):
     assert state.unit_positions(np.array([[0.0], [1.0]]), [0, 1, 2]).shape == (2, 3, 3)
 
 
+def test_unit_positions_of_rows_are_the_snapshots_rows_bit_for_bit():
+    # geo_route's plan positions and its egress snapshot must agree to the bit
+    cfg = make_config(8, 4, 2)
+    state, ids = orbit_state(cfg), np.array([0, 511, 7, 7, 300, 64])
+    for t in (0.0, 1234.5, -250.25, 1e7 + 0.123):
+        got, want = state.unit_positions(t, ids), state.unit_positions(t)[ids]
+        assert got.shape == (len(ids), 3)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), t
+    column = np.array([[0.0], [1234.5], [-250.25], [1e7 + 0.123]])
+    got, want = state.unit_positions(column, ids), state.unit_positions(column)[:, ids]
+    assert got.shape == (len(column), len(ids), 3)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_size_guard_refuses_before_allocating(monkeypatch):
     # 64^4 = 16,777,216 satellites: the size is only computed. With the
     # enumeration and numpy stubbed out, a guard that let the config through

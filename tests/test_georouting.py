@@ -15,7 +15,7 @@ import pytest
 from frosette import georouting
 from frosette.config import TWO_PI
 from frosette.constellation import (
-    OrbitState, address_to_elements, build, ring_neighbor, validate_address,
+    OrbitState, address_to_elements, build, ring_neighbor, sat_id, validate_address,
 )
 from frosette.errors import ConfigError, DomainError, RangeError
 from frosette.geocell import (
@@ -240,33 +240,23 @@ def _old_ring_distance_to(sat, target, t, cfg):
     )
 
 
-def _old_geo_route(src_serving, dst_cell, t, cfg, tables):
-    validate_address(src_serving, cfg)
+def _old_plan(src_serving, dst_cell, t, cfg, tables):
+    """The greedy plan as a tuple walk: ring_neighbor hops, each phase's gap
+    taken from the scalar coordinate of the address reached."""
     center = cell_center(dst_cell, tables)
-    target = geocoord_to_latlon(center, cfg)
-    cur = src_serving
-    path = [cur]
-
-    def covered() -> bool:
-        return _old_coverage_check(cur, target, t, cfg)
-
-    if covered():
-        return GeoRouteResult(tuple(path), cur, True, 0)
+    plan = [src_serving]
 
     # Phase 1: inter-orbit alpha alignment.
-    here = _old_serving_coord(cur, t, cfg)
+    here = _old_serving_coord(plan[-1], t, cfg)
     gap = wrap_angle(center.alpha_rad - here.alpha_rad)
     direction, span = (1, gap) if gap < math.pi else (-1, TWO_PI - gap)
     steps = min(round(span / (TWO_PI / cfg.n)), cfg.n // 2)
     for _ in range(steps):
-        cur = ring_neighbor(cur, 0, direction, cfg.n)
-        path.append(cur)
-        if covered():
-            return GeoRouteResult(tuple(path), cur, True, 0)
+        plan.append(ring_neighbor(plan[-1], 0, direction, cfg.n))
 
     # Phase 2: intra-orbit gamma alignment, finest achievable step per layer.
     for layer in range(1, cfg.k + 1):
-        here = _old_serving_coord(cur, t, cfg)
+        here = _old_serving_coord(plan[-1], t, cfg)
         gap = wrap_angle(center.gamma_rad - here.gamma_rad)
         direction, span = (1, gap) if gap < math.pi else (-1, TWO_PI - gap)
         pitch = TWO_PI / cfg.n**layer
@@ -275,12 +265,20 @@ def _old_geo_route(src_serving, dst_cell, t, cfg, tables):
             steps = cfg.n - steps
             direction = -direction
         for _ in range(steps):
-            cur = ring_neighbor(cur, layer, direction, cfg.n)
-            path.append(cur)
-            if covered():
-                return GeoRouteResult(tuple(path), cur, True, 0)
+            plan.append(ring_neighbor(plan[-1], layer, direction, cfg.n))
+    return plan
 
-    return GeoRouteResult(tuple(path), cur, False, 0)
+
+def _old_geo_route(src_serving, dst_cell, t, cfg, tables):
+    """The former scalar route: the plan's first satellite covering the target,
+    coverage tested one satellite at a time."""
+    validate_address(src_serving, cfg)
+    target = geocoord_to_latlon(cell_center(dst_cell, tables), cfg)
+    plan = _old_plan(src_serving, dst_cell, t, cfg, tables)
+    for i, cur in enumerate(plan):
+        if _old_coverage_check(cur, target, t, cfg):
+            return GeoRouteResult(tuple(plan[: i + 1]), cur, True, 0)
+    return GeoRouteResult(tuple(plan), plan[-1], False, 0)
 
 
 def _old_all_addresses(cfg):
@@ -308,12 +306,17 @@ ROUTE_CFGS = [
 ]
 
 
-@pytest.mark.parametrize("cfg", ROUTE_CFGS, ids=["k1", "k2"])
-def test_geo_route_equals_former_scalar_route(cfg):
+# k=3 steps digits 2 and 3 as well, of strides N and 1
+@pytest.mark.parametrize("cfg,routes", [
+    (ROUTE_CFGS[0], 2000),
+    (ROUTE_CFGS[1], 2000),
+    (make_config(8, 4, 3, altitude_km=1100.0, elev_deg=10.0), 300),
+], ids=["k1", "k2", "k3"])
+def test_geo_route_equals_former_scalar_route(cfg, routes):
     topo, tables = build(cfg), build_alpha0_tables(cfg)
     rng = random.Random(7)
     kinds, phases = set(), set()
-    for i in range(2000):
+    for i in range(routes):
         src_p = LatLon(math.asin(2 * rng.random() - 1), rng.uniform(-math.pi, math.pi))
         dst_p = LatLon(math.asin(2 * rng.random() - 1), rng.uniform(-math.pi, math.pi))
         t = rng.uniform(0.0, cfg.rho * cfg.period_s)
@@ -345,7 +348,7 @@ def test_geo_route_equals_former_scalar_route(cfg):
         kinds.add((got.delivered, got.fallback_hops > 0, got.coverage_violation))
         phases.add(got.phase)
     # an undelivered route is a coverage violation and takes no fallback hop;
-    # k1's 64 satellites leave some drawn targets uncovered, k2's 512 none
+    # k1's 64 satellites leave some drawn targets uncovered, k2's 512 and k3's 4,096 none
     delivered = {(True, False, False), (True, True, False)}
     ended = {"start", "alpha", "gamma", "fallback"}
     if cfg.k == 1:
@@ -376,8 +379,13 @@ def test_geo_route_takes_one_position_call_for_the_greedy_path(cfg, monkeypatch)
         calls.clear()
         res = geo_route(serving, cell, t, cfg, tables)
         phases.add(res.phase)
-        # the planned greedy path, at least as long as the route that ends on it
-        assert isinstance(calls[0], list)
+        # the planned greedy path by satellite id, at least as long as the
+        # route that ends on it
+        rows = np.asarray(calls[0]).tolist()
+        assert rows == [sat_id(a, cfg.n) for a in _old_plan(serving, cell, t, cfg, tables)]
+        route = [sat_id(a, cfg.n) for a in res.path]
+        if res.phase != "fallback":
+            assert rows[: len(route)] == route
         if res.phase in ("start", "alpha", "gamma"):
             assert len(calls) == 1 and len(calls[0]) >= len(res.path)
         else:  # then one snapshot of every satellite for the nearest
